@@ -1,11 +1,22 @@
 // Systematic per-opcode coverage: every assemblable opcode is executed by
-// the VM, disassembled, re-assembled, and encode/decode round-tripped.
+// the VM, disassembled, re-assembled, and encode/decode round-tripped; and
+// every ALU, shift, divide and branch op is pinned to hand-written results on
+// boundary operands, on both execution tiers and in the verifier's constant
+// folding.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <vector>
 
 #include "src/sfi/assembler.h"
 #include "src/sfi/disasm.h"
 #include "src/sfi/memory_image.h"
+#include "src/sfi/misfit.h"
+#include "src/sfi/threaded_vm.h"
+#include "src/sfi/verifier.h"
 #include "src/sfi/vm.h"
 
 namespace vino {
@@ -128,6 +139,139 @@ INSTANTIATE_TEST_SUITE_P(AllOps, OpRoundTripTest,
                            }
                            return name;
                          });
+
+// --- Op semantics on boundary operands ----------------------------------
+
+constexpr uint64_t kMin = uint64_t{1} << 63;  // INT64_MIN's bit pattern.
+constexpr uint64_t kMax = kMin - 1;           // INT64_MAX.
+constexpr uint64_t kAll = ~uint64_t{0};       // UINT64_MAX, -1 signed.
+
+// (a, b) operand pairs built from 0, 1, 63, 64, INT64_MIN, INT64_MAX and
+// UINT64_MAX: carries and borrows across bit 63, shift counts at and past
+// the 6-bit mask, division by zero, and compares that differ between the
+// signed and unsigned readings.
+constexpr std::array<std::pair<uint64_t, uint64_t>, 10> kPairs = {{
+    {0, 0},
+    {1, 64},
+    {1, 63},
+    {63, 64},
+    {64, 63},
+    {kMin, 63},
+    {kMax, 1},
+    {kAll, kMin},
+    {kMin, kAll},
+    {kAll, 0},
+}};
+
+// Hand-computed results, one per kPairs entry. Register and immediate forms
+// of an op share a row. Branch rows give 1 for taken, 0 for not taken.
+struct SemanticsRow {
+  std::vector<Op> ops;
+  std::array<uint64_t, kPairs.size()> expected;
+};
+
+const std::vector<SemanticsRow>& SemanticsRows() {
+  static const std::vector<SemanticsRow> rows = {
+      {{Op::kAdd, Op::kAddI},
+       {0, 65, 64, 127, 127, kMin + 63, kMin, kMax, kMax, kAll}},
+      {{Op::kSub},
+       {0, kAll - 62, kAll - 61, kAll, 1, kMax - 62, kMax - 1, kMax, kMin + 1,
+        kAll}},
+      {{Op::kMul, Op::kMulI},
+       {0, 64, 63, 4032, 4032, kMin, kMax, kMin, kMin, 0}},
+      {{Op::kDivU},
+       {0, 0, 0, 0, 1, 0x0208208208208208, kMax, 1, 0, 0}},
+      {{Op::kRemU}, {0, 1, 1, 63, 1, 8, 0, kMax, kMin, 0}},
+      {{Op::kAnd, Op::kAndI}, {0, 0, 1, 0, 0, 0, 1, kMin, kMin, 0}},
+      {{Op::kOr, Op::kOrI},
+       {0, 65, 63, 127, 127, kMin + 63, kMax, kAll, kAll, kAll}},
+      {{Op::kXor, Op::kXorI},
+       {0, 65, 62, 127, 127, kMin + 63, kMax - 1, kMax, kMax, kAll}},
+      {{Op::kShl, Op::kShlI}, {0, 1, kMin, 63, 0, 0, kAll - 1, kAll, 0, kAll}},
+      {{Op::kShr, Op::kShrI},
+       {0, 1, 0, 63, 0, 1, kMax >> 1, kAll, 1, kAll}},
+      {{Op::kSar}, {0, 1, 0, 63, 0, kAll, kMax >> 1, kAll, kAll, kAll}},
+      {{Op::kBeq}, {1, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {{Op::kBne}, {0, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+      {{Op::kBltU}, {0, 1, 1, 1, 0, 0, 0, 0, 1, 0}},
+      {{Op::kBgeU}, {1, 0, 0, 0, 1, 1, 1, 1, 0, 1}},
+      {{Op::kBltS}, {0, 1, 1, 1, 0, 1, 0, 0, 1, 1}},
+      {{Op::kBgeS}, {1, 0, 0, 0, 1, 0, 1, 1, 0, 0}},
+  };
+  return rows;
+}
+
+// Leaves `op`'s result (for a branch: 1 if taken) in r0. An ALU program also
+// feeds both 32-bit halves of the result to indirect calls: the always-taken
+// beq skips them at run time, but the verifier explores both edges, so its
+// constant fold of the op surfaces in VerifierReport::const_indirect_ids.
+Program SemanticsProgram(Op op, uint64_t a, uint64_t b) {
+  const auto imm = [](uint64_t v) { return static_cast<int64_t>(v); };
+  Program p;
+  p.name = "sem-" + std::string(OpName(op));
+  p.code = {{Op::kLoadImm, 1, 0, 0, imm(a)}, {Op::kLoadImm, 2, 0, 0, imm(b)}};
+  if (IsBranch(op)) {
+    p.code.push_back({Op::kLoadImm, 0, 0, 0, 1});
+    p.code.push_back({op, 0, 1, 2, 5});
+    p.code.push_back({Op::kLoadImm, 0, 0, 0, 0});
+  } else {
+    p.code.push_back(ReadsRs2(op) ? Instruction{op, 0, 1, 2, 0}
+                                  : Instruction{op, 0, 1, 0, imm(b)});
+    p.code.push_back({Op::kShrI, 3, 0, 0, 32});
+    p.code.push_back({Op::kBeq, 0, 1, 1, 7});
+    p.code.push_back({Op::kCallR, 0, 0, 0, 0});
+    p.code.push_back({Op::kCallR, 0, 3, 0, 0});
+  }
+  p.code.push_back({Op::kHalt, 0, 0, 0, 0});
+  return p;
+}
+
+TEST(OpSemanticsTest, BoundaryOperandsOnBothTiersAndInTheVerifierFold) {
+  HostCallTable host;
+  for (const SemanticsRow& row : SemanticsRows()) {
+    for (const Op op : row.ops) {
+      for (size_t i = 0; i < kPairs.size(); ++i) {
+        const auto [a, b] = kPairs[i];
+        const uint64_t want = row.expected[i];
+        SCOPED_TRACE(std::string(OpName(op)) + " pair " + std::to_string(i));
+
+        const Program source = SemanticsProgram(op, a, b);
+        ASSERT_EQ(VerifyProgram(source), Status::kOk);
+        Result<Program> instrumented = Instrument(source, MisfitOptions{16});
+        ASSERT_TRUE(instrumented.ok());
+        Program verified = *instrumented;
+        const VerifierReport report = VerifySandbox(verified);
+        ASSERT_TRUE(report.ok()) << report.reason;
+        verified.verified = true;
+        verified.compiled = CompileThreaded(verified);
+        ASSERT_NE(verified.compiled, nullptr);
+
+        MemoryImage image(4096, 16);
+        // Tier 0 with per-access bounds checks, Tier 0 on the verified
+        // fast path, and Tier 1.
+        const RunOutcome checked = Vm(&host).Run(source, &image, {}, RunOptions{});
+        const RunOutcome fast = Vm(&host).Run(verified, &image, {}, RunOptions{});
+        const RunOutcome threaded =
+            ThreadedVm(&host).Run(verified, &image, {}, RunOptions{});
+        ASSERT_EQ(checked.status, Status::kOk);
+        ASSERT_EQ(fast.status, Status::kOk);
+        ASSERT_EQ(threaded.status, Status::kOk);
+        ASSERT_EQ(threaded.tier, ExecTier::kTier1);
+        EXPECT_EQ(checked.ret, want);
+        EXPECT_EQ(fast.ret, want);
+        EXPECT_EQ(threaded.ret, want);
+
+        if (!IsBranch(op)) {
+          std::vector<uint32_t> folded = {static_cast<uint32_t>(want),
+                                          static_cast<uint32_t>(want >> 32)};
+          std::sort(folded.begin(), folded.end());
+          folded.erase(std::unique(folded.begin(), folded.end()), folded.end());
+          EXPECT_EQ(report.const_indirect_ids, folded);
+        }
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace vino
