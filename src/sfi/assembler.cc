@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cstdint>
 #include <optional>
 
 #include "src/base/log.h"
@@ -145,25 +146,29 @@ std::optional<uint8_t> ParseReg(std::string_view tok) {
   return static_cast<uint8_t>(value);
 }
 
+// A 64-bit signed immediate, decimal or 0x hex, with an optional leading
+// '-'. The magnitude is parsed unsigned so INT64_MIN, which Disassemble
+// prints, reads back.
 std::optional<int64_t> ParseImm(std::string_view tok) {
-  int64_t value = 0;
   int base = 10;
   std::string_view body = tok;
-  bool negative = false;
-  if (!body.empty() && body[0] == '-') {
-    negative = true;
+  const bool negative = !body.empty() && body[0] == '-';
+  if (negative) {
     body.remove_prefix(1);
   }
   if (body.size() > 2 && body[0] == '0' && (body[1] == 'x' || body[1] == 'X')) {
     base = 16;
     body.remove_prefix(2);
   }
+  uint64_t magnitude = 0;
   const auto [ptr, ec] =
-      std::from_chars(body.data(), body.data() + body.size(), value, base);
-  if (ec != std::errc() || ptr != body.data() + body.size()) {
+      std::from_chars(body.data(), body.data() + body.size(), magnitude, base);
+  const uint64_t limit = uint64_t{INT64_MAX} + (negative ? 1 : 0);
+  if (ec != std::errc() || ptr != body.data() + body.size() ||
+      magnitude > limit) {
     return std::nullopt;
   }
-  return negative ? -value : value;
+  return static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
 }
 
 }  // namespace
@@ -208,7 +213,7 @@ Result<Program> Assemble(std::string_view source, std::string name,
     }
 
     const Op op = OpFromName(tokens[0]);
-    if (op == Op::kOpCount || op == Op::kSandboxAddr || op == Op::kCheckedCallR) {
+    if (op == Op::kOpCount || IsInstrumentationOnly(op)) {
       VINO_LOG_ERROR << "asm line " << line_no << ": unknown op '" << tokens[0] << "'";
       return Status::kBadGraft;
     }
@@ -243,50 +248,31 @@ Result<Program> Assemble(std::string_view source, std::string name,
       return true;
     };
 
-    switch (op) {
-      case Op::kNop:
-      case Op::kHalt:
+    switch (ShapeOf(op)) {
+      case OpShape::kNone:
+      case OpShape::kHalt:
         break;
-      case Op::kLoadImm:
+      case OpShape::kLoadImm:
         if (!reg_at(1, &ins.rd) || !imm_at(2, &ins.imm)) {
           return fail("expected: loadi rd, imm");
         }
         break;
-      case Op::kMov:
+      case OpShape::kMov:
         if (!reg_at(1, &ins.rd) || !reg_at(2, &ins.rs1)) {
           return fail("expected: mov rd, rs");
         }
         break;
-      case Op::kAdd:
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDivU:
-      case Op::kRemU:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kSar:
+      case OpShape::kAluR:
         if (!reg_at(1, &ins.rd) || !reg_at(2, &ins.rs1) || !reg_at(3, &ins.rs2)) {
           return fail("expected: op rd, ra, rb");
         }
         break;
-      case Op::kAddI:
-      case Op::kMulI:
-      case Op::kAndI:
-      case Op::kOrI:
-      case Op::kXorI:
-      case Op::kShlI:
-      case Op::kShrI:
+      case OpShape::kAluI:
         if (!reg_at(1, &ins.rd) || !reg_at(2, &ins.rs1) || !imm_at(3, &ins.imm)) {
           return fail("expected: op rd, ra, imm");
         }
         break;
-      case Op::kLd8:
-      case Op::kLd16:
-      case Op::kLd32:
-      case Op::kLd64:
+      case OpShape::kLoad:
         if (!reg_at(1, &ins.rd) || !reg_at(2, &ins.rs1)) {
           return fail("expected: ldN rd, raddr [, off]");
         }
@@ -294,10 +280,7 @@ Result<Program> Assemble(std::string_view source, std::string name,
           return fail("bad offset");
         }
         break;
-      case Op::kSt8:
-      case Op::kSt16:
-      case Op::kSt32:
-      case Op::kSt64:
+      case OpShape::kStore:
         if (!reg_at(1, &ins.rs1) || !reg_at(2, &ins.rs2)) {
           return fail("expected: stN raddr, rval [, off]");
         }
@@ -305,29 +288,27 @@ Result<Program> Assemble(std::string_view source, std::string name,
           return fail("bad offset");
         }
         break;
-      case Op::kJmp:
+      case OpShape::kJump:
         if (tokens.size() < 2) {
           return fail("expected: jmp label");
         }
         pending.push_back({program.code.size(), std::string(tokens[1]), line_no});
         break;
-      case Op::kBeq:
-      case Op::kBne:
-      case Op::kBltU:
-      case Op::kBgeU:
-      case Op::kBltS:
-      case Op::kBgeS:
+      case OpShape::kBranch:
         if (!reg_at(1, &ins.rs1) || !reg_at(2, &ins.rs2) || tokens.size() < 4) {
           return fail("expected: bcc ra, rb, label");
         }
         pending.push_back({program.code.size(), std::string(tokens[3]), line_no});
         break;
-      case Op::kCall: {
+      case OpShape::kCall: {
         if (tokens.size() < 2) {
           return fail("expected: call fn");
         }
         uint32_t id = 0;
         if (const auto numeric = ParseImm(tokens[1]); numeric && *numeric > 0) {
+          if (*numeric > int64_t{UINT32_MAX}) {
+            return fail("host function id does not fit in 32 bits");
+          }
           id = static_cast<uint32_t>(*numeric);
         } else if (host != nullptr) {
           const auto resolved = host->IdOf(tokens[1]);
@@ -342,7 +323,7 @@ Result<Program> Assemble(std::string_view source, std::string name,
         program.direct_call_ids.push_back(id);
         break;
       }
-      case Op::kCallR:
+      case OpShape::kCallR:
         if (!reg_at(1, &ins.rs1)) {
           return fail("expected: callr rid");
         }

@@ -14,69 +14,47 @@ std::string DisassembleInstruction(const Instruction& ins,
                                    const DisasmOptions& options) {
   std::ostringstream out;
   out << OpName(ins.op);
-  switch (ins.op) {
-    case Op::kNop:
-    case Op::kHalt:
+  const OpShape shape = ShapeOf(ins.op);
+  switch (shape) {
+    case OpShape::kNone:
+    case OpShape::kHalt:
       break;
-    case Op::kLoadImm:
+    case OpShape::kLoadImm:
       out << " " << RegName(ins.rd) << ", " << ins.imm;
       break;
-    case Op::kMov:
+    case OpShape::kMov:
       out << " " << RegName(ins.rd) << ", " << RegName(ins.rs1);
       break;
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDivU:
-    case Op::kRemU:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kSar:
+    case OpShape::kAluR:
       out << " " << RegName(ins.rd) << ", " << RegName(ins.rs1) << ", "
           << RegName(ins.rs2);
       break;
-    case Op::kAddI:
-    case Op::kMulI:
-    case Op::kAndI:
-    case Op::kOrI:
-    case Op::kXorI:
-    case Op::kShlI:
-    case Op::kShrI:
+    case OpShape::kAluI:
       out << " " << RegName(ins.rd) << ", " << RegName(ins.rs1) << ", " << ins.imm;
       break;
-    case Op::kLd8:
-    case Op::kLd16:
-    case Op::kLd32:
-    case Op::kLd64:
+    case OpShape::kLoad:
+    case OpShape::kSandbox:
       out << " " << RegName(ins.rd) << ", " << RegName(ins.rs1);
       if (ins.imm != 0) {
         out << ", " << ins.imm;
       }
+      if (shape == OpShape::kSandbox) {
+        out << "   ; misfit";
+      }
       break;
-    case Op::kSt8:
-    case Op::kSt16:
-    case Op::kSt32:
-    case Op::kSt64:
+    case OpShape::kStore:
       out << " " << RegName(ins.rs1) << ", " << RegName(ins.rs2);
       if (ins.imm != 0) {
         out << ", " << ins.imm;
       }
       break;
-    case Op::kJmp:
+    case OpShape::kJump:
       out << " L" << ins.imm;
       break;
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBltU:
-    case Op::kBgeU:
-    case Op::kBltS:
-    case Op::kBgeS:
+    case OpShape::kBranch:
       out << " " << RegName(ins.rs1) << ", " << RegName(ins.rs2) << ", L" << ins.imm;
       break;
-    case Op::kCall: {
+    case OpShape::kCall: {
       out << " ";
       const HostCallTable::Entry* entry =
           options.host != nullptr
@@ -89,18 +67,11 @@ std::string DisassembleInstruction(const Instruction& ins,
       }
       break;
     }
-    case Op::kCallR:
-    case Op::kCheckedCallR:
+    case OpShape::kCallR:
+    case OpShape::kCheckedCallR:
       out << " " << RegName(ins.rs1);
       break;
-    case Op::kSandboxAddr:
-      out << " " << RegName(ins.rd) << ", " << RegName(ins.rs1);
-      if (ins.imm != 0) {
-        out << ", " << ins.imm;
-      }
-      out << "   ; misfit";
-      break;
-    default:
+    case OpShape::kInvalid:
       out << " ?";
       break;
   }

@@ -17,9 +17,17 @@
 // Tier selection happens exactly once, in GraftLoader::Load: a program that
 // passes VerifySandbox is compiled for Tier 1 (policy permitting) and the
 // artifact travels with the Program; graft points then pick the engine by
-// looking at the artifact, never by re-deciding policy. Both tiers keep the
-// MiSFIT masking semantics and the Rule-7 kCheckedCallR abort contract
-// byte-for-byte — tests/property_test.cc holds them to it differentially.
+// looking at the artifact, never by re-deciding policy.
+//
+// Both tiers stamp their per-op code out of the op table in src/sfi/isa.h,
+// one body per operand shape, so they agree on every pure op by
+// construction. The poll-interval clamp (RunOptions below), the
+// final-register dump and the host-call probe-and-dispatch
+// (src/sfi/engine_internal.h) are defined once. What each tier still
+// writes for itself — memory access with or without the bounds check, fuel
+// accounting and abort polling — keeps the MiSFIT masking semantics and the
+// Rule-7 kCheckedCallR abort contract byte-for-byte; tests/property_test.cc
+// and tools/graftfuzz hold the tiers to it differentially.
 
 #ifndef VINOLITE_SRC_SFI_EXEC_ENGINE_H_
 #define VINOLITE_SRC_SFI_EXEC_ENGINE_H_
@@ -62,6 +70,14 @@ struct RunOptions {
 
   // How often (in instructions) the abort predicate is polled.
   uint32_t poll_interval = 64;
+
+  // The poll countdown's reload value. poll_interval == 0 means "poll as
+  // often as possible", not "never": unclamped, the first decrement would
+  // wrap to UINT32_MAX and silently disable cross-thread abort polling for
+  // ~4B instructions.
+  [[nodiscard]] uint32_t EffectivePollInterval() const {
+    return poll_interval == 0 ? 1 : poll_interval;
+  }
 
   // If set and abort_requested(abort_ctx) returns true at a poll, execution
   // stops with kTxnAborted. Wired to the invoking transaction's abort flag

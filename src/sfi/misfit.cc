@@ -34,7 +34,7 @@ Result<Program> Instrument(const Program& source, const MisfitOptions& options) 
   }
 
   for (const Instruction& ins : source.code) {
-    if (ins.op == Op::kSandboxAddr || ins.op == Op::kCheckedCallR) {
+    if (IsInstrumentationOnly(ins.op)) {
       return Status::kSfiBadOpcode;  // Hand-forged instrumentation.
     }
     if (TouchesReservedRegister(ins)) {

@@ -80,8 +80,7 @@ Status VerifyProgram(const Program& program) {
     if (opi >= static_cast<size_t>(Op::kOpCount)) {
       return Status::kSfiBadOpcode;
     }
-    if ((ins.op == Op::kSandboxAddr || ins.op == Op::kCheckedCallR) &&
-        !program.instrumented) {
+    if (IsInstrumentationOnly(ins.op) && !program.instrumented) {
       // Instrumentation opcodes in a raw program are a forgery attempt.
       return Status::kSfiBadOpcode;
     }

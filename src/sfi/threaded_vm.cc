@@ -2,6 +2,7 @@
 
 #include <cstring>
 
+#include "src/sfi/engine_internal.h"
 #include "src/sfi/vm.h"
 
 // Direct threading needs GCC/Clang's labels-as-values extension. Elsewhere
@@ -16,19 +17,77 @@
 namespace vino {
 namespace {
 
-// Same exit-path register dump as the Tier-0 loop (see src/sfi/vm.cc);
-// armed only by the differential tier test.
-struct FinalRegDump {
-  uint64_t* dst;
-  const uint64_t* src;
-  ~FinalRegDump() {
-    if (dst != nullptr) {
-      std::memcpy(dst, src, sizeof(uint64_t) * kNumRegisters);
-    }
-  }
-};
-
 #if VINO_HAVE_COMPUTED_GOTO
+
+// The operand-shape bodies of the handlers. The op table stamps out one
+// handler per op (see ThreadedExec), pasting in the row's access width and
+// expression. Each body reads only the operands its shape uses, so no
+// handler pays for a load it does not need.
+#define T1_SHAPE_None(width, expr)
+#define T1_SHAPE_Halt(width, expr) \
+  outcome.ret = regs[0];           \
+  outcome.status = Status::kOk;    \
+  goto exit_done;
+#define T1_SHAPE_LoadImm(width, expr) \
+  regs[op->rd] = static_cast<uint64_t>(op->imm);
+#define T1_SHAPE_Mov(width, expr) regs[op->rd] = regs[op->rs1];
+#define T1_SHAPE_AluR(width, expr)    \
+  {                                   \
+    const uint64_t a = regs[op->rs1]; \
+    const uint64_t b = regs[op->rs2]; \
+    regs[op->rd] = (expr);            \
+  }
+#define T1_SHAPE_AluI(width, expr)                     \
+  {                                                    \
+    const uint64_t a = regs[op->rs1];                  \
+    const uint64_t b = static_cast<uint64_t>(op->imm); \
+    regs[op->rd] = (expr);                             \
+  }
+// Memory. No InBounds test: every reachable access carries the verifier's
+// in-sandbox proof — for Tier 1 that proof *is* the bounds check. The width
+// is a constant per handler, and loads zero-extend exactly as Tier 0's do.
+#define T1_SHAPE_Load(width, expr)                                        \
+  {                                                                       \
+    const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm); \
+    uint64_t v = 0;                                                       \
+    std::memcpy(&v, mem + addr, width);                                   \
+    regs[op->rd] = v;                                                     \
+  }
+#define T1_SHAPE_Store(width, expr)                                       \
+  {                                                                       \
+    const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm); \
+    std::memcpy(mem + addr, &regs[op->rs2], width);                       \
+  }
+#define T1_SHAPE_Jump(width, expr) ip = ops + op->imm;
+#define T1_SHAPE_Branch(width, expr)  \
+  {                                   \
+    const uint64_t a = regs[op->rs1]; \
+    const uint64_t b = regs[op->rs2]; \
+    if (expr) {                       \
+      ip = ops + op->imm;             \
+    }                                 \
+  }
+#define T1_HOST_CALL(id, checked)                                 \
+  if (const Status s =                                            \
+          CallHost(host, (id), (checked), regs, image, identity); \
+      !IsOk(s)) {                                                 \
+    outcome.status = s;                                           \
+    goto exit_done;                                               \
+  }
+#define T1_SHAPE_Call(width, expr) \
+  T1_HOST_CALL(static_cast<uint32_t>(op->imm), false)
+// A verified program has no *reachable* raw kCallR (the verifier rejects
+// them), but unreachable ones may survive in the stream; keep Tier-0
+// semantics in case a future caller compiles by other rules.
+#define T1_SHAPE_CallR(width, expr) \
+  T1_HOST_CALL(static_cast<uint32_t>(regs[op->rs1]), false)
+#define T1_SHAPE_CheckedCallR(width, expr) \
+  T1_HOST_CALL(static_cast<uint32_t>(regs[op->rs1]), true)
+// The MiSFIT sandbox: force the address into the graft arena.
+#define T1_SHAPE_Sandbox(width, expr)                                \
+  regs[op->rd] = ((regs[op->rs1] + static_cast<uint64_t>(op->imm)) & \
+                  regs[kSandboxMaskReg]) |                           \
+                 regs[kSandboxBaseReg];
 
 // The direct-threaded dispatch loop. Doubles as the handler-table oracle:
 // called with `labels_out` non-null it only publishes the label array (the
@@ -48,24 +107,16 @@ struct FinalRegDump {
 // instead of being counted per iteration.
 RunOutcome ThreadedExec(const CompiledProgram* cp, MemoryImage* image,
                         std::span<const uint64_t> args,
-                        const RunOptions& options, uint32_t poll_interval,
-                        const HostCallTable* host, CallerIdentity identity,
+                        const RunOptions& options, const HostCallTable* host,
+                        CallerIdentity identity,
                         const void* const** labels_out) {
-  // Handler table, indexed by Op. Order must mirror the Op enum exactly;
-  // the static_assert pins the count and CompileThreaded indexes by
-  // static_cast<size_t>(op).
+  // Handler table, indexed by Op: CompileThreaded resolves each op through
+  // it by static_cast<size_t>(op).
   static const void* const kLabels[] = {
-      &&h_nop,   &&h_halt,  &&h_loadimm, &&h_mov,   &&h_add,  &&h_sub,
-      &&h_mul,   &&h_divu,  &&h_remu,    &&h_and,   &&h_or,   &&h_xor,
-      &&h_shl,   &&h_shr,   &&h_sar,     &&h_addi,  &&h_muli, &&h_andi,
-      &&h_ori,   &&h_xori,  &&h_shli,    &&h_shri,  &&h_ld8,  &&h_ld16,
-      &&h_ld32,  &&h_ld64,  &&h_st8,     &&h_st16,  &&h_st32, &&h_st64,
-      &&h_jmp,   &&h_beq,   &&h_bne,     &&h_bltu,  &&h_bgeu, &&h_blts,
-      &&h_bges,  &&h_call,  &&h_callr,   &&h_sandboxaddr, &&h_checkedcallr,
+#define T1_LABEL(name, ...) &&h_##name,
+      VINO_ISA_OPS(T1_LABEL)
+#undef T1_LABEL
   };
-  static_assert(sizeof(kLabels) / sizeof(kLabels[0]) ==
-                    static_cast<size_t>(Op::kOpCount),
-                "handler table must cover every opcode, in enum order");
   if (labels_out != nullptr) {
     *labels_out = kLabels;
     return RunOutcome{};
@@ -88,6 +139,7 @@ RunOutcome ThreadedExec(const CompiledProgram* cp, MemoryImage* image,
   const ThreadedOp* const ops = cp->ops.data();
   const ThreadedOp* ip = ops;
   const ThreadedOp* op = nullptr;
+  const uint32_t poll_interval = options.EffectivePollInterval();
   uint64_t fuel = options.fuel;
   uint32_t until_poll = poll_interval;
 
@@ -107,215 +159,13 @@ RunOutcome ThreadedExec(const CompiledProgram* cp, MemoryImage* image,
     goto *op->handler;                                   \
   } while (0)
 
-#define VINO_HOST_CALL(id_expr, checked)                          \
-  do {                                                            \
-    const uint32_t id = (id_expr);                                \
-    const HostCallTable::Entry* entry = host->Lookup(id);         \
-    if ((checked) && (entry == nullptr || !entry->graft_callable)) { \
-      /* Paper §3.3 Rule 7: target not on the callable list →     \
-         abort the graft's transaction. */                        \
-      outcome.status = Status::kSfiBadCall;                       \
-      goto exit_done;                                             \
-    }                                                             \
-    if (entry == nullptr) {                                       \
-      outcome.status = Status::kSfiTrap; /* Wild call. */         \
-      goto exit_done;                                             \
-    }                                                             \
-    HostCallContext hctx;                                         \
-    for (int i = 0; i < kMaxArgs; ++i) {                          \
-      hctx.args[static_cast<size_t>(i)] = regs[i];                \
-    }                                                             \
-    hctx.image = image;                                           \
-    hctx.identity = identity;                                     \
-    Result<uint64_t> r = entry->fn(hctx);                         \
-    if (!r.ok()) {                                                \
-      outcome.status = r.status();                                \
-      goto exit_done;                                             \
-    }                                                             \
-    regs[0] = r.value();                                          \
-  } while (0)
-
   VINO_DISPATCH();
 
-h_nop:
-  VINO_DISPATCH();
-h_halt:
-  outcome.ret = regs[0];
-  outcome.status = Status::kOk;
-  goto exit_done;
-
-h_loadimm:
-  regs[op->rd] = static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_mov:
-  regs[op->rd] = regs[op->rs1];
-  VINO_DISPATCH();
-
-h_add:
-  regs[op->rd] = regs[op->rs1] + regs[op->rs2];
-  VINO_DISPATCH();
-h_sub:
-  regs[op->rd] = regs[op->rs1] - regs[op->rs2];
-  VINO_DISPATCH();
-h_mul:
-  regs[op->rd] = regs[op->rs1] * regs[op->rs2];
-  VINO_DISPATCH();
-h_divu:
-  regs[op->rd] = regs[op->rs2] == 0 ? 0 : regs[op->rs1] / regs[op->rs2];
-  VINO_DISPATCH();
-h_remu:
-  regs[op->rd] = regs[op->rs2] == 0 ? 0 : regs[op->rs1] % regs[op->rs2];
-  VINO_DISPATCH();
-h_and:
-  regs[op->rd] = regs[op->rs1] & regs[op->rs2];
-  VINO_DISPATCH();
-h_or:
-  regs[op->rd] = regs[op->rs1] | regs[op->rs2];
-  VINO_DISPATCH();
-h_xor:
-  regs[op->rd] = regs[op->rs1] ^ regs[op->rs2];
-  VINO_DISPATCH();
-h_shl:
-  regs[op->rd] = regs[op->rs1] << (regs[op->rs2] & 63);
-  VINO_DISPATCH();
-h_shr:
-  regs[op->rd] = regs[op->rs1] >> (regs[op->rs2] & 63);
-  VINO_DISPATCH();
-h_sar:
-  regs[op->rd] = static_cast<uint64_t>(static_cast<int64_t>(regs[op->rs1]) >>
-                                       (regs[op->rs2] & 63));
-  VINO_DISPATCH();
-
-h_addi:
-  regs[op->rd] = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_muli:
-  regs[op->rd] = regs[op->rs1] * static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_andi:
-  regs[op->rd] = regs[op->rs1] & static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_ori:
-  regs[op->rd] = regs[op->rs1] | static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_xori:
-  regs[op->rd] = regs[op->rs1] ^ static_cast<uint64_t>(op->imm);
-  VINO_DISPATCH();
-h_shli:
-  regs[op->rd] = regs[op->rs1] << (static_cast<uint64_t>(op->imm) & 63);
-  VINO_DISPATCH();
-h_shri:
-  regs[op->rd] = regs[op->rs1] >> (static_cast<uint64_t>(op->imm) & 63);
-  VINO_DISPATCH();
-
-  // Memory. No InBounds test: every reachable access carries the
-  // verifier's in-sandbox proof — for Tier 1 that proof *is* the bounds
-  // check. Width is baked into the handler, so no per-access width
-  // computation either. Exact-width temporaries give loads the same
-  // zero-extension as Tier 0's memcpy-into-zeroed-uint64.
-h_ld8: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  regs[op->rd] = mem[addr];
-  VINO_DISPATCH();
-}
-h_ld16: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  uint16_t v;
-  std::memcpy(&v, mem + addr, sizeof(v));
-  regs[op->rd] = v;
-  VINO_DISPATCH();
-}
-h_ld32: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  uint32_t v;
-  std::memcpy(&v, mem + addr, sizeof(v));
-  regs[op->rd] = v;
-  VINO_DISPATCH();
-}
-h_ld64: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  uint64_t v;
-  std::memcpy(&v, mem + addr, sizeof(v));
-  regs[op->rd] = v;
-  VINO_DISPATCH();
-}
-h_st8: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  mem[addr] = static_cast<uint8_t>(regs[op->rs2]);
-  VINO_DISPATCH();
-}
-h_st16: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  const uint16_t v = static_cast<uint16_t>(regs[op->rs2]);
-  std::memcpy(mem + addr, &v, sizeof(v));
-  VINO_DISPATCH();
-}
-h_st32: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  const uint32_t v = static_cast<uint32_t>(regs[op->rs2]);
-  std::memcpy(mem + addr, &v, sizeof(v));
-  VINO_DISPATCH();
-}
-h_st64: {
-  const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm);
-  std::memcpy(mem + addr, &regs[op->rs2], sizeof(uint64_t));
-  VINO_DISPATCH();
-}
-
-h_jmp:
-  ip = ops + op->imm;
-  VINO_DISPATCH();
-h_beq:
-  if (regs[op->rs1] == regs[op->rs2]) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-h_bne:
-  if (regs[op->rs1] != regs[op->rs2]) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-h_bltu:
-  if (regs[op->rs1] < regs[op->rs2]) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-h_bgeu:
-  if (regs[op->rs1] >= regs[op->rs2]) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-h_blts:
-  if (static_cast<int64_t>(regs[op->rs1]) < static_cast<int64_t>(regs[op->rs2])) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-h_bges:
-  if (static_cast<int64_t>(regs[op->rs1]) >=
-      static_cast<int64_t>(regs[op->rs2])) {
-    ip = ops + op->imm;
-  }
-  VINO_DISPATCH();
-
-h_call:
-  VINO_HOST_CALL(static_cast<uint32_t>(op->imm), false);
-  VINO_DISPATCH();
-h_callr:
-  // A verified program has no *reachable* raw kCallR (the verifier rejects
-  // them), but unreachable ones may survive in the stream; keep Tier-0
-  // semantics in case a future caller compiles by other rules.
-  VINO_HOST_CALL(static_cast<uint32_t>(regs[op->rs1]), false);
-  VINO_DISPATCH();
-h_checkedcallr:
-  VINO_HOST_CALL(static_cast<uint32_t>(regs[op->rs1]), true);
-  VINO_DISPATCH();
-
-h_sandboxaddr:
-  // The MiSFIT sandbox: force the address into the graft arena.
-  regs[op->rd] = ((regs[op->rs1] + static_cast<uint64_t>(op->imm)) &
-                  regs[kSandboxMaskReg]) |
-                 regs[kSandboxBaseReg];
-  VINO_DISPATCH();
+#define T1_HANDLER(name, mnemonic, shape, width, expr) \
+  h_##name:                                            \
+  T1_SHAPE_##shape(width, expr) VINO_DISPATCH();
+  VINO_ISA_OPS(T1_HANDLER)
+#undef T1_HANDLER
 
 exit_fuel:
   outcome.status = Status::kSfiFuelExhausted;
@@ -330,7 +180,6 @@ exit_done:
   outcome.instructions = options.fuel - fuel;
   return outcome;
 
-#undef VINO_HOST_CALL
 #undef VINO_DISPATCH
 }
 
@@ -349,8 +198,7 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
     return nullptr;
   }
   const void* const* labels = nullptr;
-  (void)ThreadedExec(nullptr, nullptr, {}, RunOptions{}, 0, nullptr, {},
-                     &labels);
+  (void)ThreadedExec(nullptr, nullptr, {}, RunOptions{}, nullptr, {}, &labels);
 
   const size_t size = program.code.size();
   auto compiled = std::make_shared<CompiledProgram>();
@@ -397,12 +245,8 @@ RunOutcome ThreadedVm::Run(const Program& program, MemoryImage* image,
     return Vm(host_).Run(program, image, args, options, identity);
   }
 #if VINO_HAVE_COMPUTED_GOTO
-  // Same poll_interval == 0 clamp as Vm::Run: "poll as often as possible",
-  // not "never" (the countdown would otherwise wrap to ~4B instructions).
-  const uint32_t poll_interval =
-      options.poll_interval == 0 ? 1 : options.poll_interval;
-  return ThreadedExec(compiled, image, args, options, poll_interval, host_,
-                      identity, nullptr);
+  return ThreadedExec(compiled, image, args, options, host_, identity,
+                      nullptr);
 #else
   return Vm(host_).Run(program, image, args, options, identity);
 #endif

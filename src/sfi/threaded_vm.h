@@ -20,9 +20,11 @@
 // What stays, byte-for-byte: MiSFIT masking semantics (kSandboxAddr, the
 // reserved mask/base registers loaded from the image), the Rule-7
 // kCheckedCallR runtime probe-and-abort contract, fuel accounting, and the
-// abort-poll cadence including the poll_interval==0 clamp. The differential
-// fuzz test in tests/property_test.cc holds the two tiers to identical
-// registers, memory, host-call sequences, and abort reasons.
+// abort-poll cadence including the poll_interval==0 clamp. Every handler is
+// stamped out of the op table in src/sfi/isa.h, as Tier 0's cases are, so
+// the tiers agree on pure ops by construction; the differential fuzz test
+// in tests/property_test.cc holds them to identical registers, memory,
+// host-call sequences, and abort reasons.
 //
 // Compilation happens once, in GraftLoader::Load, and only for programs
 // whose sandbox proof succeeded — the dropped checks are exactly the ones

@@ -52,49 +52,6 @@ AbsVal AddToSandboxed(const AbsVal& s, uint64_t delta) {
   return Sandboxed(s.v + delta);
 }
 
-// Constant folding mirrors Vm::Run exactly — an abstract const feeding a
-// sandboxed-offset addition must be the value the interpreter will compute.
-uint64_t FoldBinary(Op op, uint64_t a, uint64_t b) {
-  switch (op) {
-    case Op::kAdd:
-      return a + b;
-    case Op::kSub:
-      return a - b;
-    case Op::kMul:
-      return a * b;
-    case Op::kDivU:
-      return b == 0 ? 0 : a / b;
-    case Op::kRemU:
-      return b == 0 ? 0 : a % b;
-    case Op::kAnd:
-      return a & b;
-    case Op::kOr:
-      return a | b;
-    case Op::kXor:
-      return a ^ b;
-    case Op::kShl:
-      return a << (b & 63);
-    case Op::kShr:
-      return a >> (b & 63);
-    case Op::kSar:
-      return static_cast<uint64_t>(static_cast<int64_t>(a) >> (b & 63));
-    case Op::kMulI:
-      return a * b;
-    case Op::kAndI:
-      return a & b;
-    case Op::kOrI:
-      return a | b;
-    case Op::kXorI:
-      return a ^ b;
-    case Op::kShlI:
-      return a << (b & 63);
-    case Op::kShrI:
-      return a >> (b & 63);
-    default:
-      return 0;
-  }
-}
-
 struct State {
   std::array<AbsVal, kNumRegisters> regs{};
 
@@ -215,14 +172,15 @@ class Analyzer {
   }
 
   void CheckCall(uint32_t pc, const Instruction& ins) {
-    if (ins.op == Op::kCallR) {
+    const OpShape shape = ShapeOf(ins.op);
+    if (shape == OpShape::kCallR) {
       // The instrumenter rewrites every kCallR to kCheckedCallR; one
       // surviving in "instrumented" code is forged toolchain output.
       Fail(pc, Status::kVerifyFailed,
            "unchecked indirect call in instrumented program");
       return;
     }
-    if (ins.op == Op::kCall) {
+    if (shape == OpShape::kCall) {
       const auto id = static_cast<uint32_t>(ins.imm);
       InsertSorted(report_.direct_call_ids, id);
       if (options_.require_declared_calls &&
@@ -255,6 +213,7 @@ class Analyzer {
   void Step(uint32_t pc) {
     reached_[pc] = 1;
     const Instruction& ins = program_.code[pc];
+    const OpShape shape = ShapeOf(ins.op);
     State out = in_[pc];
 
     // The sandbox registers are sacred: the mask/base the Vm loads from
@@ -268,114 +227,65 @@ class Analyzer {
       return;
     }
 
-    switch (ins.op) {
-      case Op::kNop:
-      case Op::kHalt:
+    switch (shape) {
+      case OpShape::kNone:
+      case OpShape::kHalt:
+      case OpShape::kJump:
+      case OpShape::kBranch:
         break;
 
-      case Op::kLoadImm:
+      case OpShape::kLoadImm:
         out.regs[ins.rd] = Const(static_cast<uint64_t>(ins.imm));
         break;
-      case Op::kMov:
+      case OpShape::kMov:
         out.regs[ins.rd] = out.regs[ins.rs1];
         break;
 
-      case Op::kAdd: {
-        const AbsVal& a = out.regs[ins.rs1];
-        const AbsVal& b = out.regs[ins.rs2];
+      case OpShape::kAluR:
+      case OpShape::kAluI: {
+        // Constants fold through the op table's own expression, so a
+        // const feeding a sandboxed-offset addition is exactly the value
+        // either tier will compute. The sandboxed fact survives only
+        // adding a constant.
+        const AbsVal a = out.regs[ins.rs1];
+        const AbsVal b = shape == OpShape::kAluR
+                             ? out.regs[ins.rs2]
+                             : Const(static_cast<uint64_t>(ins.imm));
+        const bool add = ins.op == Op::kAdd || ins.op == Op::kAddI;
         if (a.kind == Kind::kConst && b.kind == Kind::kConst) {
-          out.regs[ins.rd] = Const(a.v + b.v);
-        } else if (a.kind == Kind::kSandboxed && b.kind == Kind::kConst) {
+          out.regs[ins.rd] = Const(Eval(ins.op, a.v, b.v));
+        } else if (add && a.kind == Kind::kSandboxed &&
+                   b.kind == Kind::kConst) {
           out.regs[ins.rd] = AddToSandboxed(a, b.v);
-        } else if (a.kind == Kind::kConst && b.kind == Kind::kSandboxed) {
+        } else if (add && a.kind == Kind::kConst &&
+                   b.kind == Kind::kSandboxed) {
           out.regs[ins.rd] = AddToSandboxed(b, a.v);
         } else {
           out.regs[ins.rd] = Top();
         }
         break;
       }
-      case Op::kSub:
-      case Op::kMul:
-      case Op::kDivU:
-      case Op::kRemU:
-      case Op::kAnd:
-      case Op::kOr:
-      case Op::kXor:
-      case Op::kShl:
-      case Op::kShr:
-      case Op::kSar: {
-        const AbsVal& a = out.regs[ins.rs1];
-        const AbsVal& b = out.regs[ins.rs2];
-        out.regs[ins.rd] = a.kind == Kind::kConst && b.kind == Kind::kConst
-                               ? Const(FoldBinary(ins.op, a.v, b.v))
-                               : Top();
-        break;
-      }
 
-      case Op::kAddI: {
-        const AbsVal& a = out.regs[ins.rs1];
-        const auto imm = static_cast<uint64_t>(ins.imm);
-        if (a.kind == Kind::kConst) {
-          out.regs[ins.rd] = Const(a.v + imm);
-        } else if (a.kind == Kind::kSandboxed) {
-          out.regs[ins.rd] = AddToSandboxed(a, imm);
-        } else {
-          out.regs[ins.rd] = Top();
-        }
-        break;
-      }
-      case Op::kMulI:
-      case Op::kAndI:
-      case Op::kOrI:
-      case Op::kXorI:
-      case Op::kShlI:
-      case Op::kShrI: {
-        const AbsVal& a = out.regs[ins.rs1];
-        out.regs[ins.rd] =
-            a.kind == Kind::kConst
-                ? Const(FoldBinary(ins.op, a.v, static_cast<uint64_t>(ins.imm)))
-                : Top();
-        break;
-      }
-
-      case Op::kSandboxAddr:
+      case OpShape::kSandbox:
         // ((rs1 + imm) & mask) | base is in [base, base + arena_size - 1]
         // for any operand value — that is the entire point of the op.
         out.regs[ins.rd] = Sandboxed(0);
         break;
 
-      case Op::kLd8:
-      case Op::kLd16:
-      case Op::kLd32:
-      case Op::kLd64:
+      case OpShape::kLoad:
+      case OpShape::kStore:
         CheckMemory(pc, ins);
         if (!report_.ok()) {
           return;
         }
-        out.regs[ins.rd] = Top();
-        break;
-      case Op::kSt8:
-      case Op::kSt16:
-      case Op::kSt32:
-      case Op::kSt64:
-        CheckMemory(pc, ins);
-        if (!report_.ok()) {
-          return;
+        if (shape == OpShape::kLoad) {
+          out.regs[ins.rd] = Top();
         }
         break;
 
-      case Op::kJmp:
-      case Op::kBeq:
-      case Op::kBne:
-      case Op::kBltU:
-      case Op::kBgeU:
-      case Op::kBltS:
-      case Op::kBgeS:
-        break;
-
-      case Op::kCall:
-      case Op::kCallR:
-      case Op::kCheckedCallR:
+      case OpShape::kCall:
+      case OpShape::kCallR:
+      case OpShape::kCheckedCallR:
         CheckCall(pc, ins);
         if (!report_.ok()) {
           return;
@@ -383,7 +293,7 @@ class Analyzer {
         out.regs[0] = Top();  // Host functions write r0 only.
         break;
 
-      default:
+      case OpShape::kInvalid:
         Fail(pc, Status::kSfiBadOpcode, "undefined opcode");
         return;
     }
@@ -391,17 +301,15 @@ class Analyzer {
     // Successors. VerifyProgram already proved branch targets in range and
     // that the final instruction is kHalt or kJmp, so fallthrough from any
     // non-terminal pc is in range.
-    if (ins.op == Op::kHalt) {
-      return;
-    }
-    if (ins.op == Op::kJmp) {
-      Flow(static_cast<uint32_t>(ins.imm), out);
+    if (shape == OpShape::kHalt) {
       return;
     }
     if (IsBranch(ins.op)) {
       Flow(static_cast<uint32_t>(ins.imm), out);
     }
-    Flow(pc + 1, out);
+    if (shape != OpShape::kJump) {
+      Flow(pc + 1, out);
+    }
   }
 
   void Summarize() {
@@ -415,7 +323,7 @@ class Analyzer {
         ++report_.loads_proven;
       } else if (IsStore(op)) {
         ++report_.stores_proven;
-      } else if (op == Op::kCheckedCallR &&
+      } else if (ShapeOf(op) == OpShape::kCheckedCallR &&
                  in_[pc].regs[program_.code[pc].rs1].kind != Kind::kConst) {
         ++report_.dynamic_indirect_calls;
       }

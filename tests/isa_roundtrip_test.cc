@@ -1,14 +1,16 @@
 // Systematic per-opcode coverage: every assemblable opcode is executed by
-// the VM, disassembled, re-assembled, and encode/decode round-tripped; and
-// every ALU, shift, divide and branch op is pinned to hand-written results on
+// the VM, disassembled, re-assembled, and encode/decode round-tripped; every
+// ALU, shift, divide and branch op is pinned to hand-written results on
 // boundary operands, on both execution tiers and in the verifier's constant
-// folding.
+// folding; and the text assembler's immediates cover the full int64 range.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "src/sfi/assembler.h"
@@ -22,73 +24,39 @@
 namespace vino {
 namespace {
 
-// One operand-shape exemplar per opcode (branches point at the final halt).
+// One operand exemplar per shape (branches point at the final halt).
 Instruction Exemplar(Op op, int64_t branch_target) {
-  switch (op) {
-    case Op::kNop:
-    case Op::kHalt:
-      return {op, 0, 0, 0, 0};
-    case Op::kLoadImm:
+  switch (ShapeOf(op)) {
+    case OpShape::kLoadImm:
       return {op, 1, 0, 0, -42};
-    case Op::kMov:
+    case OpShape::kMov:
       return {op, 1, 2, 0, 0};
-    case Op::kAdd:
-    case Op::kSub:
-    case Op::kMul:
-    case Op::kDivU:
-    case Op::kRemU:
-    case Op::kAnd:
-    case Op::kOr:
-    case Op::kXor:
-    case Op::kShl:
-    case Op::kShr:
-    case Op::kSar:
+    case OpShape::kAluR:
       return {op, 1, 2, 3, 0};
-    case Op::kAddI:
-    case Op::kMulI:
-    case Op::kAndI:
-    case Op::kOrI:
-    case Op::kXorI:
-    case Op::kShlI:
-    case Op::kShrI:
+    case OpShape::kAluI:
       return {op, 1, 2, 0, 5};
-    case Op::kLd8:
-    case Op::kLd16:
-    case Op::kLd32:
-    case Op::kLd64:
+    case OpShape::kLoad:
       return {op, 1, 2, 0, 8};
-    case Op::kSt8:
-    case Op::kSt16:
-    case Op::kSt32:
-    case Op::kSt64:
+    case OpShape::kStore:
       return {op, 0, 2, 3, 8};
-    case Op::kJmp:
+    case OpShape::kJump:
       return {op, 0, 0, 0, branch_target};
-    case Op::kBeq:
-    case Op::kBne:
-    case Op::kBltU:
-    case Op::kBgeU:
-    case Op::kBltS:
-    case Op::kBgeS:
+    case OpShape::kBranch:
       return {op, 0, 1, 2, branch_target};
-    case Op::kCall:
+    case OpShape::kCall:
       return {op, 0, 0, 0, 1};
-    case Op::kCallR:
+    case OpShape::kCallR:
       return {op, 0, 3, 0, 0};  // r3 holds the callable id (1).
     default:
-      return {Op::kNop, 0, 0, 0, 0};
+      return {op, 0, 0, 0, 0};
   }
-}
-
-bool Assemblable(Op op) {
-  return op != Op::kSandboxAddr && op != Op::kCheckedCallR && op != Op::kOpCount;
 }
 
 class OpRoundTripTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(OpRoundTripTest, DisassembleReassembleEncodeDecode) {
   const Op op = static_cast<Op>(GetParam());
-  if (!Assemblable(op)) {
+  if (IsInstrumentationOnly(op)) {
     GTEST_SKIP() << "instrumentation-only opcode";
   }
 
@@ -226,6 +194,51 @@ Program SemanticsProgram(Op op, uint64_t a, uint64_t b) {
   return p;
 }
 
+// --- Text assembler immediates ------------------------------------------
+
+TEST(AssemblerImmediateTest, Int64MinImmediateRoundTrips) {
+  Program p;
+  p.name = "int64-min";
+  p.code = {{Op::kLoadImm, 1, 0, 0, INT64_MIN}, {Op::kHalt, 0, 0, 0, 0}};
+  const std::string text = Disassemble(p);
+  Result<Program> reassembled = Assemble(text, p.name, nullptr);
+  ASSERT_TRUE(reassembled.ok()) << text;
+  EXPECT_EQ(reassembled->code, p.code) << text;
+}
+
+TEST(AssemblerImmediateTest, ImmediatesOutsideInt64AreRejected) {
+  const auto assembles = [](const char* source) {
+    return Assemble(source, "imm", nullptr).ok();
+  };
+  EXPECT_FALSE(assembles("loadi r1, 9223372036854775808\nhalt"));
+  EXPECT_FALSE(assembles("loadi r1, -9223372036854775809\nhalt"));
+  EXPECT_TRUE(assembles("loadi r1, 9223372036854775807\nhalt"));
+}
+
+TEST(AssemblerImmediateTest, CallIdBeyond32BitsIsRejected) {
+  EXPECT_FALSE(Assemble("call 4294967297\nhalt", "wide", nullptr).ok());
+  Result<Program> widest = Assemble("call 4294967295\nhalt", "widest", nullptr);
+  ASSERT_TRUE(widest.ok());
+  EXPECT_EQ(widest->code[0].imm, int64_t{UINT32_MAX});
+}
+
+TEST(OpSemanticsTest, RowsCoverEveryComputeOp) {
+  for (int i = 0; i < static_cast<int>(Op::kOpCount); ++i) {
+    const Op op = static_cast<Op>(i);
+    const OpShape shape = ShapeOf(op);
+    if (shape != OpShape::kAluR && shape != OpShape::kAluI &&
+        shape != OpShape::kBranch) {
+      continue;
+    }
+    const auto& rows = SemanticsRows();
+    const auto covers = [op](const SemanticsRow& r) {
+      return std::find(r.ops.begin(), r.ops.end(), op) != r.ops.end();
+    };
+    EXPECT_TRUE(std::any_of(rows.begin(), rows.end(), covers))
+        << OpName(op) << " has no boundary-operand row";
+  }
+}
+
 TEST(OpSemanticsTest, BoundaryOperandsOnBothTiersAndInTheVerifierFold) {
   HostCallTable host;
   for (const SemanticsRow& row : SemanticsRows()) {
@@ -249,8 +262,9 @@ TEST(OpSemanticsTest, BoundaryOperandsOnBothTiersAndInTheVerifierFold) {
         MemoryImage image(4096, 16);
         // Tier 0 with per-access bounds checks, Tier 0 on the verified
         // fast path, and Tier 1.
-        const RunOutcome checked = Vm(&host).Run(source, &image, {}, RunOptions{});
-        const RunOutcome fast = Vm(&host).Run(verified, &image, {}, RunOptions{});
+        const Vm vm(&host);
+        const RunOutcome checked = vm.Run(source, &image, {}, RunOptions{});
+        const RunOutcome fast = vm.Run(verified, &image, {}, RunOptions{});
         const RunOutcome threaded =
             ThreadedVm(&host).Run(verified, &image, {}, RunOptions{});
         ASSERT_EQ(checked.status, Status::kOk);

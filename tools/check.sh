@@ -35,8 +35,8 @@
 #      snapshot-during-write, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, lock-table sharding, namespace install/invoke/
 #      remove churn, the serving smoke itself) fail CI instead of shipping;
-#      the tier-differential tests then re-run forced to each execution
-#      tier, and the fuzz smoke re-runs under TSan,
+#      the tier-differential and op-semantics tests then re-run forced to
+#      each execution tier, and the fuzz smoke re-runs under TSan,
 #   9. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
 #      whose global operator-new counter conflicts with ASan's allocator
 #      interposition), so heap misuse and undefined behaviour in the Vm /
@@ -232,13 +232,14 @@ TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   build-tsan/bench/serve_bench --smoke \
   --json "$PWD/build-tsan/serve.smoke.json"
-# The tier-differential fuzz and the threaded dispatcher's shared-artifact
-# races, with the loader forced to each tier in turn.
+# The tier-differential fuzz, the threaded dispatcher's shared-artifact
+# races and the op-semantics boundary cases, with the loader forced to each
+# tier in turn.
 for tier in 0 1; do
   VINO_EXEC_TIER="$tier" \
   TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
     ctest --test-dir build-tsan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test' \
+    -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
     --output-on-failure -j "$JOBS"
 done
 # The survive-and-eject fuzz smoke under TSan: spool drainer, watchdogless
@@ -254,13 +255,15 @@ cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir build-asan -E 'alloc_test' --output-on-failure -j "$JOBS"
-# Differential tier coverage under ASan too, forced to each tier in turn.
+# Differential tier coverage under ASan too, forced to each tier in turn;
+# the op-semantics boundary cases (shift by 64, INT64_MIN >> 63, signed
+# compares) run here under UBSan on both tiers.
 for tier in 0 1; do
   VINO_EXEC_TIER="$tier" \
   ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
     ctest --test-dir build-asan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test' \
+    -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
     --output-on-failure -j "$JOBS"
 done
 # The fuzz smoke under ASan+UBSan: generated hostility through the whole
