@@ -100,8 +100,8 @@ class Graft {
   [[nodiscard]] uint64_t trace_id() const { return trace_id_; }
 
   // One abort sample (§4.5 cost model): L locks held, G undo records
-  // replayed, measured abort cost. Fed by the invocation wrapper when
-  // tracing is enabled; Fit() gives this graft's own a + b·L + c·G line.
+  // replayed, measured abort cost. Fed by the invocation wrapper on every
+  // abort, traced or not; Fit() gives this graft's own a + b·L + c·G line.
   // Also feeds the abort-cost histogram and the drift detector: sustained
   // drift above the fitted model marks the graft degraded and posts a
   // kGraftDegraded trace event (src/graft/drift.h).

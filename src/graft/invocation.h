@@ -216,21 +216,18 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
     // policy (forcible removal / handler removal) and falls back.
     // Abort-cost attribution (§4.5): L and G are read *before* Abort
     // consumes them, and the abort itself is timed, so this graft's
-    // a + b·L + c·G model accumulates one sample per abort.
-    uint64_t held_locks = 0;
-    uint64_t undo_len = 0;
-    uint64_t abort_start_ns = 0;
-    if (traced) {
-      held_locks = scope.txn()->lock_count();
-      undo_len = scope.txn()->undo().size();
-      abort_start_ns = trace::NowNs();
-    }
+    // a + b·L + c·G model accumulates one sample per abort — traced or not,
+    // because that model is the drift detector's only input. Aborts are the
+    // rare path; its two clock reads cost nothing that matters.
+    const uint64_t held_locks = scope.txn()->lock_count();
+    const uint64_t undo_len = scope.txn()->undo().size();
+    const uint64_t abort_start_ns = trace::NowNs();
     scope.Abort(failure);
+    const uint64_t now_ns = trace::NowNs();
     graft->CountAbort();
+    graft->RecordAbortCost(held_locks, undo_len, now_ns - abort_start_ns);
     outcome.status = failure;
     if (traced) {
-      const uint64_t now_ns = trace::NowNs();
-      graft->RecordAbortCost(held_locks, undo_len, now_ns - abort_start_ns);
       // Mirror the sample into the trace stream so a spool replay
       // (graftstat --spool) re-fits the same per-graft a + b·L + c·G
       // model without the live process. G rides in the 16-bit tag,
@@ -263,24 +260,29 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
   // A commit can still turn into an abort (an asynchronous lock time-out
   // beat us to it). L and G are captured up front while the transaction is
   // intact so that path keeps its per-graft abort-cost sample — Commit
-  // consumes the transaction either way.
+  // consumes the transaction either way. Untraced, a clean commit reads no
+  // clock: only a commit that starts with an abort already pending is
+  // sampled for the drift detector.
+  const bool sampled = traced || TxnManager::AbortPending(kctx);
   uint64_t pre_locks = 0;
   uint64_t pre_undo = 0;
   uint64_t commit_start_ns = 0;
-  if (traced) {
+  if (sampled) {
     pre_locks = scope.txn()->lock_count();
     pre_undo = scope.txn()->undo().size();
     commit_start_ns = trace::NowNs();
   }
   const Status commit_status = scope.Commit();
+  const uint64_t now_ns = sampled ? trace::NowNs() : 0;
   if (!IsOk(commit_status)) {
     graft->CountAbort();
     outcome.status = commit_status;
+    if (sampled) {
+      graft->RecordAbortCost(pre_locks, pre_undo, now_ns - commit_start_ns);
+    }
   }
   if (traced) {
-    const uint64_t now_ns = trace::NowNs();
     if (!IsOk(commit_status)) {
-      graft->RecordAbortCost(pre_locks, pre_undo, now_ns - commit_start_ns);
       trace::Post(trace::Event::kAbortCost,
                   static_cast<uint16_t>(pre_undo > 0xFFFF ? 0xFFFF : pre_undo),
                   static_cast<uint32_t>(pre_locks), graft->trace_id(),

@@ -7,7 +7,13 @@ namespace vino {
 
 NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
                    GraftNamespace* ns, WorkerPool* pool)
-    : txn_manager_(txn_manager), host_(host), ns_(ns), pool_(pool) {
+    : txn_manager_(txn_manager),
+      host_(host),
+      ns_(ns),
+      pool_(pool),
+      listeners_{std::make_unique<std::atomic<EventGraftPoint*>[]>(kPorts),
+                 std::make_unique<std::atomic<EventGraftPoint*>[]>(kPorts)},
+      chunks_(std::make_unique<std::atomic<Connection*>[]>(kDirectoryChunks)) {
   // net.recv: r0 = connection id, r1 = arena destination, r2 = max bytes.
   // Returns the number of bytes copied (0 at end of request).
   host->Register(
@@ -57,19 +63,21 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
         if (!IsOk(charge)) {
           return charge;
         }
-        std::string bytes(ctx.args[2], '\0');
-        const Status s = ctx.image->Read(ctx.args[1], bytes.data(), bytes.size());
+        // Read straight into the response's tail; shrink back on failure.
+        const size_t prior_size = conn->tx.size();
+        const uint64_t n = ctx.args[2];
+        conn->tx.resize(prior_size + n);
+        const Status s = ctx.image->Read(ctx.args[1], conn->tx.data() + prior_size, n);
         if (!IsOk(s)) {
+          conn->tx.resize(prior_size);
           return s;
         }
-        const size_t prior_size = conn->tx.size();
-        conn->tx += bytes;
-        {
-          std::lock_guard<std::mutex> guard(mutex_);
-          stats_.bytes_sent += bytes.size();
-        }
-        TxnOnAbort([conn, prior_size] { conn->tx.resize(prior_size); });
-        return ctx.args[2];
+        counters_.Add(kBytesSent, n);
+        TxnOnAbort([this, conn, prior_size, n] {
+          conn->tx.resize(prior_size);
+          counters_.Add(kBytesSent, uint64_t{0} - n);
+        });
+        return n;
       },
       /*graft_callable=*/true);
 
@@ -90,109 +98,99 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
       /*graft_callable=*/true);
 }
 
-EventGraftPoint* NetStack::Listen(const std::string& name) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = points_.find(name);
-  if (it != points_.end()) {
-    return it->second.get();
+NetStack::~NetStack() {
+  // Async handlers still in flight may look connections up.
+  DrainEvents();
+  // Chunks are allocated in id order, so the first empty slot ends them.
+  for (size_t i = 0; i < kDirectoryChunks; ++i) {
+    Connection* chunk = chunks_[i].load(std::memory_order_relaxed);
+    if (chunk == nullptr) {
+      break;
+    }
+    delete[] chunk;
   }
+}
+
+EventGraftPoint* NetStack::Listen(Protocol proto, uint16_t port) {
+  std::lock_guard<std::mutex> guard(mutex_);
+  std::atomic<EventGraftPoint*>& slot = listeners_[proto][port];
+  if (EventGraftPoint* existing = slot.load(std::memory_order_relaxed)) {
+    return existing;
+  }
+  const std::string name =
+      proto == kTcp ? "net.tcp." + std::to_string(port) + ".connection"
+                    : "net.udp." + std::to_string(port) + ".packet";
   EventGraftPoint::Config config;
   config.pool = pool_;
-  auto point = std::make_unique<EventGraftPoint>(name, config, txn_manager_,
-                                                 host_, ns_);
-  EventGraftPoint* raw = point.get();
-  points_.emplace(name, std::move(point));
-  return raw;
+  points_.push_back(std::make_unique<EventGraftPoint>(name, config, txn_manager_,
+                                                      host_, ns_));
+  slot.store(points_.back().get(), std::memory_order_release);
+  return points_.back().get();
 }
 
-EventGraftPoint* NetStack::FindPoint(const std::string& name) {
+EventGraftPoint* NetStack::ListenTcp(uint16_t port) { return Listen(kTcp, port); }
+
+EventGraftPoint* NetStack::ListenUdp(uint16_t port) { return Listen(kUdp, port); }
+
+Result<ConnectionId> NetStack::NewConnection(uint16_t port, std::string payload) {
   std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = points_.find(name);
-  return it == points_.end() ? nullptr : it->second.get();
+  const ConnectionId id = newest_.load(std::memory_order_relaxed) + 1;
+  const size_t index = id >> kChunkBits;
+  if (index >= kDirectoryChunks) {
+    return Status::kNoMemory;
+  }
+  Connection* chunk = chunks_[index].load(std::memory_order_relaxed);
+  if (chunk == nullptr) {
+    chunk = new Connection[kChunkSize];
+    chunks_[index].store(chunk, std::memory_order_relaxed);
+  }
+  Connection& conn = chunk[id & (kChunkSize - 1)];
+  conn.id = id;
+  conn.port = port;
+  conn.rx = std::move(payload);
+  // Publishes the slot (and its chunk) to FindConnection's acquire load.
+  newest_.store(id, std::memory_order_release);
+  return id;
 }
 
-EventGraftPoint* NetStack::ListenTcp(uint16_t port) {
-  return Listen("net.tcp." + std::to_string(port) + ".connection");
-}
-
-EventGraftPoint* NetStack::ListenUdp(uint16_t port) {
-  return Listen("net.udp." + std::to_string(port) + ".packet");
-}
-
-ConnectionId NetStack::NewConnection(uint16_t port, std::string payload) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const ConnectionId id = next_conn_id_++;
-  auto conn = std::make_unique<Connection>();
-  conn->id = id;
-  conn->port = port;
-  conn->rx = std::move(payload);
-  connections_.emplace(id, std::move(conn));
+Result<ConnectionId> NetStack::Deliver(Protocol proto, uint16_t port,
+                                       std::string payload, bool async) {
+  EventGraftPoint* point =
+      listeners_[proto][port].load(std::memory_order_acquire);
+  if (point == nullptr) {
+    return Status::kNotFound;
+  }
+  const Result<ConnectionId> id = NewConnection(port, std::move(payload));
+  if (!id.ok()) {
+    return id;
+  }
+  counters_.Add(proto == kTcp ? kConnections : kPackets);
+  if (async) {
+    point->DispatchAsync({*id});
+  } else {
+    const uint64_t args[1] = {*id};
+    point->Dispatch(args);
+  }
   return id;
 }
 
 Result<ConnectionId> NetStack::DeliverConnection(uint16_t port,
                                                  std::string request) {
-  EventGraftPoint* point =
-      FindPoint("net.tcp." + std::to_string(port) + ".connection");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(request));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.connections;
-  }
-  const uint64_t args[1] = {id};
-  point->Dispatch(args);
-  return id;
+  return Deliver(kTcp, port, std::move(request), /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverPacket(uint16_t port, std::string payload) {
-  EventGraftPoint* point =
-      FindPoint("net.udp." + std::to_string(port) + ".packet");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(payload));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.packets;
-  }
-  const uint64_t args[1] = {id};
-  point->Dispatch(args);
-  return id;
+  return Deliver(kUdp, port, std::move(payload), /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverConnectionAsync(uint16_t port,
                                                       std::string request) {
-  EventGraftPoint* point =
-      FindPoint("net.tcp." + std::to_string(port) + ".connection");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(request));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.connections;
-  }
-  point->DispatchAsync({id});
-  return id;
+  return Deliver(kTcp, port, std::move(request), /*async=*/true);
 }
 
 Result<ConnectionId> NetStack::DeliverPacketAsync(uint16_t port,
                                                   std::string payload) {
-  EventGraftPoint* point =
-      FindPoint("net.udp." + std::to_string(port) + ".packet");
-  if (point == nullptr) {
-    return Status::kNotFound;
-  }
-  const ConnectionId id = NewConnection(port, std::move(payload));
-  {
-    std::lock_guard<std::mutex> guard(mutex_);
-    ++stats_.packets;
-  }
-  point->DispatchAsync({id});
-  return id;
+  return Deliver(kUdp, port, std::move(payload), /*async=*/true);
 }
 
 void NetStack::DrainEvents() {
@@ -202,7 +200,7 @@ void NetStack::DrainEvents() {
   {
     std::lock_guard<std::mutex> guard(mutex_);
     points.reserve(points_.size());
-    for (const auto& [name, point] : points_) {
+    for (const auto& point : points_) {
       points.push_back(point.get());
     }
   }
@@ -212,14 +210,22 @@ void NetStack::DrainEvents() {
 }
 
 Connection* NetStack::FindConnection(ConnectionId id) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const auto it = connections_.find(id);
-  return it == connections_.end() ? nullptr : it->second.get();
+  // Ids come straight from graft registers. newest_ never passes the
+  // directory (NewConnection refuses first), so one comparison rejects
+  // unpublished ids and ids past the directory alike.
+  if (id == 0 || id > newest_.load(std::memory_order_acquire)) {
+    return nullptr;
+  }
+  return &chunks_[id >> kChunkBits].load(std::memory_order_relaxed)
+              [id & (kChunkSize - 1)];
 }
 
 NetStack::Stats NetStack::stats() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return stats_;
+  Stats s;
+  s.connections = counters_.Read(kConnections);
+  s.packets = counters_.Read(kPackets);
+  s.bytes_sent = counters_.Read(kBytesSent);
+  return s;
 }
 
 }  // namespace vino

@@ -10,12 +10,28 @@
 // own transaction. After async delivery, DrainEvents() (or draining the
 // individual point) waits for handlers to finish.
 //
-// Concurrency: the stack's connection table and stats are internally
-// locked, so async handlers may create/look up connections concurrently
-// with new deliveries. A single connection's byte streams are NOT locked —
-// the stack assumes one handler consumes a given connection (true for the
-// one-handler-per-port services the paper builds; multi-handler ports
-// should use sync delivery or disjoint connections).
+// Concurrency: looking up a connection or a listener takes no lock and no
+// hash. Connections live in an append-only table of fixed-size chunks
+// indexed by their dense ConnectionId; a fixed directory of atomic chunk
+// pointers never moves, so a lookup is one acquire load of the newest
+// published id, a bounds check and an index. Listeners sit in one
+// port-indexed table per protocol, read lock-free by Deliver*. `mutex_`
+// guards only listening and connection creation, which fills a slot and
+// then release-publishes its id: one acquisition per delivery, never held
+// while a handler runs (handlers call back into net.recv/net.send). Stats
+// are relaxed, sharded counters.
+//
+// A single connection's byte streams are NOT locked: the stack assumes one
+// handler consumes a given connection (true for the one-handler-per-port
+// services the paper builds; multi-handler ports should use sync delivery
+// or disjoint connections).
+//
+// Connections are never freed: callers (the serving benchmarks among them)
+// read Connection::tx after the handler has closed the connection, and a
+// Connection* stays valid for the stack's lifetime. A stack whose directory
+// is full fails delivery with kNoMemory. Any graft can name any published
+// connection id through the net.* calls; ids that were never published
+// (0, past the newest, past the directory) read kNotFound.
 //
 // Grafts interact with connections through three graft-callable host
 // functions the stack registers:
@@ -29,12 +45,15 @@
 #ifndef VINOLITE_SRC_NET_NET_STACK_H_
 #define VINOLITE_SRC_NET_NET_STACK_H_
 
+#include <atomic>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <string>
-#include <unordered_map>
+#include <vector>
 
+#include "src/base/sharded_counter.h"
 #include "src/base/worker_pool.h"
 #include "src/graft/event_point.h"
 #include "src/graft/namespace.h"
@@ -62,6 +81,8 @@ class NetStack {
   NetStack(TxnManager* txn_manager, HostCallTable* host, GraftNamespace* ns,
            WorkerPool* pool = nullptr);
 
+  ~NetStack();
+
   NetStack(const NetStack&) = delete;
   NetStack& operator=(const NetStack&) = delete;
 
@@ -73,7 +94,8 @@ class NetStack {
   // Synthetic traffic injection. Creates a connection carrying `request`
   // and dispatches the port's connection event with the connection id as
   // the argument. Returns the id (connection exists even if no handler
-  // consumed it). Fails with kNotFound if nothing listens on the port.
+  // consumed it). Fails with kNotFound if nothing listens on the port, and
+  // with kNoMemory once the connection table is full.
   Result<ConnectionId> DeliverConnection(uint16_t port, std::string request);
 
   // Dispatches a UDP packet event; the payload rides in a one-shot
@@ -91,32 +113,49 @@ class NetStack {
   // Waits for every outstanding async event dispatched by this stack.
   void DrainEvents();
 
+  // Lock-free. Null for id 0 and for any id not yet published.
   [[nodiscard]] Connection* FindConnection(ConnectionId id);
 
   struct Stats {
     uint64_t connections = 0;
     uint64_t packets = 0;
-    uint64_t bytes_sent = 0;
+    uint64_t bytes_sent = 0;  // Committed sends only: an abort retracts.
   };
   [[nodiscard]] Stats stats() const;
 
+  // Connection table geometry: kChunkSize connections per chunk, and a
+  // directory of kDirectoryChunks chunk pointers (~67 M connections).
+  static constexpr size_t kChunkBits = 12;
+  static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
+  static constexpr size_t kDirectoryChunks = size_t{1} << 14;
+
  private:
-  EventGraftPoint* Listen(const std::string& name);
-  [[nodiscard]] EventGraftPoint* FindPoint(const std::string& name);
-  ConnectionId NewConnection(uint16_t port, std::string payload);
+  enum Protocol : size_t { kTcp, kUdp, kProtocols };
+  static constexpr size_t kPorts = size_t{1} << 16;
+
+  EventGraftPoint* Listen(Protocol proto, uint16_t port);
+  Result<ConnectionId> Deliver(Protocol proto, uint16_t port,
+                               std::string payload, bool async);
+  Result<ConnectionId> NewConnection(uint16_t port, std::string payload);
 
   TxnManager* txn_manager_;
   const HostCallTable* host_;
   GraftNamespace* ns_;
   WorkerPool* pool_;
 
-  // Guards points_, connections_, next_conn_id_, and stats_. Never held
-  // while dispatching (handlers call back into net.recv/net.send).
-  mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::unique_ptr<EventGraftPoint>> points_;
-  std::unordered_map<ConnectionId, std::unique_ptr<Connection>> connections_;
-  ConnectionId next_conn_id_ = 1;
-  Stats stats_;
+  // Guards points_ and the writers of listeners_, chunks_ and newest_.
+  // Never held while dispatching.
+  std::mutex mutex_;
+  std::vector<std::unique_ptr<EventGraftPoint>> points_;
+  // kPorts slots per protocol; a slot is set once, by Listen.
+  std::unique_ptr<std::atomic<EventGraftPoint*>[]> listeners_[kProtocols];
+  // kDirectoryChunks slots, each null or a Connection[kChunkSize]; slot i
+  // holds ids [i·kChunkSize, (i+1)·kChunkSize). Id 0 is never handed out.
+  std::unique_ptr<std::atomic<Connection*>[]> chunks_;
+  std::atomic<ConnectionId> newest_{0};  // Ids 1..newest_ are published.
+
+  enum Counter : size_t { kConnections, kPackets, kBytesSent };
+  ShardedCounters<3> counters_;
 };
 
 }  // namespace vino

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <memory>
 #include <span>
 #include <vector>
@@ -17,6 +18,7 @@
 #include "src/graft/function_point.h"
 #include "src/graft/graft.h"
 #include "src/graft/namespace.h"
+#include "src/txn/accessor.h"
 #include "src/txn/txn_manager.h"
 
 namespace vino {
@@ -295,6 +297,62 @@ TEST_F(DriftTest, EventPointRemovesDegradedHandlerUnderOptInPolicy) {
   point.Dispatch({});
   EXPECT_EQ(point.handler_count(), 1u);  // Degraded handler removed...
   EXPECT_EQ(point.RemoveHandler("healthy-handler"), Status::kOk);  // ...not this.
+}
+
+TEST_F(DriftTest, EjectPolicyRemovesDriftingGraftWithTracingOff) {
+  // Protection must not depend on the flight recorder: with tracing off,
+  // every abort still feeds the detector, and the eject policy acts on it.
+  trace::SetEnabled(false);
+  SetGlobalDriftPolicy(TestPolicy(/*eject=*/true));
+  TxnManager txn;
+  HostCallTable host;
+  GraftNamespace ns;
+  FunctionGraftPoint point(
+      "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
+      FunctionGraftPoint::Config{}, &txn, &host, &ns);
+
+  // Fails every call after logging one undo record. Replaying the record
+  // is free for the first kWarmup calls and then takes 100 µs.
+  constexpr uint64_t kWarmup = 40;
+  uint64_t calls = 0;
+  bool fail = true;
+  auto graft = std::make_shared<Graft>(
+      "drifting",
+      [&calls, &fail](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+        if (!fail) {
+          return 42ull;
+        }
+        const bool slow = ++calls > kWarmup;
+        TxnOnAbort([slow] {
+          const auto until =
+              std::chrono::steady_clock::now() + std::chrono::microseconds(100);
+          while (slow && std::chrono::steady_clock::now() < until) {
+          }
+        });
+        return Status::kInvalidArgs;
+      },
+      kRoot);
+
+  // Each call aborts, so the point forcibly removes the graft every time;
+  // like a tenant retrying its broken graft, the test re-installs it.
+  while (!graft->degraded() && calls < 200) {
+    ASSERT_EQ(point.Replace(graft), Status::kOk);
+    EXPECT_EQ(point.Invoke({}), 7u);  // Aborted: the default answers.
+    EXPECT_FALSE(point.grafted());
+  }
+  EXPECT_EQ(graft->abort_cost().samples(), calls);  // One sample per abort.
+  ASSERT_TRUE(graft->degraded());
+  // Two 8-sample windows of slow replays after the warm-up.
+  EXPECT_LE(calls, kWarmup + 2 * 8 + 8);
+  EXPECT_EQ(point.stats().forcible_removals, calls);
+
+  // Degraded is sticky: once the graft stops failing, its first committing
+  // call still counts, and the eject policy removes it afterwards.
+  fail = false;
+  ASSERT_EQ(point.Replace(graft), Status::kOk);
+  EXPECT_EQ(point.Invoke({}), 42u);
+  EXPECT_FALSE(point.grafted());
+  EXPECT_EQ(point.stats().forcible_removals, calls + 1);
 }
 
 TEST_F(DriftTest, AbortCostWindowEvictsOldestSamples) {

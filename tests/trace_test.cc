@@ -129,11 +129,17 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPostsPerWriter = 3 * trace::kRingRecords;  // Wraps.
   std::atomic<int> writers_done{0};
+  // Raised just before the first snapshot: the writers start only then, so
+  // that snapshot overlaps them however the threads are scheduled.
+  std::atomic<bool> snapshotting{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &writers_done] {
+    writers.emplace_back([w, &writers_done, &snapshotting] {
+      while (!snapshotting.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       const uint64_t magic = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(w + 1);
       for (uint64_t i = 0; i < kPostsPerWriter; ++i) {
         trace::Post(trace::Event::kLockAcquire,
@@ -147,7 +153,8 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
   // Snapshot continuously while the writers hammer their rings.
   uint64_t snapshots = 0;
   uint64_t checked = 0;
-  while (writers_done.load(std::memory_order_acquire) < kWriters) {
+  snapshotting.store(true, std::memory_order_release);
+  do {
     trace::SnapshotStats stats;
     const auto records = trace::Snapshot(&stats);
     ++snapshots;
@@ -164,7 +171,7 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
           << "torn record delivered: writer " << w << " seq " << r.seq;
       ++checked;
     }
-  }
+  } while (writers_done.load(std::memory_order_acquire) < kWriters);
   for (auto& t : writers) {
     t.join();
   }
@@ -279,11 +286,18 @@ TEST_F(TraceTest, DrainCursorVersusWritersDeliversUntornMonotonicStreams) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPostsPerWriter = 3 * trace::kRingRecords;  // Wraps.
   std::atomic<int> writers_done{0};
+  // Raised by the drain loop just before its first drain: the writers
+  // start only then, so that drain overlaps them however the threads are
+  // scheduled.
+  std::atomic<bool> draining{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &writers_done] {
+    writers.emplace_back([w, &writers_done, &draining] {
+      while (!draining.load(std::memory_order_acquire)) {
+        std::this_thread::yield();
+      }
       const uint64_t magic =
           0x9e3779b97f4a7c15ull * static_cast<uint64_t>(w + 1);
       for (uint64_t i = 0; i < kPostsPerWriter; ++i) {
@@ -298,10 +312,11 @@ TEST_F(TraceTest, DrainCursorVersusWritersDeliversUntornMonotonicStreams) {
   trace::DrainCursor cursor;
   CursorCollector sink;
   uint64_t drains = 0;
-  while (writers_done.load(std::memory_order_acquire) < kWriters) {
+  draining.store(true, std::memory_order_release);
+  do {
     (void)cursor.DrainInto(sink);
     ++drains;
-  }
+  } while (writers_done.load(std::memory_order_acquire) < kWriters);
   for (auto& t : writers) {
     t.join();
   }

@@ -8,9 +8,11 @@
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
 #      refuses at load time — must contain every attack,
-#   3. flaky-dispatch guard: robustness_test repeated 20x until-fail (the
-#      mixed sync/async event case was an 18/20 flake before the worker
-#      pool; any regression shows up here),
+#   3. flaky-dispatch guard: robustness_test, net_test and trace_test
+#      repeated 20x until-fail (the mixed sync/async event case was an 18/20
+#      flake before the worker pool; net_test races deliveries against
+#      connection lookups, trace_test a drain cursor against writers; any
+#      regression shows up here),
 #   4. flight recorder live: the whole suite re-run with VINO_TRACE=1 (every
 #      instrumentation site exercised with the ring hot) plus a graftstat
 #      --json smoke test,
@@ -98,9 +100,9 @@ grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
 
-echo "== [3/9] flaky-dispatch guard: robustness_test x20 =="
-ctest --test-dir build -R robustness_test --repeat until-fail:20 \
-  --output-on-failure
+echo "== [3/9] flaky-dispatch guard: robustness/net/trace tests x20 =="
+ctest --test-dir build -R 'robustness_test|net_test|trace_test' \
+  --repeat until-fail:20 --output-on-failure
 
 echo "== [4/9] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
 # VINO_SPOOL makes every VinoKernel constructed by the suite spool its
