@@ -335,6 +335,38 @@ class SpoolRotationTest : public TraceSpoolTest {
     }
     TraceSpoolTest::TearDown();
   }
+
+  // Writes a closed chain of exactly three segments holding one data batch
+  // each, of the given record counts, numbered from seq 0. The 200-byte cap
+  // rotates after any batch of four or more records (a segment is then at
+  // least 16 + 32 + 4·48 = 240 bytes), so `last` must stay below four for
+  // the close trailer to share the final segment.
+  void WriteThreeSegments(uint64_t first, uint64_t middle, uint64_t last) {
+    spool::SpoolWriter writer;
+    ASSERT_EQ(writer.OpenRotating(path_, {200, 100}), Status::kOk);
+    uint64_t seq = 0;
+    for (const uint64_t count : {first, middle}) {
+      for (uint64_t i = 0; i < count; ++i) {
+        writer.OnRecord(MakeRecord(seq++));
+      }
+      ASSERT_EQ(writer.Commit(), Status::kOk);
+    }
+    for (uint64_t i = 0; i < last; ++i) {
+      writer.OnRecord(MakeRecord(seq++));
+    }
+    ASSERT_EQ(writer.Close(), Status::kOk);
+    ASSERT_EQ(spool::ListSegments(path_).size(), 3u);
+  }
+
+  // Overwrites `len` bytes of segment `index` at `offset`.
+  void Poke(uint64_t index, long offset, const void* bytes, size_t len) {
+    std::FILE* f =
+        std::fopen(spool::SegmentPath(path_, index).c_str(), "r+b");
+    ASSERT_NE(f, nullptr);
+    ASSERT_EQ(std::fseek(f, offset, SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(bytes, 1, len, f), len);
+    std::fclose(f);
+  }
 };
 
 TEST_F(SpoolRotationTest, SegmentPathsRoundTripAndRejectPlainSpools) {
@@ -537,6 +569,87 @@ TEST_F(SpoolRotationTest, FollowerReopensWhenFileTruncatedUnderneath) {
   EXPECT_TRUE(follower.closed());
   ASSERT_EQ(records.size(), 6u);
   EXPECT_EQ(records.back().seq, 200u);
+}
+
+TEST_F(SpoolRotationTest, CorruptBatchInMiddleSegmentCostsOnlyThatBatch) {
+  WriteThreeSegments(5, 4, 3);
+  // Flip one payload byte of the middle segment's only data batch.
+  const uint8_t evil = 0xFF;
+  Poke(1, static_cast<long>(sizeof(spool::FileHeader) +
+                            sizeof(spool::BatchHeader) + 5),
+       &evil, 1);
+
+  std::vector<trace::TaggedRecord> records;
+  spool::ReadStats stats;
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats),
+            Status::kSpoolCorrupt);
+  // The batches on either side still arrive, in order; the skipped batch
+  // was framed, so the sequence stays continuous.
+  ASSERT_EQ(records.size(), 8u);
+  const uint64_t want[] = {0, 1, 2, 3, 4, 9, 10, 11};
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, want[i]);
+  }
+  EXPECT_EQ(stats.corrupt_batches, 1u);
+  EXPECT_EQ(stats.seq_gaps, 0u);
+  EXPECT_TRUE(stats.closed);
+}
+
+TEST_F(SpoolRotationTest, BadBatchMagicInMiddleSegmentStopsTheScan) {
+  WriteThreeSegments(4, 4, 3);
+  // An unframeable batch header: nothing after it can be trusted.
+  const uint32_t garbage = 0xDEADBEEFu;
+  Poke(1, static_cast<long>(sizeof(spool::FileHeader)), &garbage,
+       sizeof(garbage));
+
+  std::vector<trace::TaggedRecord> records;
+  spool::ReadStats stats;
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats),
+            Status::kSpoolCorrupt);
+  ASSERT_EQ(records.size(), 4u);
+  EXPECT_EQ(records.back().seq, 3u);
+  EXPECT_FALSE(stats.closed);
+}
+
+TEST_F(SpoolRotationTest, SuccessorWithHalfAFileHeaderIsTruncatedThenPickedUp) {
+  spool::SpoolWriter writer;
+  ASSERT_EQ(writer.OpenRotating(path_, {1, 100}), Status::kOk);
+  for (uint64_t i = 0; i < 4; ++i) {
+    writer.OnRecord(MakeRecord(i));
+  }
+  ASSERT_EQ(writer.Commit(), Status::kOk);  // Rotates: s1 holds a header.
+  // The writer is mid-rotation: only half of s1's header has landed.
+  const std::string s1 = spool::SegmentPath(path_, 1);
+  ASSERT_EQ(::truncate(s1.c_str(), sizeof(spool::FileHeader) / 2), 0);
+
+  std::vector<trace::TaggedRecord> records;
+  spool::ReadStats stats;
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records, &stats),
+            Status::kSpoolTruncated);
+  EXPECT_EQ(records.size(), 4u);
+  EXPECT_TRUE(stats.truncated);
+
+  spool::ChainedFollower follower;
+  ASSERT_EQ(follower.Open(path_), Status::kOk);
+  records.clear();
+  ASSERT_EQ(follower.Poll(records), Status::kOk);
+  EXPECT_EQ(records.size(), 4u);
+  EXPECT_FALSE(follower.closed());
+
+  // The rest of the header lands; the writer carries on in s1.
+  const spool::FileHeader header;
+  Poke(1, 0, &header, sizeof(header));
+  for (uint64_t i = 4; i < 7; ++i) {
+    writer.OnRecord(MakeRecord(i));
+  }
+  ASSERT_EQ(writer.Close(), Status::kOk);
+  ASSERT_EQ(follower.Poll(records), Status::kOk);
+  EXPECT_TRUE(follower.closed());
+  ASSERT_EQ(records.size(), 7u);
+  for (uint64_t i = 0; i < records.size(); ++i) {
+    EXPECT_EQ(records[i].seq, i);
+  }
+  EXPECT_EQ(follower.stats().seq_gaps, 0u);
 }
 
 TEST_F(SpoolRotationTest, DrainerRotatesAndAccountingStaysLossless) {
