@@ -285,55 +285,94 @@ void SpoolWriter::WriteAll(const void* data, size_t len) {
 }
 
 // ---------------------------------------------------------------------------
-// SpoolFollower.
+// Reader.
 
-SpoolFollower::~SpoolFollower() {
-  if (fd_ >= 0) {
-    ::close(fd_);
+Status StreamStatus(const ReadStats& stats) {
+  if (stats.corrupt_batches > 0) {
+    return Status::kSpoolCorrupt;
   }
+  if (stats.truncated) {
+    return Status::kSpoolTruncated;
+  }
+  return stats.segments == 0 ? Status::kNotFound : Status::kOk;
 }
 
-Status SpoolFollower::Open(const std::string& path) {
-  if (fd_ >= 0) {
+ChainedFollower::~ChainedFollower() { CloseFile(); }
+
+Status ChainedFollower::Open(const std::string& path) {
+  if (stats_.segments > 0) {
     return Status::kAlreadyExists;
   }
-  fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd_ < 0) {
+  if (dead_) {
+    return Status::kSpoolCorrupt;
+  }
+  if (path_.empty()) {
+    segmented_ = ParseSegmentPath(path, &base_, &index_);
+    struct stat st;
+    if (!segmented_ && ::stat(path.c_str(), &st) != 0) {
+      // Not a file; maybe a segment base whose ring already exists.
+      const std::vector<uint64_t> segments = ListSegments(path);
+      if (segments.empty()) {
+        return Status::kNotFound;
+      }
+      segmented_ = true;
+      base_ = path;
+      index_ = segments.front();
+    }
+    path_ = segmented_ ? SegmentPath(base_, index_) : path;
+  }
+  return OpenFile();
+}
+
+Status ChainedFollower::OpenFile() {
+  const int fd = ::open(path_.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
     return Status::kNotFound;
   }
   FileHeader header;
-  const ssize_t n = PReadAll(fd_, &header, sizeof(header), 0);
+  const ssize_t n = PReadAll(fd, &header, sizeof(header), 0);
   if (n < static_cast<ssize_t>(sizeof(header))) {
-    // Empty or short file: nothing parseable yet (a writer races its first
-    // write, or the file is just empty). Close so Open can be retried.
-    ::close(fd_);
-    fd_ = -1;
+    // Empty or short: the writer has not finished its header yet.
+    ::close(fd);
     stats_.truncated = true;
     return Status::kSpoolTruncated;
   }
   if (header.magic != kFileMagic || header.version != kFormatVersion ||
       header.record_bytes != sizeof(trace::TaggedRecord)) {
-    ::close(fd_);
-    fd_ = -1;
+    ::close(fd);
     dead_ = true;
+    ++stats_.corrupt_batches;
     return Status::kSpoolCorrupt;
   }
   struct stat st;
-  if (::fstat(fd_, &st) == 0) {
+  if (::fstat(fd, &st) == 0) {
     dev_ = static_cast<uint64_t>(st.st_dev);
     ino_ = static_cast<uint64_t>(st.st_ino);
   }
-  stats_.truncated = false;
+  fd_ = fd;
   offset_ = sizeof(header);
+  ++stats_.segments;
+  stats_.truncated = false;
+  stats_.rotated = false;
   return Status::kOk;
 }
 
-bool SpoolFollower::DisplacedBy(const std::string& path) const {
-  if (fd_ < 0) {
-    return false;
+void ChainedFollower::CloseFile() {
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
   }
+}
+
+void ChainedFollower::AdvanceTo(uint64_t index) {
+  CloseFile();
+  index_ = index;
+  path_ = SegmentPath(base_, index_);
+}
+
+bool ChainedFollower::Displaced() const {
   struct stat st;
-  if (::stat(path.c_str(), &st) != 0) {
+  if (::stat(path_.c_str(), &st) != 0) {
     return true;  // Unlinked or renamed away.
   }
   if (static_cast<uint64_t>(st.st_dev) != dev_ ||
@@ -343,10 +382,7 @@ bool SpoolFollower::DisplacedBy(const std::string& path) const {
   return static_cast<uint64_t>(st.st_size) < offset_;  // Truncated under us.
 }
 
-Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
-  if (fd_ < 0 || dead_) {
-    return Status::kUnavailable;
-  }
+Status ChainedFollower::ReadFile(std::vector<trace::TaggedRecord>& out) {
   for (;;) {
     BatchHeader header;
     ssize_t n = PReadAll(fd_, &header, sizeof(header), offset_);
@@ -365,41 +401,40 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
       ++stats_.corrupt_batches;
       return Status::kSpoolCorrupt;
     }
+    const size_t at = out.size();
     const size_t payload_bytes =
         static_cast<size_t>(header.record_count) * sizeof(trace::TaggedRecord);
-    std::vector<trace::TaggedRecord> payload(header.record_count);
-    n = PReadAll(fd_, payload.data(), payload_bytes,
-                 offset_ + sizeof(header));
+    out.resize(at + header.record_count);
+    n = PReadAll(fd_, out.data() + at, payload_bytes, offset_ + sizeof(header));
     if (n < static_cast<ssize_t>(payload_bytes)) {
+      out.resize(at);
       stats_.truncated = true;  // Mid-payload tail; retry next Poll.
       return Status::kOk;
     }
     offset_ += sizeof(header) + payload_bytes;
-    // A fully framed batch means the earlier partial read was just the
-    // writer mid-append, not a torn tail: the flag describes the current
-    // end of file, so it must not outlive the condition.
+    // A fully framed batch means an earlier partial read was the writer
+    // mid-append, not a torn tail: the flag describes the current end of
+    // the stream, so it must not outlive the condition.
     stats_.truncated = false;
     // Continuity: every framed batch (intact or not) advances the expected
-    // sequence; a mismatch is a hole in the stream.
-    if (!saw_seq_) {
-      saw_seq_ = true;
+    // sequence; a mismatch is a hole in the stream. The stream's first
+    // framed batch sets where it starts.
+    if (stats_.batches + stats_.corrupt_batches == 0) {
       stats_.first_batch_seq = header.batch_seq;
     } else if (header.batch_seq != stats_.next_batch_seq) {
       ++stats_.seq_gaps;
     }
     stats_.next_batch_seq = header.batch_seq + 1;
-    if (Crc32(payload.data(), payload_bytes) != header.payload_crc) {
+    if (Crc32(out.data() + at, payload_bytes) != header.payload_crc) {
       // One flipped bit costs one batch: skip it, keep scanning — the
       // length prefix still frames the stream.
+      out.resize(at);
       ++stats_.corrupt_batches;
       continue;
     }
     ++stats_.batches;
     stats_.records += header.record_count;
-    if (header.lost_total > stats_.lost_total) {
-      stats_.lost_total = header.lost_total;
-    }
-    out.insert(out.end(), payload.begin(), payload.end());
+    stats_.lost_total = std::max(stats_.lost_total, header.lost_total);
     if ((header.flags & kBatchFlagClose) != 0) {
       stats_.closed = true;
       return Status::kOk;
@@ -411,233 +446,63 @@ Status SpoolFollower::Poll(std::vector<trace::TaggedRecord>& out) {
   }
 }
 
-Status ReadSpool(const std::string& path, std::vector<trace::TaggedRecord>& out,
-                 ReadStats* stats) {
-  SpoolFollower follower;
-  Status status = follower.Open(path);
-  if (IsOk(status)) {
-    status = follower.Poll(out);
-  }
-  if (stats != nullptr) {
-    *stats = follower.stats();
-  }
-  if (!IsOk(status)) {
-    return status;
-  }
-  if (follower.stats().corrupt_batches > 0) {
+Status ChainedFollower::Poll(std::vector<trace::TaggedRecord>& out) {
+  if (dead_) {
     return Status::kSpoolCorrupt;
   }
-  if (follower.stats().truncated) {
-    return Status::kSpoolTruncated;
-  }
-  return Status::kOk;
-}
-
-// ---------------------------------------------------------------------------
-// ChainedFollower.
-
-Status ChainedFollower::Open(const std::string& path) {
-  if (open_) {
-    return Status::kAlreadyExists;
-  }
-  // Retryable until the first file actually opens: a kNotFound /
-  // kSpoolTruncated return (the writer has not created the file, or its
-  // header has not fully landed) leaves the chain re-openable, so a tailer
-  // racing a kernel's startup just calls Open again. Retries must pass the
-  // same path.
   if (path_.empty()) {
-    totals_ = ReadStats{};
-    totals_.segments = 0;  // Folded-segment count; stats() floors it at 1.
-    std::string base;
-    uint64_t index = 0;
-    if (ParseSegmentPath(path, &base, &index)) {
-      segmented_ = true;
-      base_ = base;
-      index_ = index;
-    } else {
-      struct stat st;
-      if (::stat(path.c_str(), &st) != 0) {
-        // Not a file; maybe a segment base whose ring already exists.
-        const std::vector<uint64_t> segments = ListSegments(path);
-        if (segments.empty()) {
-          return Status::kNotFound;
-        }
-        segmented_ = true;
-        base_ = path;
-        index_ = segments.front();
-      }
-    }
-    path_ = segmented_ ? SegmentPath(base_, index_) : path;
-  }
-  return OpenCurrent();
-}
-
-Status ChainedFollower::OpenCurrent() {
-  if (!follower_) {
-    follower_ = std::make_unique<SpoolFollower>();
-  }
-  const Status status = follower_->Open(path_);
-  if (IsOk(status)) {
-    open_ = true;
-    if (seeded_seq_) {
-      follower_->ExpectBatchSeq(expect_seq_);
-    }
-  }
-  return status;
-}
-
-void ChainedFollower::FoldCurrent() {
-  if (follower_) {
-    const ReadStats& s = follower_->stats();
-    totals_.batches += s.batches;
-    totals_.corrupt_batches += s.corrupt_batches;
-    totals_.records += s.records;
-    totals_.lost_total = std::max(totals_.lost_total, s.lost_total);
-    totals_.seq_gaps += s.seq_gaps;
-    if (s.batches + s.corrupt_batches > 0) {
-      if (totals_.segments == 0) {
-        totals_.first_batch_seq = s.first_batch_seq;
-      }
-      seeded_seq_ = true;
-      expect_seq_ = s.next_batch_seq;
-      totals_.next_batch_seq = s.next_batch_seq;
-    }
-    if (open_) {
-      ++totals_.segments;
-    }
-  }
-  open_ = false;
-  follower_.reset();  // Fresh offset and identity for the next file.
-}
-
-void ChainedFollower::AdvanceTo(uint64_t index) {
-  FoldCurrent();
-  index_ = index;
-  path_ = SegmentPath(base_, index_);
-}
-
-Status ChainedFollower::Poll(std::vector<trace::TaggedRecord>& out) {
-  if (path_.empty()) {
-    return Status::kUnavailable;
+    return Status::kUnavailable;  // Open has not resolved a path yet.
   }
   for (;;) {
-    if (!open_) {
-      const Status status = OpenCurrent();
-      if (status == Status::kSpoolCorrupt) {
-        return status;
-      }
+    if (fd_ < 0) {
+      const Status status = OpenFile();
       if (!IsOk(status)) {
-        return Status::kOk;  // Not there / header short yet; retry later.
+        // Not there, or its header is short: retry on the next Poll.
+        return status == Status::kSpoolCorrupt ? status : Status::kOk;
       }
     }
     const size_t before = out.size();
-    const Status status = follower_->Poll(out);
-    if (!IsOk(status)) {
-      return status;  // Unrecoverable corruption in this segment.
+    const Status status = ReadFile(out);
+    if (!IsOk(status) || stats_.closed) {
+      return status;
     }
-    {
-      const ReadStats& s = follower_->stats();
-      if (seeded_seq_ || s.batches + s.corrupt_batches > 0) {
-        seeded_seq_ = true;
-        expect_seq_ = s.next_batch_seq;
-      }
-    }
-    if (follower_->closed()) {
-      return Status::kOk;
-    }
-    if (follower_->rotated()) {
+    if (stats_.rotated) {
       if (!segmented_) {
         return Status::kOk;  // A lone file cannot chain; stop at its end.
       }
       AdvanceTo(index_ + 1);
       continue;
     }
-    if (out.size() != before) {
-      return Status::kOk;  // Made progress; the tail is up to date for now.
+    if (out.size() != before || !Displaced()) {
+      return Status::kOk;  // Made progress, or the tail is up to date.
     }
-    // Idle tail: notice a writer that rotated, renamed, or truncated the
-    // file away under our stale fd.
-    if (!follower_->DisplacedBy(path_)) {
-      return Status::kOk;
-    }
-    if (segmented_) {
-      // Our segment was reclaimed mid-read. Jump to the oldest survivor
-      // after it; if the ring has nothing newer yet, keep waiting.
-      const std::vector<uint64_t> segments = ListSegments(base_);
-      uint64_t successor = 0;
-      bool found = false;
-      for (const uint64_t s : segments) {
-        if (s > index_) {
-          successor = s;
-          found = true;
-          break;
-        }
-      }
-      if (!found) {
-        return Status::kOk;
-      }
-      AdvanceTo(successor);
+    if (!segmented_) {
+      CloseFile();  // A replaced or truncated file: re-read it.
       continue;
     }
-    // Single file replaced or truncated: fold what the old incarnation
-    // gave us and re-read the new one from its header (a restarted writer
-    // is a new stream, so its batch_seq reset shows up as a seq gap).
-    FoldCurrent();
-    continue;
-  }
-}
-
-const ReadStats& ChainedFollower::stats() const {
-  merged_ = totals_;
-  merged_.truncated = false;
-  merged_.closed = false;
-  merged_.rotated = false;
-  if (follower_) {
-    const ReadStats& s = follower_->stats();
-    merged_.batches += s.batches;
-    merged_.corrupt_batches += s.corrupt_batches;
-    merged_.records += s.records;
-    merged_.lost_total = std::max(merged_.lost_total, s.lost_total);
-    merged_.seq_gaps += s.seq_gaps;
-    merged_.truncated = s.truncated;
-    merged_.closed = s.closed;
-    merged_.rotated = s.rotated;
-    if (s.batches + s.corrupt_batches > 0) {
-      if (totals_.segments == 0) {
-        merged_.first_batch_seq = s.first_batch_seq;
-      }
-      merged_.next_batch_seq = s.next_batch_seq;
+    // Our segment was reclaimed mid-read. Jump to the oldest survivor after
+    // it; if the ring has nothing newer yet, keep waiting.
+    const std::vector<uint64_t> segments = ListSegments(base_);
+    const auto successor =
+        std::upper_bound(segments.begin(), segments.end(), index_);
+    if (successor == segments.end()) {
+      return Status::kOk;
     }
+    AdvanceTo(*successor);
   }
-  merged_.segments = totals_.segments + (open_ ? 1 : 0);
-  if (merged_.segments == 0) {
-    merged_.segments = 1;
-  }
-  return merged_;
 }
 
 Status ReadSpoolChain(const std::string& path,
                       std::vector<trace::TaggedRecord>& out,
                       ReadStats* stats) {
-  ChainedFollower chain;
-  Status status = chain.Open(path);
-  if (IsOk(status)) {
-    status = chain.Poll(out);
+  ChainedFollower follower;
+  if (IsOk(follower.Open(path))) {
+    (void)follower.Poll(out);
   }
   if (stats != nullptr) {
-    *stats = chain.stats();
+    *stats = follower.stats();
   }
-  if (!IsOk(status)) {
-    return status;
-  }
-  const ReadStats& s = chain.stats();
-  if (s.corrupt_batches > 0) {
-    return Status::kSpoolCorrupt;
-  }
-  if (s.truncated) {
-    return Status::kSpoolTruncated;
-  }
-  return Status::kOk;
+  return StreamStatus(follower.stats());
 }
 
 // ---------------------------------------------------------------------------

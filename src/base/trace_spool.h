@@ -11,11 +11,14 @@
 //     drainer's cumulative loss counter, so a reader always knows how much
 //     history it is missing, and a torn tail or a flipped bit costs one
 //     batch, never the file.
-//  2. SpoolWriter / SpoolFollower: the durable TraceSink and its reader.
-//     The writer is steady-state allocation-free (fixed batch buffer,
-//     raw fd writes); the reader tolerates truncated tails, corrupt
-//     batches, and empty files — partial parse with a status, never a
-//     crash — and can tail a live file (`graftstat --follow`).
+//  2. SpoolWriter / ChainedFollower: the durable TraceSink and the one
+//     reader. The writer is steady-state allocation-free (fixed batch
+//     buffer, raw fd writes). The reader follows one logical stream across
+//     segment files, keeps one set of stream-wide ReadStats, and tolerates
+//     truncated tails, corrupt batches and empty files — partial parse
+//     with a status, never a crash. It replays a finished spool
+//     (ReadSpoolChain) and tails a live one (`graftstat --follow`), and
+//     StreamStatus gives every caller the same verdict on how it ended.
 //  3. SpoolDrainer: a background thread owned by VinoKernel that
 //     periodically DrainInto()s the rings through a DrainCursor into a
 //     SpoolWriter. Cadence is adaptive: drain-time ring occupancy above
@@ -218,13 +221,14 @@ class SpoolWriter : public trace::TraceSink {
 
 struct ReadStats {
   uint64_t batches = 0;          // Intact batches delivered.
-  uint64_t corrupt_batches = 0;  // CRC or header failures skipped.
+  uint64_t corrupt_batches = 0;  // CRC failures skipped, or the untrusted
+                                 // header that stopped the scan.
   uint64_t records = 0;
   uint64_t lost_total = 0;  // Highest loss counter seen in a batch header.
-  bool truncated = false;   // File ends mid-header or mid-payload.
+  bool truncated = false;   // The tail ends mid-header or mid-payload.
   bool closed = false;      // The writer's close trailer was seen.
   bool rotated = false;     // Ends with a rotate trailer (stream continues).
-  uint64_t segments = 1;    // Segment files chained into this view.
+  uint64_t segments = 0;    // Files opened into this view.
   // batch_seq continuity: the stream's sequence numbers run from
   // first_batch_seq (nonzero when reclaimed segments are missing from the
   // front of the ring) to next_batch_seq - 1; seq_gaps counts framed
@@ -234,122 +238,86 @@ struct ReadStats {
   uint64_t seq_gaps = 0;
 };
 
-// Tails a spool file: Poll() delivers every *complete* batch appended since
-// the previous Poll, leaving a partial tail for next time — the reader half
-// of `graftstat --follow`.
-class SpoolFollower {
- public:
-  SpoolFollower() = default;
-  ~SpoolFollower();
+// How a stream read so far ends; every reader reports this one verdict:
+//   kSpoolCorrupt    a batch failed its CRC, or a header could not be
+//                    trusted and the scan stopped there,
+//   kSpoolTruncated  the tail ends mid-header or mid-batch (a torn write,
+//                    or a live writer mid-append),
+//   kNotFound        no file of the stream has been opened,
+//   kOk              a close trailer or a clean batch boundary.
+[[nodiscard]] Status StreamStatus(const ReadStats& stats);
 
-  SpoolFollower(const SpoolFollower&) = delete;
-  SpoolFollower& operator=(const SpoolFollower&) = delete;
-
-  // Validates the file header. kSpoolTruncated for an empty/short file,
-  // kSpoolCorrupt for a bad magic/version/record size.
-  Status Open(const std::string& path);
-
-  // Appends the records of every complete, intact batch now available.
-  // Returns kOk (more may come), or kSpoolCorrupt if an unrecoverable
-  // header corruption stopped the scan (no way to resynchronize).
-  Status Poll(std::vector<trace::TaggedRecord>& out);
-
-  [[nodiscard]] const ReadStats& stats() const { return stats_; }
-  [[nodiscard]] bool closed() const { return stats_.closed; }
-  [[nodiscard]] bool rotated() const { return stats_.rotated; }
-
-  // True when `path` no longer names the file this follower has open: the
-  // file was unlinked, renamed away (different inode now at the path), or
-  // truncated below what was already consumed. A tailing reader uses this
-  // to notice the writer rotated or restarted underneath its stale fd.
-  [[nodiscard]] bool DisplacedBy(const std::string& path) const;
-
-  // Seeds the batch_seq continuity check: the next framed batch must carry
-  // `seq` or it counts as a gap. Chain readers carry the expectation across
-  // segment boundaries with this.
-  void ExpectBatchSeq(uint64_t seq) {
-    saw_seq_ = true;
-    stats_.first_batch_seq = seq;
-    stats_.next_batch_seq = seq;
-  }
-
- private:
-  int fd_ = -1;
-  uint64_t offset_ = 0;  // First byte not yet consumed.
-  bool dead_ = false;    // Unrecoverable corruption; stop scanning.
-  bool saw_seq_ = false;
-  uint64_t dev_ = 0;  // Identity of the opened file, for DisplacedBy.
-  uint64_t ino_ = 0;
-  ReadStats stats_;
-};
-
-// One-shot convenience: open, drain to EOF, classify. Intact batches are
-// always appended to `out`; the status says how the file ended:
-//   kOk              clean EOF (close trailer or exact batch boundary),
-//   kSpoolTruncated  partial batch at the tail (torn write / live file),
-//   kSpoolCorrupt    bad header or ≥1 batch with a CRC mismatch.
-Status ReadSpool(const std::string& path,
-                 std::vector<trace::TaggedRecord>& out,
-                 ReadStats* stats = nullptr);
-
-// ---------------------------------------------------------------------------
-// Chained reader: one logical stream across a segment ring.
-
-// Follows a spool across rotation. Open() accepts a plain spool file, a
-// single segment (`<base>.s<n>.bin`), or a bare base path (the lowest
-// existing segment is picked up — after reclamation that is not s0, and
-// stats().first_batch_seq says how much history the ring already dropped).
+// Reads one logical stream: a plain spool file, a single segment
+// (`<base>.s<n>.bin`), or a bare segment base (the lowest existing segment
+// is picked up; after reclamation that is not s0, and first_batch_seq says
+// how much history the ring already dropped).
 //
-// Poll() drains every complete batch currently available, transparently
-// advancing to the next segment whenever the current one ends with a
-// rotate trailer; a successor that does not exist yet (the writer is
-// mid-rotation) is retried on the next Poll. When nothing new is readable
-// it also checks DisplacedBy(): a tail whose file was rotated away,
-// renamed, or truncated under its stale fd reopens the successor segment
-// (or the recreated file) instead of waiting forever.
+// Poll() delivers every complete, intact batch appended since the previous
+// Poll and leaves a partial tail for next time, so it both replays a
+// finished spool and tails a live one (`graftstat --follow`). At a rotate
+// trailer it moves on to the next segment; a successor that does not exist
+// yet, or whose header has not fully landed, is retried on the next Poll.
+// When nothing new is readable it checks whether the path still names the
+// open file: a segment reclaimed under the reader jumps to the oldest
+// surviving successor, and a plain file renamed, replaced or truncated
+// underneath is re-read from its header (a restarted writer is a new
+// stream, so its batch_seq reset counts as a seq gap).
 class ChainedFollower {
  public:
   ChainedFollower() = default;
+  ~ChainedFollower();
 
   ChainedFollower(const ChainedFollower&) = delete;
   ChainedFollower& operator=(const ChainedFollower&) = delete;
 
+  // Opens the stream's first file. kNotFound while it does not exist yet,
+  // kSpoolTruncated while its header is short: both leave the follower
+  // re-openable (retries must pass the same path), and Poll retries too.
+  // kSpoolCorrupt for a bad magic, version or record size.
   Status Open(const std::string& path);
 
+  // Appends the records of every complete, intact batch now available.
+  // Returns kOk (more may come), or kSpoolCorrupt once a header that cannot
+  // be trusted has stopped the scan (lengths can no longer resynchronize).
   Status Poll(std::vector<trace::TaggedRecord>& out);
 
-  // Merged view over all segments consumed so far (completed + current).
-  [[nodiscard]] const ReadStats& stats() const;
-  [[nodiscard]] bool closed() const { return stats().closed; }
+  [[nodiscard]] const ReadStats& stats() const { return stats_; }
+  [[nodiscard]] bool closed() const { return stats_.closed; }
 
   // Path of the segment (or file) currently being read.
   [[nodiscard]] const std::string& current_path() const { return path_; }
 
  private:
-  Status OpenCurrent();
-  // Folds the finished current follower into totals_ and drops it; the
-  // replacement file reopens lazily on the next Poll iteration.
-  void FoldCurrent();
-  // FoldCurrent, then target segment `index` of the ring.
+  Status OpenFile();
+  void CloseFile();
+  // Closes the current file and targets segment `index` of the ring.
   void AdvanceTo(uint64_t index);
+  // Reads batches from the open file until its end, a partial tail, or a
+  // close or rotate trailer.
+  Status ReadFile(std::vector<trace::TaggedRecord>& out);
+  // True when path_ no longer names the open file: unlinked, renamed away,
+  // replaced, or truncated below what was already consumed.
+  [[nodiscard]] bool Displaced() const;
 
+  std::string requested_;  // The path given to Open.
   bool segmented_ = false;
-  std::string base_;      // Segment base (segmented_ only).
-  uint64_t index_ = 0;    // Current segment index (segmented_ only).
-  std::string path_;      // Path of the current file.
-  bool open_ = false;     // follower_ has a live fd.
-  bool seeded_seq_ = false;
-  uint64_t expect_seq_ = 0;  // Continuity carried across reopens.
-  std::unique_ptr<SpoolFollower> follower_;
-  ReadStats totals_;          // Folded stats of finished segments.
-  mutable ReadStats merged_;  // Scratch for stats().
+  std::string base_;    // Segment base (segmented_ only).
+  uint64_t index_ = 0;  // Current segment index (segmented_ only).
+  std::string path_;    // The file being read.
+
+  int fd_ = -1;
+  uint64_t offset_ = 0;  // First byte of the open file not yet consumed.
+  uint64_t dev_ = 0;     // Identity of the open file, for Displaced().
+  uint64_t ino_ = 0;
+
+  bool dead_ = false;  // An untrusted header stopped the scan for good.
+  ReadStats stats_;
 };
 
-// One-shot chained convenience: open (file, segment, or base), drain every
-// available segment to EOF, classify like ReadSpool. A rotated final
-// segment whose successor is missing reports kSpoolTruncated only if the
-// last readable segment ends mid-batch; a live (unclosed) chain ends kOk
-// at a clean batch boundary, exactly like ReadSpool on a live file.
+// One-shot: open (file, segment, or base), drain every available segment
+// to its end, and return StreamStatus. Intact batches are always appended
+// to `out`. A chain whose next segment does not exist yet ends kOk at a
+// clean batch boundary, exactly like a live single file.
 Status ReadSpoolChain(const std::string& path,
                       std::vector<trace::TaggedRecord>& out,
                       ReadStats* stats = nullptr);

@@ -177,7 +177,7 @@ TEST(KernelTest, ConfiguredSpoolDrainsTracesAcrossKernelLifetime) {
 
   std::vector<trace::TaggedRecord> records;
   spool::ReadStats stats;
-  ASSERT_EQ(spool::ReadSpool(path, records, &stats), Status::kOk);
+  ASSERT_EQ(spool::ReadSpoolChain(path, records, &stats), Status::kOk);
   EXPECT_TRUE(stats.closed);
   // The 50 invocations (begin/end + txn begin/commit each) all made it out.
   uint64_t invoke_ends = 0;
