@@ -110,6 +110,20 @@ class LatencyHistogram {
     }
   }
 
+  // Folds another histogram's samples into this one (graftstat's fleet
+  // union). Reads `other` without synchronization, like
+  // AbortCostModel::Merge: call at collection time.
+  void Merge(const LatencyHistogram& other) {
+    uint64_t buckets[kHistogramBuckets];
+    other.ReadBuckets(buckets);
+    Shard& shard = shards_[0];
+    for (size_t i = 0; i < kHistogramBuckets; ++i) {
+      shard.buckets[i].fetch_add(buckets[i], std::memory_order_relaxed);
+    }
+    shard.count.fetch_add(other.Count(), std::memory_order_relaxed);
+    shard.sum.fetch_add(other.SumNs(), std::memory_order_relaxed);
+  }
+
   [[nodiscard]] static size_t Bucket(uint64_t ns) {
     const size_t width = static_cast<size_t>(std::bit_width(ns));
     return width < kHistogramBuckets ? width : kHistogramBuckets - 1;

@@ -14,8 +14,8 @@
 #      connection lookups, trace_test a drain cursor against writers; any
 #      regression shows up here),
 #   4. flight recorder live: the whole suite re-run with VINO_TRACE=1 (every
-#      instrumentation site exercised with the ring hot) plus a graftstat
-#      --json smoke test,
+#      instrumentation site exercised with the ring hot) and every kernel
+#      spooling, then every spool replayed with graftstat --spool,
 #   5. fleet observability: three kernel processes spool rotated segment
 #      rings into one VINO_SPOOL directory and `graftstat --fleet --json
 #      --once` must multiplex all of them (tools/fleet_smoke.py), repeated
@@ -125,26 +125,8 @@ if [[ "$SPOOL_COUNT" -eq 0 ]]; then
   exit 1
 fi
 echo "spool smoke: ok ($SPOOL_COUNT spools replayed cleanly)"
-build/tools/graftstat --json --invocations 500 | python3 -c '
-import json, sys
-d = json.load(sys.stdin)
-assert d["txn"]["aborts"] > 0, "abort-heavy run produced no aborts"
-assert d["abort_cost_global"]["valid"], "abort-cost fit did not converge"
-assert d["trace"]["records"] > 0, "flight recorder captured nothing"
-assert any(g["aborts"] > 0 for g in d["grafts"]), "no per-graft aborts"
-tiered = [g for g in d["grafts"] if g["runs"]["tier0"] + g["runs"]["tier1"] > 0]
-assert tiered, "no per-tier invocation counts (program graft missing?)"
-for g in d["grafts"]:
-    runs = g["runs"]
-    assert runs["native"] + runs["tier0"] + runs["tier1"] == g["invocations"], \
-        f"tier attribution does not sum to invocations for {g['name']}"
-tier_counts = sum(t["count"] for t in d["latency"]["tiers"].values())
-assert tier_counts == d["latency"]["invoke"]["count"], \
-    "per-tier latency histograms do not partition the invocation count"
-aborts, records = d["txn"]["aborts"], d["trace"]["records"]
-print(f"graftstat --json smoke: ok ({aborts} aborts, {records} records, "
-      f"{len(tiered)} tiered graft(s))")
-'
+# graftstat's report schema is checked by graftstat_spool_golden, which the
+# suite above just ran traced and spooled (and stages 1 and 9 run too).
 
 echo "== [5/9] fleet observability: multi-kernel spool dir + --fleet attach =="
 # Three graftstat self-test processes spool rotated segment rings into one

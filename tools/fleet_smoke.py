@@ -91,14 +91,15 @@ def main():
     fleet = view["fleet"]
     if fleet["kernels"] != KERNELS:
         fail(f"fleet union counted {fleet['kernels']} kernels")
-    if fleet["records"] != total_records:
-        fail(f"fleet union records {fleet['records']} != per-kernel sum "
-             f"{total_records}")
-    union_fit = fleet["abort_cost_union"]
+    if fleet["trace"]["records"] != total_records:
+        fail(f"fleet union records {fleet['trace']['records']} != per-kernel "
+             f"sum {total_records}")
+    union_fit = fleet["abort_cost_global"]
     if not union_fit["valid"]:
         fail(f"fleet union abort-cost fit invalid: {union_fit}")
-    per_kernel_samples = sum(k["abort_cost"]["samples"] for k in kernels
-                             if k["abort_cost"]["valid"])
+    per_kernel_samples = sum(k["abort_cost_global"]["samples"]
+                             for k in kernels
+                             if k["abort_cost_global"]["valid"])
     if union_fit["samples"] != per_kernel_samples:
         fail(f"union fit samples {union_fit['samples']} != per-kernel sum "
              f"{per_kernel_samples}")

@@ -1,47 +1,67 @@
-// graftstat: the abort-cost diagnosis tool. Four modes:
+// graftstat: the abort-cost diagnosis tool. It fits the paper's §4.5 model,
+// cost = a + b·L + c·G, from the flight recorder. Every mode folds trace
+// records into one reducer (ReplayReport) and prints it with one JSON
+// writer and one text writer, so the live, replay, follow and fleet views
+// agree by construction. Four modes:
 //
 //   graftstat [--json] [--invocations N] [--spool-out FILE]
-//             [--spool-out-segment-bytes N] [--spool-out-segments M]
-//     Self-test workload (the paper's §4.5 experiment): abort-heavy grafts
-//     holding L locks and pushing G undo records give the cost model enough
-//     variance to fit cost = a + b·L + c·G per graft. --spool-out also
-//     spools the run's flight-recorder stream to FILE (deterministically —
-//     drained every batch of invocations, so nothing wraps), which is how
-//     the golden test proves a replayed fit matches the live one. The
-//     segment flags turn the spool into a size-capped rotation ring; with
-//     no --spool-out, the VINO_SPOOL environment (a directory, plus the
-//     VINO_SPOOL_SEGMENT_BYTES / VINO_SPOOL_SEGMENTS knobs) derives a
-//     per-process spool exactly as a kernel would — which is how the fleet
-//     smoke test uses several graftstat self-tests as stand-in kernels.
+//     Self-test: the §4.5 experiment in-process. Abort-heavy grafts hold L
+//     locks and push G undo records, which gives the fit its variance. The
+//     run drains its own rings into the reducer every 128 invocations (a
+//     batch fits a ring several times over, so nothing wraps). Before it
+//     prints, it checks the reduced report against the kernel's own
+//     counters: per-graft invocations, aborts, degraded flag, tier runs and
+//     abort-cost fit; the invocation and per-tier latency histograms; the
+//     transaction manager's begins, commits and aborts; and zero drain
+//     loss. Any mismatch exits 1 and names the first one. --spool-out also
+//     spools the run to FILE on the same cadence. Without it, VINO_SPOOL
+//     (a directory) derives a per-process spool exactly as a kernel would.
+//     VINO_SPOOL_SEGMENT_BYTES and VINO_SPOOL_SEGMENTS make either spool a
+//     size-capped segment ring.
 //
-//   graftstat --spool FILE [--json]
-//     Attach to a *recorded* deployment: replay a spool written by a
-//     kernel's SpoolDrainer (src/base/trace_spool.h) and rebuild the same
-//     report — per-graft abort counts, L/G means, fitted cost lines,
-//     invocation-latency quantiles — from the records alone. FILE may be a
-//     plain spool, one segment of a rotation ring, or the ring's base path;
-//     segments are chained into one logical stream with exact batch_seq /
-//     lost_total continuity. Tolerates truncated tails and skips corrupt
-//     batches.
+//   graftstat --spool PATH [--json]
+//     Replays a recorded spool to its current end. PATH is a plain spool,
+//     one segment of a ring, or the ring's base path.
 //
-//   graftstat --follow FILE [--json] [--interval-ms N]
-//     Attach to a *live* deployment: tail the spool as the kernel writes
-//     it, folding new batches into the running report, until the writer's
-//     close trailer arrives (kernel shutdown) — then print the report.
-//     Rotation-safe: when the tailed segment ends in a rotate trailer (or
-//     is unlinked/renamed under the reader's fd), the follower reopens the
-//     successor segment instead of waiting forever on the stale fd.
+//   graftstat --follow PATH [--json] [--interval-ms N]
+//     The same stream, tailed as a kernel writes it — across rotations, and
+//     across a file replaced underneath — until its close trailer arrives.
+//     Waits for PATH to appear.
 //
 //   graftstat --fleet DIR [--json] [--once] [--interval-ms N]
-//     Attach to *every* kernel spooling under DIR (the VINO_SPOOL
-//     directory): each `vspool.<pid>.<k>[.s<n>].bin` family is one kernel's
-//     stream, tailed with its own chained follower and folded into a
-//     per-kernel report plus a fleet-union view (per-graft fits merged
-//     across kernels via AbortCostModel::Merge). New kernels and rotated
-//     segments are discovered live — inotify on Linux, polling elsewhere.
-//     --once scans and drains what exists now, then reports (scraping
-//     mode); without it the fleet view runs until every discovered kernel
-//     has closed its spool. --follow-dir DIR is an alias.
+//     Tails every kernel spooling under DIR, each `vspool.<pid>.<k>
+//     [.s<n>].bin` family one kernel's stream, until all have closed; new
+//     kernels are discovered as they start (inotify on Linux). --once reads
+//     what exists now. Each kernel gets its own report; the fleet union
+//     merges them, per graft by trace id (meaningful for symmetric fleets
+//     that load the same grafts in the same order).
+//
+// Exit status: 0 when every stream read is OK or ends in a truncated tail
+// (a live or torn spool); 1 when a stream is corrupt or cannot be opened,
+// when --fleet finds no kernel, or when the self-test's check fails; 2 for
+// bad usage.
+//
+// JSON schema. A report has these members:
+//   txn {begins, commits, aborts}
+//   trace {records, events {<event>: count}}
+//   latency {invoke, tiers {native, tier0, tier1}}, each {count, p50_ns,
+//     p95_ns, p99_ns, mean_ns}
+//   runs {native, tier0, tier1}
+//   abort_cost_global: the fit over every graft's abort samples
+//   grafts [{trace_id, [name,] kernels, invocations, aborts, degraded,
+//     runs, abort_cost}]
+// where a fit is {valid, a_ns, b_ns, c_ns, samples, mean_locks, mean_undo,
+// mean_cost_ns}. Each mode prints one object: "mode", then
+//   self-test       invocations, [spool_out {path, records, batches,
+//                   lost_total, segments, segments_reclaimed}],
+//                   txn_manager {slab_misses, slab_overflows, commit, abort,
+//                   abort_cost, recent {samples, total, mean_locks,
+//                   mean_undo, mean_cost_ns, predicted_ns, ratio}}, report
+//   spool, follow   spool {path, status, batches, corrupt_batches, records,
+//                   lost_total, truncated, closed, rotated, segments,
+//                   first_batch_seq, seq_gaps}, report
+//   fleet           dir, kernels [{kernel, spool, report}],
+//                   fleet {kernels, report of the union}
 
 #include <dirent.h>
 #include <poll.h>
@@ -51,10 +71,12 @@
 #include <sys/inotify.h>
 #endif
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -84,31 +106,10 @@ using vino::MemoryImage;
 using vino::Status;
 using vino::TxnLock;
 using vino::TxnManager;
+using vino::kExecTierCount;
 
-// Undo closures mutate this so the replay work is real, not optimized away.
-volatile uint64_t g_undo_sink = 0;
-
-// A native graft that acquires args[0] locks, registers args[1] undo
-// records, then aborts (args[2] != 0) or commits.
-vino::Result<uint64_t> Misbehave(std::span<const uint64_t> args,
-                                 std::vector<std::unique_ptr<TxnLock>>* locks,
-                                 MemoryImage*) {
-  const uint64_t want_locks = args.size() > 0 ? args[0] : 0;
-  const uint64_t want_undo = args.size() > 1 ? args[1] : 0;
-  const bool abort = args.size() > 2 && args[2] != 0;
-  for (uint64_t i = 0; i < want_locks && i < locks->size(); ++i) {
-    if (!IsOk((*locks)[i]->Acquire())) {
-      return Status::kTxnAborted;
-    }
-  }
-  for (uint64_t i = 0; i < want_undo; ++i) {
-    vino::TxnOnAbort([] { g_undo_sink = g_undo_sink + 1; });
-  }
-  if (abort) {
-    return Status::kTxnAborted;
-  }
-  return uint64_t{42};
-}
+// ---------------------------------------------------------------------------
+// The one reducer: every mode folds trace records into a ReplayReport.
 
 // Latency attribution slot names: index 0 is native (or a pre-tier spool),
 // 1..kExecTierCount are the sandbox execution tiers.
@@ -117,6 +118,121 @@ std::string_view TierLabel(size_t tier_plus1) {
                          : vino::ExecTierName(
                                static_cast<vino::ExecTier>(tier_plus1 - 1));
 }
+
+class ReplayReport : public vino::trace::TraceSink {
+ public:
+  struct GraftAgg {
+    std::string name;      // Known only to the self-test, which loaded it.
+    uint64_t kernels = 1;  // Kernel streams folded into this row.
+    uint64_t invocations = 0;
+    uint64_t aborts = 0;
+    // Runs by execution tier, indexed like the kInvokeBegin tag's high
+    // byte: tier + 1, with 0 for a native graft (or a spool that predates
+    // tier tagging).
+    uint64_t runs[kExecTierCount + 1] = {};
+    bool degraded = false;  // A kGraftDegraded event named this graft.
+    AbortCostModel model;
+  };
+
+  void OnRecord(const vino::trace::TaggedRecord& tagged) override {
+    using vino::trace::Event;
+    const vino::trace::Record& r = tagged.record;
+    const Event event = static_cast<Event>(r.event);
+    ++records;
+    ++event_counts[vino::trace::EventName(event)];
+    switch (event) {
+      case Event::kInvokeBegin: {
+        GraftAgg& agg = grafts[r.a];
+        ++agg.invocations;
+        ++agg.runs[Slot(r.tag)];
+        break;
+      }
+      case Event::kInvokeEnd:
+        invoke_latency.Record(r.b);
+        tier_latency[Slot(r.tag)].Record(r.b);
+        // Only the low byte is the path; the high byte carries the tier.
+        if (vino::trace::InvokePathTag(r.tag) ==
+            vino::trace::PathTag::kAbort) {
+          ++grafts[r.a].aborts;
+        }
+        break;
+      case Event::kAbortCost:
+        // The mirrored per-graft sample: a32 = L, tag = G, b = cost ns.
+        grafts[r.a].model.Record(r.a32, r.tag, r.b);
+        break;
+      case Event::kGraftDegraded:
+        grafts[r.a].degraded = true;
+        break;
+      case Event::kTxnBegin:
+        ++txn_begins;
+        break;
+      case Event::kTxnCommit:
+        ++txn_commits;
+        break;
+      case Event::kTxnAbort:
+        ++txn_aborts;
+        break;
+      default:
+        break;
+    }
+  }
+
+  // Folds another kernel's report into this one: the fleet union.
+  void Merge(const ReplayReport& other) {
+    for (const auto& [trace_id, theirs] : other.grafts) {
+      const auto [it, fresh] = grafts.try_emplace(trace_id);
+      GraftAgg& agg = it->second;
+      agg.kernels = fresh ? theirs.kernels : agg.kernels + theirs.kernels;
+      agg.invocations += theirs.invocations;
+      agg.aborts += theirs.aborts;
+      for (size_t t = 0; t <= kExecTierCount; ++t) {
+        agg.runs[t] += theirs.runs[t];
+      }
+      agg.degraded = agg.degraded || theirs.degraded;
+      agg.model.Merge(theirs.model);
+    }
+    for (const auto& [name, count] : other.event_counts) {
+      event_counts[name] += count;
+    }
+    records += other.records;
+    txn_begins += other.txn_begins;
+    txn_commits += other.txn_commits;
+    txn_aborts += other.txn_aborts;
+    invoke_latency.Merge(other.invoke_latency);
+    for (size_t t = 0; t <= kExecTierCount; ++t) {
+      tier_latency[t].Merge(other.tier_latency[t]);
+    }
+  }
+
+  // "abort_cost_global" in every mode: one fit over every graft's samples.
+  [[nodiscard]] AbortCostModel::Fitted GlobalFit() const {
+    AbortCostModel all;
+    for (const auto& [trace_id, agg] : grafts) {
+      all.Merge(agg.model);
+    }
+    return all.Fit();
+  }
+
+  std::map<uint64_t, GraftAgg> grafts;  // Keyed by graft trace id.
+  std::map<std::string_view, uint64_t> event_counts;
+  uint64_t records = 0;
+  uint64_t txn_begins = 0;
+  uint64_t txn_commits = 0;
+  uint64_t txn_aborts = 0;
+  LatencyHistogram invoke_latency;
+  // Split by execution tier, indexed like GraftAgg::runs; the counts sum to
+  // invoke_latency's.
+  LatencyHistogram tier_latency[kExecTierCount + 1];
+
+ private:
+  static size_t Slot(uint16_t tag) {
+    const uint16_t tier_plus1 = vino::trace::InvokeTierPlus1(tag);
+    return tier_plus1 <= kExecTierCount ? tier_plus1 : 0;
+  }
+};
+
+// ---------------------------------------------------------------------------
+// The one JSON writer and the one text writer, with their shared pieces.
 
 struct Quantiles {
   uint64_t count;
@@ -129,16 +245,20 @@ Quantiles Read(const LatencyHistogram& h) {
           h.MeanNs()};
 }
 
-void PrintFitText(const char* label, const AbortCostModel::Fitted& fit) {
-  if (!fit.valid) {
-    std::printf("  %-14s (no abort samples)\n", label);
-    return;
+// Every string goes out quoted and escaped, so a path holding `"` or `\`
+// still makes valid JSON.
+void PrintJsonString(std::string_view s) {
+  std::putchar('"');
+  for (const char c : s) {
+    if (c == '"' || c == '\\') {
+      std::printf("\\%c", c);
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      std::printf("\\u%04x", static_cast<unsigned>(c));
+    } else {
+      std::putchar(c);
+    }
   }
-  std::printf(
-      "  %-14s cost ≈ %.1f + %.1f·L + %.1f·G µs   "
-      "(n=%" PRIu64 ", mean L=%.1f G=%.1f cost=%.1f µs)\n",
-      label, fit.a_ns / 1e3, fit.b_ns / 1e3, fit.c_ns / 1e3, fit.samples,
-      fit.mean_locks, fit.mean_undo, fit.mean_cost_ns / 1e3);
+  std::putchar('"');
 }
 
 void PrintFitJson(const AbortCostModel::Fitted& fit) {
@@ -157,327 +277,175 @@ void PrintQuantilesJson(const Quantiles& q) {
               q.count, q.p50, q.p95, q.p99, q.mean);
 }
 
-void PrintQuantilesText(const char* label, const Quantiles& q) {
-  std::printf("  %-8s n=%-8" PRIu64 " p50=%-10" PRIu64 " p95=%-10" PRIu64
+void PrintRunsJson(const uint64_t (&runs)[kExecTierCount + 1]) {
+  for (size_t t = 0; t <= kExecTierCount; ++t) {
+    std::printf("%s", t == 0 ? "{" : ", ");
+    PrintJsonString(TierLabel(t));
+    std::printf(": %" PRIu64, runs[t]);
+  }
+  std::printf("}");
+}
+
+void PrintFitText(const char* label, const AbortCostModel::Fitted& fit) {
+  if (!fit.valid) {
+    std::printf("  %-14s (no abort samples)\n", label);
+    return;
+  }
+  std::printf(
+      "  %-14s cost ≈ %.1f + %.1f·L + %.1f·G µs   "
+      "(n=%" PRIu64 ", mean L=%.1f G=%.1f cost=%.1f µs)\n",
+      label, fit.a_ns / 1e3, fit.b_ns / 1e3, fit.c_ns / 1e3, fit.samples,
+      fit.mean_locks, fit.mean_undo, fit.mean_cost_ns / 1e3);
+}
+
+void PrintQuantilesText(std::string_view label, const Quantiles& q) {
+  std::printf("  %-8.*s n=%-8" PRIu64 " p50=%-10" PRIu64 " p95=%-10" PRIu64
               " p99=%-10" PRIu64 " mean=%.0f\n",
-              label, q.count, q.p50, q.p95, q.p99, q.mean);
+              static_cast<int>(label.size()), label.data(), q.count, q.p50,
+              q.p95, q.p99, q.mean);
 }
 
-// Per-tier latency views: tiers[0..kExecTierCount] keyed by tier_plus1.
-// Invariant (checked by tools/check.sh): the per-tier counts sum to the
-// total invocation count — every invocation lands in exactly one slot.
-void PrintTierLatencyJson(const LatencyHistogram* tiers) {
-  std::printf("{");
-  for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
-    const std::string_view label = TierLabel(t);
-    std::printf("%s\"%.*s\": ", t == 0 ? "" : ", ",
-                static_cast<int>(label.size()), label.data());
-    PrintQuantilesJson(Read(tiers[t]));
-  }
-  std::printf("}");
-}
-
-void PrintTierLatencyText(const LatencyHistogram* tiers) {
-  for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
-    const Quantiles q = Read(tiers[t]);
-    if (q.count == 0) {
-      continue;  // Text mode: skip tiers nothing ran on.
-    }
-    char label[16];
-    const std::string_view name = TierLabel(t);
-    std::snprintf(label, sizeof(label), "%.*s",
-                  static_cast<int>(name.size()), name.data());
-    PrintQuantilesText(label, q);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Spool replay: rebuild the report the live process computes, from the
-// recorded stream alone.
-
-struct ReplayReport {
-  struct GraftAgg {
-    uint64_t invocations = 0;
-    uint64_t aborts = 0;
-    // Execution-tier attribution, unpacked from the kInvokeBegin tag's high
-    // byte (0 = native graft or a legacy spool that predates tier tagging).
-    uint64_t untiered_runs = 0;
-    uint64_t tier_runs[vino::kExecTierCount] = {};
-    bool degraded = false;  // A kGraftDegraded event named this graft.
-    AbortCostModel model;
-  };
-
-  std::map<uint64_t, GraftAgg> grafts;  // Keyed by graft trace id.
-  std::map<std::string, uint64_t> event_counts;
-  uint64_t records = 0;
-  uint64_t txn_begins = 0;
-  uint64_t txn_commits = 0;
-  uint64_t txn_aborts = 0;
-  LatencyHistogram invoke_latency;
-  // Invocation latency split by execution tier (tier_plus1-indexed; the
-  // counts sum to invoke_latency's).
-  LatencyHistogram tier_latency[vino::kExecTierCount + 1];
-  AbortCostModel global_model;
-
-  void Add(const vino::trace::TaggedRecord& tagged) {
-    using vino::trace::Event;
-    using vino::trace::PathTag;
-    const vino::trace::Record& r = tagged.record;
-    const Event event = static_cast<Event>(r.event);
-    ++records;
-    ++event_counts[std::string(vino::trace::EventName(event))];
-    switch (event) {
-      case Event::kInvokeBegin: {
-        GraftAgg& agg = grafts[r.a];
-        ++agg.invocations;
-        // High byte of the packed tag: tier + 1, 0 = untiered.
-        const uint16_t tier_plus1 = vino::trace::InvokeTierPlus1(r.tag);
-        if (tier_plus1 >= 1 && tier_plus1 <= vino::kExecTierCount) {
-          ++agg.tier_runs[tier_plus1 - 1];
-        } else {
-          ++agg.untiered_runs;
-        }
-        break;
-      }
-      case Event::kInvokeEnd: {
-        invoke_latency.Record(r.b);
-        const uint16_t tier_plus1 = vino::trace::InvokeTierPlus1(r.tag);
-        tier_latency[tier_plus1 <= vino::kExecTierCount ? tier_plus1 : 0]
-            .Record(r.b);
-        // Only the low byte is the path; the high byte carries the tier.
-        if (vino::trace::InvokePathTag(r.tag) == PathTag::kAbort) {
-          ++grafts[r.a].aborts;
-        }
-        break;
-      }
-      case Event::kAbortCost:
-        // The mirrored per-graft sample: a32 = L, tag = G, b = cost ns.
-        grafts[r.a].model.Record(r.a32, r.tag, r.b);
-        global_model.Record(r.a32, r.tag, r.b);
-        break;
-      case Event::kGraftDegraded:
-        grafts[r.a].degraded = true;
-        break;
-      case Event::kTxnBegin:
-        ++txn_begins;
-        break;
-      case Event::kTxnCommit:
-        ++txn_commits;
-        break;
-      case Event::kTxnAbort:
-        ++txn_aborts;
-        break;
-      default:
-        break;
-    }
-  }
-};
-
-void PrintSpoolStatsJson(const std::string& path,
-                         const vino::spool::ReadStats& stats, Status status) {
-  std::printf("{\"path\": \"%s\", \"status\": \"%.*s\", "
-              "\"batches\": %" PRIu64 ", \"corrupt_batches\": %" PRIu64
-              ", \"records\": %" PRIu64 ", \"lost_total\": %" PRIu64
-              ", \"truncated\": %s, \"closed\": %s, \"rotated\": %s, "
-              "\"segments\": %" PRIu64 ", \"first_batch_seq\": %" PRIu64
-              ", \"seq_gaps\": %" PRIu64 "}",
-              path.c_str(), static_cast<int>(StatusName(status).size()),
-              StatusName(status).data(), stats.batches, stats.corrupt_batches,
-              stats.records, stats.lost_total,
-              stats.truncated ? "true" : "false",
-              stats.closed ? "true" : "false",
-              stats.rotated ? "true" : "false", stats.segments,
-              stats.first_batch_seq, stats.seq_gaps);
-}
-
-void PrintGraftAggJson(uint64_t trace_id, const ReplayReport::GraftAgg& agg) {
-  std::printf("{\"trace_id\": %" PRIu64 ", \"invocations\": %" PRIu64
-              ", \"aborts\": %" PRIu64 ", \"degraded\": %s"
-              ", \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-              ", \"tier1\": %" PRIu64 "}, \"abort_cost\": ",
-              trace_id, agg.invocations, agg.aborts,
-              agg.degraded ? "true" : "false", agg.untiered_runs,
-              agg.tier_runs[0], agg.tier_runs[1]);
-  PrintFitJson(agg.model.Fit());
-  std::printf("}");
-}
-
-void PrintReplayJson(const char* mode, const std::string& path,
-                     const ReplayReport& report,
-                     const vino::spool::ReadStats& stats, Status status) {
-  std::printf("{\n  \"mode\": \"%s\",\n", mode);
-  std::printf("  \"spool\": ");
-  PrintSpoolStatsJson(path, stats, status);
-  std::printf(",\n");
-  std::printf("  \"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
+// The report's members, one per line at `indent`, without the enclosing
+// braces: every mode wraps them in its own object.
+void PrintReportJson(const ReplayReport& report, const char* indent) {
+  std::printf("%s\"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
               ", \"aborts\": %" PRIu64 "},\n",
-              report.txn_begins, report.txn_commits, report.txn_aborts);
-  std::printf("  \"trace\": {\"records\": %" PRIu64 ", \"events\": {",
+              indent, report.txn_begins, report.txn_commits, report.txn_aborts);
+  std::printf("%s\"trace\": {\"records\": %" PRIu64 ", \"events\": {", indent,
               report.records);
   bool first = true;
   for (const auto& [name, count] : report.event_counts) {
-    std::printf("%s\"%s\": %" PRIu64, first ? "" : ", ", name.c_str(), count);
+    std::printf("%s", first ? "" : ", ");
+    PrintJsonString(name);
+    std::printf(": %" PRIu64, count);
     first = false;
   }
-  std::printf("}},\n");
-  std::printf("  \"latency\": {\"invoke\": ");
+  std::printf("}},\n%s\"latency\": {\"invoke\": ", indent);
   PrintQuantilesJson(Read(report.invoke_latency));
-  std::printf(", \"tiers\": ");
-  PrintTierLatencyJson(report.tier_latency);
-  std::printf("},\n");
-  std::printf("  \"abort_cost_global\": ");
-  PrintFitJson(report.global_model.Fit());
-  std::printf(",\n  \"grafts\": [\n");
-  size_t i = 0;
-  for (const auto& [trace_id, agg] : report.grafts) {
-    std::printf("    ");
-    PrintGraftAggJson(trace_id, agg);
-    std::printf("%s\n", ++i < report.grafts.size() ? "," : "");
+  std::printf(", \"tiers\": {");
+  for (size_t t = 0; t <= kExecTierCount; ++t) {
+    std::printf("%s", t == 0 ? "" : ", ");
+    PrintJsonString(TierLabel(t));
+    std::printf(": ");
+    PrintQuantilesJson(Read(report.tier_latency[t]));
   }
-  std::printf("  ]\n}\n");
+  uint64_t runs[kExecTierCount + 1] = {};
+  for (const auto& [trace_id, agg] : report.grafts) {
+    for (size_t t = 0; t <= kExecTierCount; ++t) {
+      runs[t] += agg.runs[t];
+    }
+  }
+  std::printf("}},\n%s\"runs\": ", indent);
+  PrintRunsJson(runs);
+  std::printf(",\n%s\"abort_cost_global\": ", indent);
+  PrintFitJson(report.GlobalFit());
+  std::printf(",\n%s\"grafts\": [", indent);
+  first = true;
+  for (const auto& [trace_id, agg] : report.grafts) {
+    std::printf("%s\n%s  {\"trace_id\": %" PRIu64, first ? "" : ",", indent,
+                trace_id);
+    if (!agg.name.empty()) {
+      std::printf(", \"name\": ");
+      PrintJsonString(agg.name);
+    }
+    std::printf(", \"kernels\": %" PRIu64 ", \"invocations\": %" PRIu64
+                ", \"aborts\": %" PRIu64 ", \"degraded\": %s, \"runs\": ",
+                agg.kernels, agg.invocations, agg.aborts,
+                agg.degraded ? "true" : "false");
+    PrintRunsJson(agg.runs);
+    std::printf(", \"abort_cost\": ");
+    PrintFitJson(agg.model.Fit());
+    std::printf("}");
+    first = false;
+  }
+  if (!first) {
+    std::printf("\n%s", indent);
+  }
+  std::printf("]");
 }
 
-void PrintReplayText(const char* mode, const std::string& path,
-                     const ReplayReport& report,
-                     const vino::spool::ReadStats& stats, Status status) {
-  std::printf("graftstat --%s %s\n\n", mode, path.c_str());
-  std::printf("spool: %" PRIu64 " batches (%" PRIu64 " corrupt skipped), %"
-              PRIu64 " records, %" PRIu64 " lost to ring wrap before the "
-              "drainer arrived%s%s [%.*s]\n",
-              stats.batches, stats.corrupt_batches, stats.records,
-              stats.lost_total, stats.truncated ? ", truncated tail" : "",
-              stats.closed ? ", closed cleanly" : "",
-              static_cast<int>(StatusName(status).size()),
-              StatusName(status).data());
-  std::printf("       %" PRIu64 " segment%s chained (seq %" PRIu64 "..%" PRIu64
-              ", %" PRIu64 " gap%s)%s\n\n",
-              stats.segments, stats.segments == 1 ? "" : "s",
-              stats.first_batch_seq,
-              stats.next_batch_seq > 0 ? stats.next_batch_seq - 1 : 0,
-              stats.seq_gaps, stats.seq_gaps == 1 ? "" : "s",
-              stats.rotated ? ", awaiting successor segment" : "");
+void PrintReportText(const ReplayReport& report) {
   std::printf("transactions: %" PRIu64 " begun, %" PRIu64 " committed, %"
               PRIu64 " aborted\n\n",
               report.txn_begins, report.txn_commits, report.txn_aborts);
-  std::printf("events:\n");
+  std::printf("trace: %" PRIu64 " records\n", report.records);
   for (const auto& [name, count] : report.event_counts) {
-    std::printf("  %-16s %" PRIu64 "\n", name.c_str(), count);
+    std::printf("  %-16.*s %" PRIu64 "\n", static_cast<int>(name.size()),
+                name.data(), count);
   }
   std::printf("\nlatency (ns, bucket upper bounds):\n");
   PrintQuantilesText("invoke", Read(report.invoke_latency));
-  PrintTierLatencyText(report.tier_latency);
+  for (size_t t = 0; t <= kExecTierCount; ++t) {
+    const Quantiles q = Read(report.tier_latency[t]);
+    if (q.count > 0) {  // Skip tiers nothing ran on.
+      PrintQuantilesText(TierLabel(t), q);
+    }
+  }
   std::printf("\nabort-cost model (paper §4.5: cost = a + b·L + c·G):\n");
-  PrintFitText("kernel-wide", report.global_model.Fit());
+  PrintFitText("all-grafts", report.GlobalFit());
   std::printf("\nper-graft:\n");
-  std::printf("  %-18s %12s %8s %8s %8s %8s\n", "graft", "invocations",
+  std::printf("  %-24s %12s %8s %8s %8s %8s\n", "graft", "invocations",
               "aborts", "native", "tier0", "tier1");
   for (const auto& [trace_id, agg] : report.grafts) {
-    char label[32];
-    std::snprintf(label, sizeof(label), "graft#%" PRIu64 "%s", trace_id,
-                  agg.degraded ? " [DEGRADED]" : "");
-    std::printf("  %-18s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
+    std::string label = agg.name.empty()
+                            ? "graft#" + std::to_string(trace_id)
+                            : agg.name;
+    if (agg.kernels > 1) {
+      label += " ×" + std::to_string(agg.kernels);
+    }
+    if (agg.degraded) {
+      label += " [DEGRADED]";
+    }
+    std::printf("  %-24s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
                 " %8" PRIu64 "\n",
-                label, agg.invocations, agg.aborts, agg.untiered_runs,
-                agg.tier_runs[0], agg.tier_runs[1]);
+                label.c_str(), agg.invocations, agg.aborts, agg.runs[0],
+                agg.runs[1], agg.runs[2]);
     PrintFitText("", agg.model.Fit());
   }
 }
 
-// Exit policy: a truncated tail is normal for a live or torn spool (partial
-// report, exit 0); corruption or an unreadable header is an error.
-int ReplayExitCode(Status status) {
-  return IsOk(status) || status == Status::kSpoolTruncated ? 0 : 1;
-}
-
-int RunSpoolReplay(const std::string& path, bool json) {
-  std::vector<vino::trace::TaggedRecord> records;
-  vino::spool::ReadStats stats;
-  const Status status = vino::spool::ReadSpoolChain(path, records, &stats);
-  if (status == Status::kNotFound) {
-    std::fprintf(stderr, "graftstat: cannot open spool '%s'\n", path.c_str());
-    return 1;
-  }
-  ReplayReport report;
-  for (const auto& r : records) {
-    report.Add(r);
-  }
-  if (json) {
-    PrintReplayJson("spool", path, report, stats, status);
-  } else {
-    PrintReplayText("spool", path, report, stats, status);
-  }
-  return ReplayExitCode(status);
-}
-
-int RunSpoolFollow(const std::string& path, bool json, uint64_t interval_ms) {
-  vino::spool::ChainedFollower follower;
-  Status status = follower.Open(path);
-  // A spool whose header has not landed yet (or a file that does not exist
-  // yet) is a kernel mid-startup: wait for it, bounded at ~30 s.
-  for (int waits = 0;
-       (status == Status::kSpoolTruncated || status == Status::kNotFound) &&
-       waits < 300;
-       ++waits) {
-    ::usleep(static_cast<useconds_t>(interval_ms * 1000));
-    status = follower.Open(path);
-  }
-  if (!IsOk(status)) {
-    std::fprintf(stderr, "graftstat: cannot follow spool '%s' [%.*s]\n",
-                 path.c_str(),
-                 static_cast<int>(StatusName(status).size()),
-                 StatusName(status).data());
-    return 1;
-  }
-
-  ReplayReport report;
-  std::vector<vino::trace::TaggedRecord> batch;
-  while (true) {
-    batch.clear();
-    status = follower.Poll(batch);
-    for (const auto& r : batch) {
-      report.Add(r);
-    }
-    if (!json && !batch.empty()) {
-      std::fprintf(stderr,
-                   "follow: +%zu records (%" PRIu64 " total, %" PRIu64
-                   " txn aborts) [%s]\n",
-                   batch.size(), report.records, report.txn_aborts,
-                   follower.current_path().c_str());
-    }
-    if (!IsOk(status) || follower.closed()) {
-      break;
-    }
-    ::usleep(static_cast<useconds_t>(interval_ms * 1000));
-  }
-  if (json) {
-    PrintReplayJson("follow", path, report, follower.stats(), status);
-  } else {
-    PrintReplayText("follow", path, report, follower.stats(), status);
-  }
-  return ReplayExitCode(status);
-}
-
 // ---------------------------------------------------------------------------
-// Fleet attach: every kernel spooling under one VINO_SPOOL directory,
-// multiplexed into per-kernel reports plus a fleet-union view.
+// Spool modes: --spool, --follow and --fleet drive one loop over streams.
 
-// One kernel's stream: `vspool.<pid>.<k>.bin` (plain) or the
-// `vspool.<pid>.<k>.s<n>.bin` segment family, keyed by "<pid>.<k>".
-struct KernelView {
-  KernelView(std::string key_in, std::string open_path_in)
-      : key(std::move(key_in)), open_path(std::move(open_path_in)) {}
+// One spool stream being reduced: a file, a segment chain, or one kernel of
+// a fleet.
+struct Stream {
+  explicit Stream(std::string path_in) : path(std::move(path_in)) {}
 
-  std::string key;
-  std::string open_path;  // Chain base (segments) or the plain file.
+  [[nodiscard]] Status status() const {
+    return vino::spool::StreamStatus(follower.stats());
+  }
+
+  std::string path;  // As opened: a file, a segment, or a segment base.
   vino::spool::ChainedFollower follower;
   ReplayReport report;
-  bool open = false;
-  bool corrupt = false;
+  bool dead = false;  // An untrusted header stopped the scan for good.
 };
 
+using Streams = std::map<std::string, std::unique_ptr<Stream>>;
+
+// Opens the stream if it is not open yet (a kernel mid-startup has no file,
+// or half a header, and is retried next round), then folds every record now
+// readable into its report. Returns true when records arrived.
+bool PollStream(Stream& stream,
+                std::vector<vino::trace::TaggedRecord>& batch) {
+  batch.clear();
+  Status status = stream.follower.stats().segments == 0
+                      ? stream.follower.Open(stream.path)
+                      : Status::kOk;
+  if (IsOk(status)) {
+    status = stream.follower.Poll(batch);
+  }
+  stream.dead = status == Status::kSpoolCorrupt;
+  for (const auto& r : batch) {
+    stream.report.OnRecord(r);
+  }
+  return !batch.empty();
+}
+
 // Scans `dir` for kernel spools; returns kernel key -> chain open path.
-// Segment families collapse onto their base so the chained follower picks
-// up the oldest live segment itself.
+// Segment families collapse onto their base so the follower picks up the
+// oldest live segment itself.
 std::map<std::string, std::string> ScanFleetDir(const std::string& dir) {
   std::map<std::string, std::string> found;
   DIR* d = ::opendir(dir.c_str());
@@ -514,54 +482,17 @@ std::map<std::string, std::string> ScanFleetDir(const std::string& dir) {
   return found;
 }
 
-// Polls one kernel's chain; returns true when records arrived. A spool
-// whose header has not landed yet stays unopened and is retried next round.
-bool PollKernel(KernelView& view,
-                std::vector<vino::trace::TaggedRecord>& batch) {
-  if (view.corrupt) {
-    return false;
-  }
-  if (!view.open) {
-    const Status status = view.follower.Open(view.open_path);
-    if (status == Status::kNotFound || status == Status::kSpoolTruncated) {
-      return false;
-    }
-    if (!IsOk(status)) {
-      view.corrupt = true;
-      return false;
-    }
-    view.open = true;
-  }
-  batch.clear();
-  const Status status = view.follower.Poll(batch);
-  for (const auto& r : batch) {
-    view.report.Add(r);
-  }
-  if (!IsOk(status)) {
-    view.corrupt = true;
-  }
-  return !batch.empty();
-}
-
-Status KernelStatus(const KernelView& view) {
-  if (view.corrupt) {
-    return Status::kSpoolCorrupt;
-  }
-  if (!view.open) {
-    return Status::kNotFound;
-  }
-  return view.follower.stats().truncated ? Status::kSpoolTruncated
-                                         : Status::kOk;
-}
-
-// Wakes the fleet loop when the spool directory changes: inotify on Linux
+// Wakes the drain loop when the fleet directory changes: inotify on Linux
 // (new kernels, rotated segments, and appends all wake immediately), a
-// plain interval sleep elsewhere. Either way the loop rescans on wake, so
-// the inotify path is latency, not correctness.
-class FleetWaiter {
+// plain interval sleep elsewhere and for a single stream. Either way the
+// loop rescans on wake, so the inotify path is latency, not correctness.
+class Waiter {
  public:
-  explicit FleetWaiter(const std::string& dir) {
+  explicit Waiter(const std::string& dir) {
 #ifdef __linux__
+    if (dir.empty()) {
+      return;
+    }
     fd_ = ::inotify_init1(IN_NONBLOCK | IN_CLOEXEC);
     if (fd_ >= 0 &&
         ::inotify_add_watch(fd_, dir.c_str(),
@@ -574,14 +505,14 @@ class FleetWaiter {
     (void)dir;
 #endif
   }
-  ~FleetWaiter() {
+  ~Waiter() {
     if (fd_ >= 0) {
       ::close(fd_);
     }
   }
 
-  FleetWaiter(const FleetWaiter&) = delete;
-  FleetWaiter& operator=(const FleetWaiter&) = delete;
+  Waiter(const Waiter&) = delete;
+  Waiter& operator=(const Waiter&) = delete;
 
   void Wait(uint64_t interval_ms) {
 #ifdef __linux__
@@ -602,210 +533,486 @@ class FleetWaiter {
   int fd_ = -1;
 };
 
-// Fleet-union per-graft aggregate: the same graft (by trace id) merged
-// across every kernel that ran it. Trace ids are per-process counters, so
-// the union is meaningful for symmetric deployments — the same grafts
-// loaded in the same order on every kernel — which is the fleet the tool
-// targets; asymmetric fleets still get exact per-kernel views above.
-struct FleetGraftUnion {
-  uint64_t kernels = 0;
-  uint64_t invocations = 0;
-  uint64_t aborts = 0;
-  bool degraded = false;
-  AbortCostModel model;
-};
-
-void PrintFleetJson(const std::string& dir,
-                    const std::map<std::string, std::unique_ptr<KernelView>>&
-                        kernels) {
-  uint64_t fleet_records = 0;
-  AbortCostModel fleet_model;
-  std::map<uint64_t, FleetGraftUnion> unions;
-  for (const auto& [key, view] : kernels) {
-    fleet_records += view->report.records;
-    fleet_model.Merge(view->report.global_model);
-    for (const auto& [trace_id, agg] : view->report.grafts) {
-      FleetGraftUnion& u = unions[trace_id];
-      ++u.kernels;
-      u.invocations += agg.invocations;
-      u.aborts += agg.aborts;
-      u.degraded = u.degraded || agg.degraded;
-      u.model.Merge(agg.model);
-    }
-  }
-
-  std::printf("{\n  \"mode\": \"fleet\",\n  \"dir\": \"%s\",\n", dir.c_str());
-  std::printf("  \"kernels\": [\n");
-  size_t i = 0;
-  for (const auto& [key, view] : kernels) {
-    const ReplayReport& report = view->report;
-    uint64_t native = 0;
-    uint64_t tiers[vino::kExecTierCount] = {};
-    for (const auto& [trace_id, agg] : report.grafts) {
-      native += agg.untiered_runs;
-      for (size_t t = 0; t < vino::kExecTierCount; ++t) {
-        tiers[t] += agg.tier_runs[t];
+// The one drain loop. Reduces every stream until each has closed or died,
+// or, with `once`, until a round brings nothing new. With a fleet `dir`,
+// each round first adds the kernels that started since the last.
+void DrainStreams(Streams& streams, const std::string& dir, bool once,
+                  uint64_t interval_ms, bool quiet) {
+  Waiter waiter(dir);
+  std::vector<vino::trace::TaggedRecord> batch;
+  while (true) {
+    if (!dir.empty()) {
+      for (const auto& [key, path] : ScanFleetDir(dir)) {
+        if (streams.find(key) == streams.end()) {
+          streams.emplace(key, std::make_unique<Stream>(path));
+        }
       }
     }
-    std::printf("    {\"kernel\": \"%s\", \"spool\": ", key.c_str());
-    PrintSpoolStatsJson(view->open_path, view->follower.stats(),
-                        KernelStatus(*view));
-    std::printf(",\n     \"txn\": {\"begins\": %" PRIu64
-                ", \"commits\": %" PRIu64 ", \"aborts\": %" PRIu64 "},\n",
-                report.txn_begins, report.txn_commits, report.txn_aborts);
-    std::printf("     \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-                ", \"tier1\": %" PRIu64 "},\n",
-                native, tiers[0], tiers[1]);
-    std::printf("     \"latency\": {\"invoke\": ");
-    PrintQuantilesJson(Read(report.invoke_latency));
-    std::printf(", \"tiers\": ");
-    PrintTierLatencyJson(report.tier_latency);
-    std::printf("},\n     \"abort_cost\": ");
-    PrintFitJson(report.global_model.Fit());
-    std::printf(",\n     \"grafts\": [");
-    size_t j = 0;
-    for (const auto& [trace_id, agg] : report.grafts) {
-      std::printf("%s\n       ", j++ == 0 ? "" : ",");
-      PrintGraftAggJson(trace_id, agg);
+    bool progress = false;
+    bool all_done = !streams.empty();
+    uint64_t records = 0;
+    for (auto& [key, stream] : streams) {
+      progress = PollStream(*stream, batch) || progress;
+      all_done = all_done && (stream->follower.closed() || stream->dead);
+      records += stream->report.records;
     }
-    std::printf("%s]}%s\n", j == 0 ? "" : "\n     ",
-                ++i < kernels.size() ? "," : "");
+    if (once ? !progress : all_done) {
+      return;
+    }
+    if (!once) {
+      if (progress && !quiet) {
+        std::fprintf(stderr, "graftstat: %zu stream%s, %" PRIu64 " records\n",
+                     streams.size(), streams.size() == 1 ? "" : "s", records);
+      }
+      waiter.Wait(interval_ms);
+    }
   }
-  std::printf("  ],\n");
-  std::printf("  \"fleet\": {\"kernels\": %zu, \"records\": %" PRIu64
-              ", \"abort_cost_union\": ",
-              kernels.size(), fleet_records);
-  PrintFitJson(fleet_model.Fit());
-  std::printf(",\n    \"grafts\": [\n");
-  i = 0;
-  for (const auto& [trace_id, u] : unions) {
-    std::printf("      {\"trace_id\": %" PRIu64 ", \"kernels\": %" PRIu64
-                ", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
-                ", \"degraded\": %s, \"abort_cost\": ",
-                trace_id, u.kernels, u.invocations, u.aborts,
-                u.degraded ? "true" : "false");
-    PrintFitJson(u.model.Fit());
-    std::printf("}%s\n", ++i < unions.size() ? "," : "");
-  }
-  std::printf("    ]}\n}\n");
 }
 
-void PrintFleetText(const std::string& dir,
-                    const std::map<std::string, std::unique_ptr<KernelView>>&
-                        kernels) {
-  std::printf("graftstat --fleet %s (%zu kernel%s)\n\n", dir.c_str(),
-              kernels.size(), kernels.size() == 1 ? "" : "s");
-  std::printf("  %-16s %9s %7s %5s %5s %9s %8s %7s %7s %7s %s\n", "kernel",
-              "records", "batches", "segs", "lost", "txn c/a", "native",
-              "tier0", "tier1", "grafts", "state");
-  uint64_t fleet_records = 0;
-  AbortCostModel fleet_model;
-  std::map<uint64_t, FleetGraftUnion> unions;
-  for (const auto& [key, view] : kernels) {
-    const ReplayReport& report = view->report;
-    const vino::spool::ReadStats& stats = view->follower.stats();
-    uint64_t native = 0;
-    uint64_t tiers[vino::kExecTierCount] = {};
-    for (const auto& [trace_id, agg] : report.grafts) {
-      native += agg.untiered_runs;
-      for (size_t t = 0; t < vino::kExecTierCount; ++t) {
-        tiers[t] += agg.tier_runs[t];
+void PrintSpoolJson(const Stream& stream) {
+  const vino::spool::ReadStats& s = stream.follower.stats();
+  std::printf("{\"path\": ");
+  PrintJsonString(stream.path);
+  std::printf(", \"status\": ");
+  PrintJsonString(StatusName(stream.status()));
+  std::printf(", \"batches\": %" PRIu64 ", \"corrupt_batches\": %" PRIu64
+              ", \"records\": %" PRIu64 ", \"lost_total\": %" PRIu64
+              ", \"truncated\": %s, \"closed\": %s, \"rotated\": %s, "
+              "\"segments\": %" PRIu64 ", \"first_batch_seq\": %" PRIu64
+              ", \"seq_gaps\": %" PRIu64 "}",
+              s.batches, s.corrupt_batches, s.records, s.lost_total,
+              s.truncated ? "true" : "false", s.closed ? "true" : "false",
+              s.rotated ? "true" : "false", s.segments, s.first_batch_seq,
+              s.seq_gaps);
+}
+
+void PrintSpoolText(const Stream& stream) {
+  const vino::spool::ReadStats& s = stream.follower.stats();
+  const std::string_view status = StatusName(stream.status());
+  std::printf("spool %s: %" PRIu64 " batches (%" PRIu64 " corrupt skipped), %"
+              PRIu64 " records, %" PRIu64 " lost to ring wrap before the "
+              "drainer arrived%s%s [%.*s]\n",
+              stream.path.c_str(), s.batches, s.corrupt_batches, s.records,
+              s.lost_total, s.truncated ? ", truncated tail" : "",
+              s.closed ? ", closed cleanly" : "",
+              static_cast<int>(status.size()), status.data());
+  std::printf("  %" PRIu64 " segment%s chained (seq %" PRIu64 "..%" PRIu64
+              ", %" PRIu64 " gap%s)%s\n\n",
+              s.segments, s.segments == 1 ? "" : "s", s.first_batch_seq,
+              s.next_batch_seq > 0 ? s.next_batch_seq - 1 : 0, s.seq_gaps,
+              s.seq_gaps == 1 ? "" : "s",
+              s.rotated ? ", awaiting successor segment" : "");
+}
+
+// Exit policy, the same for every stream in every spool mode: a truncated
+// tail is normal for a live or torn spool (partial report, exit 0);
+// corruption, or a stream that never opened, is an error.
+int ExitCode(const Streams& streams) {
+  if (streams.empty()) {
+    return 1;
+  }
+  for (const auto& [key, stream] : streams) {
+    const Status status = stream->status();
+    if (!IsOk(status) && status != Status::kSpoolTruncated) {
+      if (status == Status::kNotFound) {
+        std::fprintf(stderr, "graftstat: cannot open spool '%s'\n",
+                     stream->path.c_str());
       }
-      FleetGraftUnion& u = unions[trace_id];
-      ++u.kernels;
-      u.invocations += agg.invocations;
-      u.aborts += agg.aborts;
-      u.degraded = u.degraded || agg.degraded;
-      u.model.Merge(agg.model);
+      return 1;
     }
-    fleet_records += report.records;
-    fleet_model.Merge(report.global_model);
-    char txn[24];
-    std::snprintf(txn, sizeof(txn), "%" PRIu64 "/%" PRIu64, report.txn_commits,
-                  report.txn_aborts);
-    const char* state = view->corrupt ? "corrupt"
-                        : !view->open ? "pending"
-                        : view->follower.closed() ? "closed"
-                                                  : "live";
-    std::printf("  %-16s %9" PRIu64 " %7" PRIu64 " %5" PRIu64 " %5" PRIu64
-                " %9s %8" PRIu64 " %7" PRIu64 " %7" PRIu64 " %7zu %s\n",
-                key.c_str(), report.records, stats.batches, stats.segments,
-                stats.lost_total, txn, native, tiers[0], tiers[1],
-                report.grafts.size(), state);
   }
-  std::printf("\nfleet-union abort-cost (cost = a + b·L + c·G, %" PRIu64
-              " records):\n",
-              fleet_records);
-  PrintFitText("all-kernels", fleet_model.Fit());
-  for (const auto& [trace_id, u] : unions) {
-    char label[48];
-    std::snprintf(label, sizeof(label),
-                  "graft#%" PRIu64 " ×%" PRIu64 "%s", trace_id, u.kernels,
-                  u.degraded ? " [DEGRADED]" : "");
-    PrintFitText(label, u.model.Fit());
+  return 0;
+}
+
+// --spool and --follow: one stream, read to its end or followed to its
+// close trailer.
+int RunSpool(const char* mode, const std::string& path, bool follow,
+             bool json, uint64_t interval_ms) {
+  Streams streams;
+  Stream& stream =
+      *streams.emplace(path, std::make_unique<Stream>(path)).first->second;
+  DrainStreams(streams, "", !follow, interval_ms, json);
+  if (json) {
+    std::printf("{\n  \"mode\": ");
+    PrintJsonString(mode);
+    std::printf(",\n  \"spool\": ");
+    PrintSpoolJson(stream);
+    std::printf(",\n");
+    PrintReportJson(stream.report, "  ");
+    std::printf("\n}\n");
+  } else {
+    std::printf("graftstat --%s\n\n", mode);
+    PrintSpoolText(stream);
+    PrintReportText(stream.report);
   }
+  return ExitCode(streams);
 }
 
 int RunFleet(const std::string& dir, bool json, uint64_t interval_ms,
              bool once) {
-  std::map<std::string, std::unique_ptr<KernelView>> kernels;
-  FleetWaiter waiter(dir);
-  std::vector<vino::trace::TaggedRecord> batch;
-  uint64_t last_total = 0;
-  while (true) {
-    for (const auto& [key, path] : ScanFleetDir(dir)) {
-      if (kernels.find(key) == kernels.end()) {
-        kernels.emplace(key, std::make_unique<KernelView>(key, path));
-      }
-    }
-    bool progress = false;
-    for (auto& [key, view] : kernels) {
-      progress = PollKernel(*view, batch) || progress;
-    }
-    if (once) {
-      // Scrape mode: drain everything currently on disk, then report.
-      if (!progress) {
-        break;
-      }
-      continue;
-    }
-    if (!json && progress) {
-      uint64_t total = 0;
-      for (const auto& [key, view] : kernels) {
-        total += view->report.records;
-      }
-      if (total != last_total) {
-        std::fprintf(stderr, "fleet: %zu kernels, %" PRIu64 " records\n",
-                     kernels.size(), total);
-        last_total = total;
-      }
-    }
-    bool all_done = !kernels.empty();
-    for (const auto& [key, view] : kernels) {
-      all_done = all_done &&
-                 (view->corrupt || (view->open && view->follower.closed()));
-    }
-    if (all_done) {
-      break;
-    }
-    waiter.Wait(interval_ms);
+  Streams kernels;
+  DrainStreams(kernels, dir, once, interval_ms, json);
+  ReplayReport fleet;
+  for (const auto& [key, kernel] : kernels) {
+    fleet.Merge(kernel->report);
   }
-
   if (json) {
-    PrintFleetJson(dir, kernels);
+    std::printf("{\n  \"mode\": \"fleet\",\n  \"dir\": ");
+    PrintJsonString(dir);
+    std::printf(",\n  \"kernels\": [");
+    bool first = true;
+    for (const auto& [key, kernel] : kernels) {
+      std::printf("%s\n    {\n      \"kernel\": ", first ? "" : ",");
+      PrintJsonString(key);
+      std::printf(",\n      \"spool\": ");
+      PrintSpoolJson(*kernel);
+      std::printf(",\n");
+      PrintReportJson(kernel->report, "      ");
+      std::printf("\n    }");
+      first = false;
+    }
+    std::printf("%s],\n  \"fleet\": {\n    \"kernels\": %zu,\n",
+                first ? "" : "\n  ", kernels.size());
+    PrintReportJson(fleet, "    ");
+    std::printf("\n  }\n}\n");
   } else {
-    PrintFleetText(dir, kernels);
+    std::printf("graftstat --fleet %s (%zu kernel%s)\n", dir.c_str(),
+                kernels.size(), kernels.size() == 1 ? "" : "s");
+    for (const auto& [key, kernel] : kernels) {
+      std::printf("\n== kernel %s ==\n", key.c_str());
+      PrintSpoolText(*kernel);
+      PrintReportText(kernel->report);
+    }
+    std::printf("\n== fleet union (%zu kernel%s) ==\n", kernels.size(),
+                kernels.size() == 1 ? "" : "s");
+    PrintReportText(fleet);
   }
   if (kernels.empty()) {
     std::fprintf(stderr, "graftstat: no kernel spools under '%s'\n",
                  dir.c_str());
-    return 1;
   }
-  for (const auto& [key, view] : kernels) {
-    if (view->corrupt) {
-      return 1;
+  return ExitCode(kernels);
+}
+
+// ---------------------------------------------------------------------------
+// Self-test: the §4.5 experiment, reduced live and checked against the
+// kernel's own counters.
+
+// Undo closures mutate this so the replay work is real, not optimized away.
+volatile uint64_t g_undo_sink = 0;
+
+// A native graft that acquires args[0] locks, registers args[1] undo
+// records, then aborts (args[2] != 0) or commits.
+vino::Result<uint64_t> Misbehave(std::span<const uint64_t> args,
+                                 std::vector<std::unique_ptr<TxnLock>>* locks,
+                                 MemoryImage*) {
+  const uint64_t want_locks = args.size() > 0 ? args[0] : 0;
+  const uint64_t want_undo = args.size() > 1 ? args[1] : 0;
+  const bool abort = args.size() > 2 && args[2] != 0;
+  for (uint64_t i = 0; i < want_locks && i < locks->size(); ++i) {
+    if (!IsOk((*locks)[i]->Acquire())) {
+      return Status::kTxnAborted;
     }
   }
+  for (uint64_t i = 0; i < want_undo; ++i) {
+    vino::TxnOnAbort([] { g_undo_sink = g_undo_sink + 1; });
+  }
+  if (abort) {
+    return Status::kTxnAborted;
+  }
+  return uint64_t{42};
+}
+
+// A sandboxed program graft, so the per-tier counters have something to
+// count: instrumented, verified and, unless VINO_EXEC_TIER=0 pins the
+// process to the interpreter, pre-decoded for Tier 1, as the loader would.
+std::shared_ptr<Graft> TieredWorker() {
+  vino::Asm a("tiered-worker");
+  auto top = a.NewLabel();
+  a.LoadImm(vino::R1, 12);
+  a.LoadImm(vino::R2, 0);
+  a.LoadImm(vino::R3, 0);
+  a.Bind(top);
+  a.AddI(vino::R2, vino::R2, 3);
+  a.St64(vino::R3, vino::R2, 256);
+  a.Ld64(vino::R4, vino::R3, 256);
+  a.AddI(vino::R1, vino::R1, -1);
+  a.Bne(vino::R1, vino::R3, top);
+  a.Mov(vino::R0, vino::R2);
+  a.Halt();
+  auto inst = vino::Instrument(*a.Finish(), vino::MisfitOptions{16});
+  vino::Program program = *inst;
+  if (!vino::VerifySandbox(program).ok()) {
+    return nullptr;
+  }
+  program.verified = true;
+  if (vino::MaxExecTier() >= vino::ExecTier::kTier1) {
+    program.compiled = vino::CompileThreaded(program);
+  }
+  return std::make_shared<Graft>("tiered-worker", std::move(program),
+                                 GraftIdentity{1000, false}, 4096);
+}
+
+bool SameFit(const AbortCostModel::Fitted& a, const AbortCostModel::Fitted& b) {
+  return a.valid == b.valid && a.samples == b.samples && a.a_ns == b.a_ns &&
+         a.b_ns == b.b_ns && a.c_ns == b.c_ns &&
+         a.mean_locks == b.mean_locks && a.mean_undo == b.mean_undo &&
+         a.mean_cost_ns == b.mean_cost_ns;
+}
+
+bool SameHistogram(const LatencyHistogram& a, const LatencyHistogram& b) {
+  uint64_t ab[vino::kHistogramBuckets];
+  uint64_t bb[vino::kHistogramBuckets];
+  a.ReadBuckets(ab);
+  b.ReadBuckets(bb);
+  return std::equal(std::begin(ab), std::end(ab), std::begin(bb)) &&
+         a.SumNs() == b.SumNs();
+}
+
+// The self-test's independent reference: the report reduced from the trace
+// stream must equal what the kernel counted directly. Without it, live and
+// replay would both be reduced from the same records and a recorder bug
+// would show in neither. Returns the first mismatch, or "" when all agree.
+std::string CheckAgainstCounters(
+    const ReplayReport& report,
+    const std::vector<std::shared_ptr<Graft>>& grafts,
+    const vino::GraftExecContext& exec, const vino::TxnStats& txn,
+    uint64_t lost_total) {
+  if (lost_total != 0) {
+    return std::to_string(lost_total) + " records lost to ring wrap";
+  }
+  size_t ran = 0;
+  for (const auto& g : grafts) {
+    const auto it = report.grafts.find(g->trace_id());
+    if (it == report.grafts.end()) {
+      if (g->invocations() != 0) {
+        return g->name() + " ran but is missing from the report";
+      }
+      continue;
+    }
+    ++ran;
+    const ReplayReport::GraftAgg& agg = it->second;
+    const uint64_t tier0 = g->tier_runs(vino::ExecTier::kTier0);
+    const uint64_t tier1 = g->tier_runs(vino::ExecTier::kTier1);
+    if (agg.invocations != g->invocations() || agg.aborts != g->aborts() ||
+        agg.degraded != g->degraded()) {
+      return g->name() + ": invocations, aborts or degraded flag";
+    }
+    if (agg.runs[0] != g->invocations() - tier0 - tier1 ||
+        agg.runs[1] != tier0 || agg.runs[2] != tier1) {
+      return g->name() + ": tier runs";
+    }
+    if (!SameFit(agg.model.Fit(), g->abort_cost().Fit())) {
+      return g->name() + ": abort-cost fit";
+    }
+  }
+  if (ran != report.grafts.size()) {
+    return "the report holds grafts the kernel never ran";
+  }
+  if (!SameHistogram(report.invoke_latency, *exec.latency)) {
+    return "invocation latency histogram";
+  }
+  for (size_t t = 0; t <= kExecTierCount; ++t) {
+    if (!SameHistogram(report.tier_latency[t], *exec.tier_latency[t])) {
+      return std::string(TierLabel(t)) + " latency histogram";
+    }
+  }
+  if (report.txn_begins != txn.begins || report.txn_commits != txn.commits ||
+      report.txn_aborts != txn.aborts) {
+    return "transaction begins, commits or aborts";
+  }
+  return "";
+}
+
+int RunSelfTest(uint64_t invocations, const std::string& spool_out,
+                bool json) {
+  vino::trace::SetEnabled(true);
+
+  // --spool-out, or with none the VINO_SPOOL environment, spools the run
+  // exactly like a kernel would (DeriveEnvSpoolOptions) — several self-test
+  // processes pointed at one directory stand in for a fleet of kernels.
+  vino::spool::SpoolDrainer::Options spool_options;
+  spool_options.path = spool_out;
+  std::unique_ptr<vino::spool::SpoolDrainer> drainer;
+  if (vino::spool::DeriveEnvSpoolOptions(&spool_options)) {
+    auto started = vino::spool::SpoolDrainer::Start(spool_options);
+    if (!started.ok()) {
+      std::fprintf(stderr, "graftstat: cannot open --spool-out '%s'\n",
+                   spool_options.path.c_str());
+      return 1;
+    }
+    drainer = std::move(started.value());
+  }
+
+  TxnManager txn_manager;
+  std::vector<std::unique_ptr<TxnLock>> locks;
+  for (int i = 0; i < 8; ++i) {
+    locks.push_back(
+        std::make_unique<TxnLock>("graftstat.lock" + std::to_string(i)));
+  }
+
+  // Three abort-prone grafts with distinct (L, G) profiles — the variance
+  // the least-squares fit needs — plus one that commits and one program
+  // graft for the tiers.
+  struct Profile {
+    const char* name;
+    uint64_t base_locks;
+    uint64_t base_undo;
+    bool aborts;
+  };
+  const Profile profiles[] = {
+      {"lock-hoarder", 5, 2, true},
+      {"undo-spammer", 1, 24, true},
+      {"mixed-misbehaver", 3, 10, true},
+      {"well-behaved", 1, 4, false},
+      {"tiered-worker", 0, 0, false},
+  };
+  std::vector<std::shared_ptr<Graft>> grafts;
+  for (const Profile& p : profiles) {
+    if (std::strcmp(p.name, "tiered-worker") == 0) {
+      grafts.push_back(TieredWorker());
+      if (grafts.back() == nullptr) {
+        std::fprintf(stderr, "graftstat: self-test program failed to verify\n");
+        return 1;
+      }
+      continue;
+    }
+    grafts.push_back(std::make_shared<Graft>(
+        p.name,
+        [&locks](std::span<const uint64_t> args, MemoryImage* image) {
+          return Misbehave(args, &locks, image);
+        },
+        GraftIdentity{1000, false}));
+  }
+
+  // The kernel's own latency histograms, recorded at the invocation
+  // wrapper's latency sites: the reference the reduced ones must equal.
+  LatencyHistogram invoke_latency;
+  LatencyHistogram tier_latency[kExecTierCount + 1];
+  vino::GraftExecContext exec(nullptr);
+  exec.latency = &invoke_latency;
+  for (size_t t = 0; t <= kExecTierCount; ++t) {
+    exec.tier_latency[t] = &tier_latency[t];
+  }
+
+  // The reducer drains the rings itself, every 128 invocations (a single
+  // ring, ~8 records per invocation: nothing wraps), and so does the spool.
+  ReplayReport report;
+  vino::trace::DrainCursor cursor;
+  uint64_t lost_total = 0;
+  for (uint64_t i = 0; i < invocations; ++i) {
+    const Profile& p = profiles[i % std::size(profiles)];
+    const auto& graft = grafts[i % std::size(grafts)];
+    // Jitter L and G around the profile's base so neither predictor is
+    // constant (a constant column is degenerate and fits to zero).
+    const uint64_t args[3] = {p.base_locks + i % 3,
+                              p.base_undo + (i / 2) % 5,
+                              p.aborts ? uint64_t{1} : uint64_t{0}};
+    (void)RunGraftInvocation(txn_manager, graft, args, exec);
+    if ((i + 1) % 128 == 0) {
+      lost_total = cursor.DrainInto(report).lost_total;
+      if (drainer != nullptr) {
+        drainer->DrainNow();
+      }
+    }
+  }
+  lost_total = cursor.DrainInto(report).lost_total;
+  if (drainer != nullptr) {
+    drainer->Stop();  // Final drain + close trailer.
+  }
+  for (const auto& g : grafts) {
+    if (const auto it = report.grafts.find(g->trace_id());
+        it != report.grafts.end()) {
+      it->second.name = g->name();
+    }
+  }
+
+  const vino::TxnStats txn = txn_manager.stats();
+  const std::string mismatch =
+      CheckAgainstCounters(report, grafts, exec, txn, lost_total);
+  if (!mismatch.empty()) {
+    std::fprintf(stderr,
+                 "graftstat: self-test: the trace stream disagrees with the "
+                 "kernel's own counters: %s\n",
+                 mismatch.c_str());
+    return 1;
+  }
+
+  // Only the live process has these: the transaction layer's own view of
+  // its aborts, slab and quantiles, and the drift of recent aborts from its
+  // lifetime fit (per-graft drift runs in the kernel, src/graft/drift.h).
+  const AbortCostModel::Fitted txn_fit = txn_manager.abort_cost().Fit();
+  const vino::AbortCostWindow::Snapshot recent =
+      txn_manager.recent_abort_cost().Read();
+  double predicted_ns = 0.0;
+  if (txn_fit.valid && recent.samples > 0) {
+    predicted_ns = std::max(0.0, txn_fit.a_ns +
+                                     txn_fit.b_ns * recent.mean_locks +
+                                     txn_fit.c_ns * recent.mean_undo);
+  }
+  const double ratio =
+      predicted_ns > 0.0 ? recent.mean_cost_ns / predicted_ns : 0.0;
+  const vino::spool::SpoolDrainer::Stats ds =
+      drainer != nullptr ? drainer->stats()
+                         : vino::spool::SpoolDrainer::Stats{};
+
+  if (json) {
+    std::printf("{\n  \"mode\": \"self-test\",\n  \"invocations\": %" PRIu64
+                ",\n",
+                invocations);
+    if (drainer != nullptr) {
+      std::printf("  \"spool_out\": {\"path\": ");
+      PrintJsonString(drainer->path());
+      std::printf(", \"records\": %" PRIu64 ", \"batches\": %" PRIu64
+                  ", \"lost_total\": %" PRIu64 ", \"segments\": %" PRIu64
+                  ", \"segments_reclaimed\": %" PRIu64 "},\n",
+                  ds.records, ds.batches, ds.lost_total, ds.segments,
+                  ds.segments_reclaimed);
+    }
+    std::printf("  \"txn_manager\": {\"slab_misses\": %" PRIu64
+                ", \"slab_overflows\": %" PRIu64 ",\n    \"commit\": ",
+                txn.slab_misses, txn.slab_overflows);
+    PrintQuantilesJson(Read(txn_manager.commit_latency()));
+    std::printf(",\n    \"abort\": ");
+    PrintQuantilesJson(Read(txn_manager.abort_latency()));
+    std::printf(",\n    \"abort_cost\": ");
+    PrintFitJson(txn_fit);
+    std::printf(",\n    \"recent\": {\"samples\": %" PRIu64
+                ", \"total\": %" PRIu64 ", \"mean_locks\": %.2f, "
+                "\"mean_undo\": %.2f, \"mean_cost_ns\": %.1f, "
+                "\"predicted_ns\": %.1f, \"ratio\": %.3f}},\n",
+                recent.samples, recent.total, recent.mean_locks,
+                recent.mean_undo, recent.mean_cost_ns, predicted_ns, ratio);
+    PrintReportJson(report, "  ");
+    std::printf("\n}\n");
+    return 0;
+  }
+
+  std::printf("graftstat: %" PRIu64 " invocations, flight recorder live; "
+              "the trace stream matches the kernel's counters\n",
+              invocations);
+  if (drainer != nullptr) {
+    std::printf("spooled: %" PRIu64 " records in %" PRIu64 " batches -> %s "
+                "(%" PRIu64 " lost, %" PRIu64 " segment%s, %" PRIu64
+                " reclaimed)\n",
+                ds.records, ds.batches, drainer->path().c_str(),
+                ds.lost_total, ds.segments, ds.segments == 1 ? "" : "s",
+                ds.segments_reclaimed);
+  }
+  std::printf("\ntransaction layer: %" PRIu64 " slab misses, %" PRIu64
+              " slab overflows\n",
+              txn.slab_misses, txn.slab_overflows);
+  PrintQuantilesText("commit", Read(txn_manager.commit_latency()));
+  PrintQuantilesText("abort", Read(txn_manager.abort_latency()));
+  PrintFitText("txn-layer", txn_fit);
+  if (recent.samples > 0 && predicted_ns > 0.0) {
+    std::printf("  %-14s last %" PRIu64 " of %" PRIu64
+                " aborts: mean cost %.1f µs vs fitted %.1f µs (×%.2f)\n",
+                "recent-drift", recent.samples, recent.total,
+                recent.mean_cost_ns / 1e3, predicted_ns / 1e3, ratio);
+  }
+  std::printf("\n");
+  PrintReportText(report);
   return 0;
 }
 
@@ -816,12 +1023,10 @@ int main(int argc, char** argv) {
   bool once = false;
   uint64_t invocations = 2000;
   uint64_t interval_ms = 100;
-  std::string spool_path;    // --spool: replay.
-  std::string follow_path;   // --follow: tail.
-  std::string fleet_dir;     // --fleet / --follow-dir: multiplexed tail.
-  std::string spool_out;     // --spool-out: spool the self-test run.
-  uint64_t spool_out_segment_bytes = 0;  // 0 = no rotation flag given.
-  uint64_t spool_out_segments = 0;       // 0 = keep the default cap.
+  std::string spool_path;   // --spool: replay.
+  std::string follow_path;  // --follow: tail.
+  std::string fleet_dir;    // --fleet: every kernel under a directory.
+  std::string spool_out;    // --spool-out: spool the self-test run.
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0) {
       json = true;
@@ -835,332 +1040,32 @@ int main(int argc, char** argv) {
       spool_path = argv[++i];
     } else if (std::strcmp(argv[i], "--follow") == 0 && i + 1 < argc) {
       follow_path = argv[++i];
-    } else if ((std::strcmp(argv[i], "--fleet") == 0 ||
-                std::strcmp(argv[i], "--follow-dir") == 0) &&
-               i + 1 < argc) {
+    } else if (std::strcmp(argv[i], "--fleet") == 0 && i + 1 < argc) {
       fleet_dir = argv[++i];
     } else if (std::strcmp(argv[i], "--spool-out") == 0 && i + 1 < argc) {
       spool_out = argv[++i];
-    } else if (std::strcmp(argv[i], "--spool-out-segment-bytes") == 0 &&
-               i + 1 < argc) {
-      spool_out_segment_bytes = std::strtoull(argv[++i], nullptr, 10);
-    } else if (std::strcmp(argv[i], "--spool-out-segments") == 0 &&
-               i + 1 < argc) {
-      spool_out_segments = std::strtoull(argv[++i], nullptr, 10);
     } else {
       std::fprintf(stderr,
                    "usage: graftstat [--json] [--invocations N] "
                    "[--spool-out FILE]\n"
-                   "                 [--spool-out-segment-bytes N] "
-                   "[--spool-out-segments M]\n"
-                   "       graftstat --spool FILE [--json]\n"
-                   "       graftstat --follow FILE [--json] "
+                   "       graftstat --spool PATH [--json]\n"
+                   "       graftstat --follow PATH [--json] "
                    "[--interval-ms N]\n"
                    "       graftstat --fleet DIR [--json] [--once] "
                    "[--interval-ms N]\n");
       return 2;
     }
   }
+  interval_ms = interval_ms == 0 ? 1 : interval_ms;
 
   if (!spool_path.empty()) {
-    return RunSpoolReplay(spool_path, json);
+    return RunSpool("spool", spool_path, /*follow=*/false, json, interval_ms);
   }
   if (!follow_path.empty()) {
-    return RunSpoolFollow(follow_path, json, interval_ms == 0 ? 1 : interval_ms);
+    return RunSpool("follow", follow_path, /*follow=*/true, json, interval_ms);
   }
   if (!fleet_dir.empty()) {
-    return RunFleet(fleet_dir, json, interval_ms == 0 ? 1 : interval_ms, once);
+    return RunFleet(fleet_dir, json, interval_ms, once);
   }
-
-  vino::trace::SetEnabled(true);
-
-  // Deterministic spooling for the self-test: drain every batch of
-  // invocations (a batch's records fit the ring several times over), so the
-  // spooled stream is lossless and a replayed fit must equal the live one.
-  // With no --spool-out, the VINO_SPOOL environment derives a per-process
-  // path exactly like a kernel (DeriveEnvSpoolOptions) — several self-test
-  // processes pointed at one directory stand in for a fleet of kernels.
-  vino::spool::SpoolDrainer::Options spool_options;
-  spool_options.path = spool_out;
-  const bool want_spool = vino::spool::DeriveEnvSpoolOptions(&spool_options);
-  if (spool_out_segment_bytes > 0) {
-    spool_options.rotation.segment_bytes = spool_out_segment_bytes;
-  }
-  if (spool_out_segments > 0) {
-    spool_options.rotation.max_segments =
-        static_cast<uint32_t>(spool_out_segments);
-  }
-  std::unique_ptr<vino::spool::SpoolDrainer> drainer;
-  if (want_spool) {
-    auto started = vino::spool::SpoolDrainer::Start(spool_options);
-    if (!started.ok()) {
-      std::fprintf(stderr, "graftstat: cannot open --spool-out '%s'\n",
-                   spool_options.path.c_str());
-      return 1;
-    }
-    drainer = std::move(started.value());
-    spool_out = spool_options.path;
-  }
-
-  TxnManager txn_manager;
-  std::vector<std::unique_ptr<TxnLock>> locks;
-  for (int i = 0; i < 8; ++i) {
-    locks.push_back(std::make_unique<TxnLock>("graftstat.lock" + std::to_string(i)));
-  }
-
-  // Three abort-prone grafts with distinct (L, G) profiles — the variance
-  // the least-squares fit needs — plus one that commits.
-  struct Profile {
-    const char* name;
-    uint64_t base_locks;
-    uint64_t base_undo;
-    bool aborts;
-  };
-  const Profile profiles[] = {
-      {"lock-hoarder", 5, 2, true},
-      {"undo-spammer", 1, 24, true},
-      {"mixed-misbehaver", 3, 10, true},
-      {"well-behaved", 1, 4, false},
-      {"tiered-worker", 0, 0, false},  // The one program graft (see below).
-  };
-  std::vector<std::shared_ptr<Graft>> grafts;
-  for (const Profile& p : profiles) {
-    if (std::strcmp(p.name, "tiered-worker") == 0) {
-      // A sandboxed program graft so the per-tier invocation counters have
-      // something to count: instrumented, verified, and — unless
-      // VINO_EXEC_TIER=0 pins the process to the interpreter — pre-decoded
-      // for the Tier-1 direct-threaded engine, exactly as the loader would.
-      vino::Asm a("tiered-worker");
-      auto top = a.NewLabel();
-      a.LoadImm(vino::R1, 12);
-      a.LoadImm(vino::R2, 0);
-      a.LoadImm(vino::R3, 0);
-      a.Bind(top);
-      a.AddI(vino::R2, vino::R2, 3);
-      a.St64(vino::R3, vino::R2, 256);
-      a.Ld64(vino::R4, vino::R3, 256);
-      a.AddI(vino::R1, vino::R1, -1);
-      a.Bne(vino::R1, vino::R3, top);
-      a.Mov(vino::R0, vino::R2);
-      a.Halt();
-      auto inst = vino::Instrument(*a.Finish(), vino::MisfitOptions{16});
-      vino::Program program = *inst;
-      if (!vino::VerifySandbox(program).ok()) {
-        std::fprintf(stderr, "graftstat: self-test program failed to verify\n");
-        return 1;
-      }
-      program.verified = true;
-      if (vino::MaxExecTier() >= vino::ExecTier::kTier1) {
-        program.compiled = vino::CompileThreaded(program);
-      }
-      grafts.push_back(std::make_shared<Graft>(p.name, std::move(program),
-                                               GraftIdentity{1000, false},
-                                               4096));
-      continue;
-    }
-    grafts.push_back(std::make_shared<Graft>(
-        p.name,
-        [&locks](std::span<const uint64_t> args, MemoryImage* image) {
-          return Misbehave(args, &locks, image);
-        },
-        GraftIdentity{1000, false}));
-  }
-
-  LatencyHistogram invoke_latency;
-  // Exact per-tier invocation latency, recorded at the invocation wrapper's
-  // existing latency sites (not rebuilt from the ring, which wraps): the
-  // tier counts must sum to the invocation count.
-  LatencyHistogram tier_latency[vino::kExecTierCount + 1];
-  vino::GraftExecContext exec(nullptr);
-  exec.latency = &invoke_latency;
-  for (size_t t = 0; t <= vino::kExecTierCount; ++t) {
-    exec.tier_latency[t] = &tier_latency[t];
-  }
-
-  for (uint64_t i = 0; i < invocations; ++i) {
-    const Profile& p = profiles[i % std::size(profiles)];
-    const auto& graft = grafts[i % std::size(grafts)];
-    // Jitter L and G around the profile's base so neither predictor is
-    // constant (a constant column is degenerate and fits to zero).
-    const uint64_t args[3] = {p.base_locks + i % 3,
-                              p.base_undo + (i / 2) % 5,
-                              p.aborts ? uint64_t{1} : uint64_t{0}};
-    (void)RunGraftInvocation(txn_manager, graft, args, exec);
-    if (drainer != nullptr && (i + 1) % 128 == 0) {
-      drainer->DrainNow();  // Single ring, ~8 records/invocation: no wrap.
-    }
-  }
-  if (drainer != nullptr) {
-    drainer->Stop();  // Final drain + close trailer.
-  }
-
-  // ---- Collect --------------------------------------------------------
-  vino::trace::SnapshotStats snap_stats;
-  const std::vector<vino::trace::TaggedRecord> records =
-      vino::trace::Snapshot(&snap_stats);
-  std::map<std::string, uint64_t> event_counts;
-  for (const auto& r : records) {
-    event_counts[std::string(vino::trace::EventName(
-        static_cast<vino::trace::Event>(r.record.event)))]++;
-  }
-
-  const vino::TxnStats txn = txn_manager.stats();
-  const Quantiles invoke_q = Read(invoke_latency);
-  const Quantiles commit_q = Read(txn_manager.commit_latency());
-  const Quantiles abort_q = Read(txn_manager.abort_latency());
-  const AbortCostModel::Fitted global_fit = txn_manager.abort_cost().Fit();
-  // The same quantity a spool replay's global model reconstructs from
-  // kAbortCost records: every graft's invocation-level abort samples, as
-  // one fit. (The kernel-wide model above is txn-internal abort cost — a
-  // narrower window — so the two fits legitimately differ.)
-  AbortCostModel graft_union;
-  for (const auto& g : grafts) {
-    graft_union.Merge(g->abort_cost());
-  }
-  const AbortCostModel::Fitted graft_union_fit = graft_union.Fit();
-
-  // Manager-wide drift line: what the most recent aborts cost vs what the
-  // lifetime fit predicts for their (L, G) shape. Per-graft drift runs in
-  // the kernel itself (src/graft/drift.h); this is the at-a-glance view.
-  const vino::AbortCostWindow::Snapshot recent =
-      txn_manager.recent_abort_cost().Read();
-  double recent_predicted_ns = 0.0;
-  if (global_fit.valid && recent.samples > 0) {
-    recent_predicted_ns = global_fit.a_ns +
-                          global_fit.b_ns * recent.mean_locks +
-                          global_fit.c_ns * recent.mean_undo;
-    if (recent_predicted_ns < 0.0) {
-      recent_predicted_ns = 0.0;
-    }
-  }
-  const double recent_ratio =
-      recent_predicted_ns > 0.0 ? recent.mean_cost_ns / recent_predicted_ns
-                                : 0.0;
-
-  // ---- Report ---------------------------------------------------------
-  if (json) {
-    std::printf("{\n  \"invocations\": %" PRIu64 ",\n", invocations);
-    if (drainer != nullptr) {
-      const vino::spool::SpoolDrainer::Stats ds = drainer->stats();
-      std::printf("  \"spool_out\": {\"path\": \"%s\", \"records\": %" PRIu64
-                  ", \"batches\": %" PRIu64 ", \"lost_total\": %" PRIu64
-                  ", \"segments\": %" PRIu64
-                  ", \"segments_reclaimed\": %" PRIu64 "},\n",
-                  spool_out.c_str(), ds.records, ds.batches, ds.lost_total,
-                  ds.segments, ds.segments_reclaimed);
-    }
-    std::printf("  \"txn\": {\"begins\": %" PRIu64 ", \"commits\": %" PRIu64
-                ", \"aborts\": %" PRIu64 ", \"slab_misses\": %" PRIu64
-                ", \"slab_overflows\": %" PRIu64 "},\n",
-                txn.begins, txn.commits, txn.aborts, txn.slab_misses,
-                txn.slab_overflows);
-    std::printf("  \"trace\": {\"records\": %" PRIu64 ", \"dropped\": %" PRIu64
-                ", \"overwritten\": %" PRIu64 ", \"rings\": %" PRIu64
-                ", \"events\": {",
-                snap_stats.records, snap_stats.dropped, snap_stats.overwritten,
-                snap_stats.rings);
-    bool first = true;
-    for (const auto& [name, count] : event_counts) {
-      std::printf("%s\"%s\": %" PRIu64, first ? "" : ", ", name.c_str(), count);
-      first = false;
-    }
-    std::printf("}},\n");
-    std::printf("  \"latency\": {\"invoke\": ");
-    PrintQuantilesJson(invoke_q);
-    std::printf(", \"commit\": ");
-    PrintQuantilesJson(commit_q);
-    std::printf(", \"abort\": ");
-    PrintQuantilesJson(abort_q);
-    std::printf(", \"tiers\": ");
-    PrintTierLatencyJson(tier_latency);
-    std::printf("},\n");
-    std::printf("  \"abort_cost_global\": ");
-    PrintFitJson(global_fit);
-    std::printf(",\n  \"abort_cost_grafts\": ");
-    PrintFitJson(graft_union_fit);
-    std::printf(",\n  \"abort_cost_recent\": {\"samples\": %" PRIu64
-                ", \"total\": %" PRIu64 ", \"mean_locks\": %.2f, "
-                "\"mean_undo\": %.2f, \"mean_cost_ns\": %.1f, "
-                "\"predicted_ns\": %.1f, \"ratio\": %.3f}",
-                recent.samples, recent.total, recent.mean_locks,
-                recent.mean_undo, recent.mean_cost_ns, recent_predicted_ns,
-                recent_ratio);
-    std::printf(",\n  \"grafts\": [\n");
-    for (size_t i = 0; i < grafts.size(); ++i) {
-      const auto& g = grafts[i];
-      const uint64_t tier0 = g->tier_runs(vino::ExecTier::kTier0);
-      const uint64_t tier1 = g->tier_runs(vino::ExecTier::kTier1);
-      std::printf("    {\"name\": \"%s\", \"trace_id\": %" PRIu64
-                  ", \"invocations\": %" PRIu64 ", \"aborts\": %" PRIu64
-                  ", \"degraded\": %s"
-                  ", \"runs\": {\"native\": %" PRIu64 ", \"tier0\": %" PRIu64
-                  ", \"tier1\": %" PRIu64 "}, \"abort_cost\": ",
-                  g->name().c_str(), g->trace_id(), g->invocations(),
-                  g->aborts(), g->degraded() ? "true" : "false",
-                  g->invocations() - tier0 - tier1, tier0, tier1);
-      PrintFitJson(g->abort_cost().Fit());
-      std::printf("}%s\n", i + 1 < grafts.size() ? "," : "");
-    }
-    std::printf("  ]\n}\n");
-    return 0;
-  }
-
-  std::printf("graftstat: %" PRIu64 " invocations, flight recorder live\n\n",
-              invocations);
-  std::printf("transactions: %" PRIu64 " begun, %" PRIu64 " committed, %" PRIu64
-              " aborted\n\n",
-              txn.begins, txn.commits, txn.aborts);
-
-  std::printf("flight recorder: %" PRIu64 " records (%" PRIu64
-              " dropped to wrap-around, %" PRIu64 " overwritten ever, %" PRIu64
-              " rings)\n",
-              snap_stats.records, snap_stats.dropped, snap_stats.overwritten,
-              snap_stats.rings);
-  for (const auto& [name, count] : event_counts) {
-    std::printf("  %-16s %" PRIu64 "\n", name.c_str(), count);
-  }
-  if (drainer != nullptr) {
-    const vino::spool::SpoolDrainer::Stats ds = drainer->stats();
-    std::printf("spooled: %" PRIu64 " records in %" PRIu64 " batches -> %s "
-                "(%" PRIu64 " lost, %" PRIu64 " segment%s, %" PRIu64
-                " reclaimed)\n",
-                ds.records, ds.batches, spool_out.c_str(), ds.lost_total,
-                ds.segments, ds.segments == 1 ? "" : "s",
-                ds.segments_reclaimed);
-  }
-  std::printf("\n");
-
-  std::printf("latency (ns, bucket upper bounds):\n");
-  PrintQuantilesText("invoke", invoke_q);
-  PrintTierLatencyText(tier_latency);
-  PrintQuantilesText("commit", commit_q);
-  PrintQuantilesText("abort", abort_q);
-  std::printf("\n");
-
-  std::printf("abort-cost model (paper §4.5: cost = a + b·L + c·G):\n");
-  PrintFitText("kernel-wide", global_fit);
-  PrintFitText("all-grafts", graft_union_fit);
-  if (recent.samples > 0 && recent_predicted_ns > 0.0) {
-    std::printf("  %-14s last %" PRIu64 " of %" PRIu64
-                " aborts: mean cost %.1f µs vs fitted %.1f µs (×%.2f)\n",
-                "recent-drift", recent.samples, recent.total,
-                recent.mean_cost_ns / 1e3, recent_predicted_ns / 1e3,
-                recent_ratio);
-  }
-  std::printf("\nper-graft:\n");
-  std::printf("  %-18s %12s %8s %8s %8s %8s\n", "graft", "invocations",
-              "aborts", "native", "tier0", "tier1");
-  for (const auto& g : grafts) {
-    const uint64_t tier0 = g->tier_runs(vino::ExecTier::kTier0);
-    const uint64_t tier1 = g->tier_runs(vino::ExecTier::kTier1);
-    char label[48];
-    std::snprintf(label, sizeof(label), "%s%s", g->name().c_str(),
-                  g->degraded() ? " [DEGRADED]" : "");
-    std::printf("  %-18s %12" PRIu64 " %8" PRIu64 " %8" PRIu64 " %8" PRIu64
-                " %8" PRIu64 "\n",
-                label, g->invocations(), g->aborts(),
-                g->invocations() - tier0 - tier1, tier0, tier1);
-    PrintFitText("", g->abort_cost().Fit());
-  }
-  return 0;
+  return RunSelfTest(invocations, spool_out, json);
 }

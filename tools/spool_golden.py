@@ -1,36 +1,42 @@
 #!/usr/bin/env python3
-"""Spool golden test: a spooled graftstat run replays to the same report.
+"""Spool golden test: live, replay and follow print one report.
 
-Runs the deterministic abort-heavy self-test workload with --spool-out (the
-drainer drains every 128 invocations, so the spooled stream is lossless),
-then replays the spool with --spool and checks that the replayed report
-matches the in-process one:
+graftstat's self-test reduces its own trace stream and, before it prints,
+checks the result against the kernel's own counters (exit 1 on a mismatch).
+This test spools that run with --spool-out (drained every 128 invocations,
+so the stream is lossless) and checks that:
 
-  * per-graft invocation and abort counts are identical,
-  * the per-graft and kernel-wide abort-cost fits (a + b.L + c.G) agree to
-    within printing precision (the replayed model consumes the exact same
-    integer samples, mirrored into kAbortCost records),
-  * invocation-latency quantiles are identical (same recorded durations),
-  * per-tier latency counts sum to the invocation count,
-  * the spool itself reads back clean: closed, no loss, no corruption.
-
-The same checks then run against a *rotated* spool: the identical workload
-written as a segment ring (small segments, cap high enough that nothing is
-reclaimed) must replay to an identical report through the chain reader —
-rotation is provably lossless, not just plausible.
-
-Finally --follow on each closed spool must terminate (close trailer) and
-exit 0.
+  * the report's schema holds in every mode: the workload aborted (in the
+    transaction counts and in some graft), the global abort-cost fit is
+    valid, the trace has records, a tiered graft exists, each graft's runs
+    add up to its invocations, and the per-tier latency counts add up to
+    the invocation count;
+  * --spool and --follow reproduce the live report member for member
+    (txn, trace, latency, runs, abort_cost_global, grafts), and the spool
+    reads back clean: closed, no loss, no gap, no corruption;
+  * the same holds for a rotated segment ring (VINO_SPOOL_SEGMENT_BYTES
+    forces several rotations; VINO_SPOOL_SEGMENTS keeps every segment);
+  * a copy with one flipped payload byte reads SPOOL_CORRUPT and exits 1
+    under --spool, --follow and --fleet --once;
+  * a spool under a directory named `a"b\\c` still gives valid JSON from
+    --spool, --follow and --fleet.
 
 Usage: spool_golden.py <graftstat-binary> <workdir>
 """
 
 import json
 import os
+import shutil
+import struct
 import subprocess
 import sys
 
 INVOCATIONS = 1024
+REPORT_KEYS = ("txn", "trace", "latency", "runs", "abort_cost_global",
+               "grafts")
+FILE_HEADER_BYTES = 16
+BATCH_HEADER = struct.Struct("<IIQQII")  # magic flags seq lost count crc
+RECORD_BYTES = 48
 
 
 def fail(message):
@@ -38,121 +44,138 @@ def fail(message):
     sys.exit(1)
 
 
-def run_json(argv):
-    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120)
-    if proc.returncode != 0:
-        fail(f"{' '.join(argv)} exited {proc.returncode}:\n{proc.stderr}")
+def run_json(argv, expect_exit=0, env=None):
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=120,
+                          env=env)
+    if proc.returncode != expect_exit:
+        fail(f"{argv} exited {proc.returncode}, not {expect_exit}:\n"
+             f"{proc.stderr}")
     try:
         return json.loads(proc.stdout)
     except json.JSONDecodeError as e:
-        fail(f"{' '.join(argv)} printed invalid JSON ({e}):\n{proc.stdout}")
+        fail(f"{argv} printed invalid JSON ({e}):\n{proc.stdout}")
 
 
-def check_fit_close(label, live, replay):
-    if live["valid"] != replay["valid"]:
-        fail(f"{label}: fit validity diverged: live {live} vs replay {replay}")
-    if not live["valid"]:
-        return
-    if live["samples"] != replay["samples"]:
-        fail(f"{label}: sample counts diverged: "
-             f"{live['samples']} vs {replay['samples']}")
-    # Identical integer inputs -> identical double fits; the only slack
-    # needed is the %.1f printing granularity.
-    for key in ("a_ns", "b_ns", "c_ns", "mean_locks", "mean_undo",
-                "mean_cost_ns"):
-        a, b = live[key], replay[key]
-        if abs(a - b) > max(0.2, 1e-6 * max(abs(a), abs(b))):
-            fail(f"{label}: {key} diverged: live {a} vs replay {b}")
+def self_test(graftstat, spool, **rotation):
+    """Runs the spooled self-test; `rotation` sets the segment env knobs."""
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("VINO_SPOOL_SEGMENT_BYTES", "VINO_SPOOL_SEGMENTS")}
+    env.update(rotation)
+    live = run_json([graftstat, "--json", "--invocations", str(INVOCATIONS),
+                     "--spool-out", spool], env=env)
+    if live["spool_out"]["lost_total"] != 0:
+        fail(f"live run lost records: {live['spool_out']}")
+    return live
 
 
-def check_tier_sum(label, report):
-    """Per-tier latency counts partition the invocation count."""
+def check_schema(tag, report):
+    """The invariants every mode's report must satisfy."""
+    if report["txn"]["aborts"] == 0:
+        fail(f"{tag}: abort-heavy run produced no aborts")
+    if not report["abort_cost_global"]["valid"]:
+        fail(f"{tag}: abort-cost fit did not converge")
+    if report["trace"]["records"] == 0:
+        fail(f"{tag}: flight recorder captured nothing")
+    grafts = report["grafts"]
+    if not any(g["aborts"] > 0 for g in grafts):
+        fail(f"{tag}: no per-graft aborts")
+    if not any(g["runs"]["tier0"] + g["runs"]["tier1"] > 0 for g in grafts):
+        fail(f"{tag}: no per-tier invocation counts (program graft missing?)")
+    for g in grafts:
+        if sum(g["runs"].values()) != g["invocations"]:
+            fail(f"{tag}: tier attribution {g['runs']} does not sum to "
+                 f"{g['invocations']} invocations for graft {g['trace_id']}")
     invoke = report["latency"]["invoke"]["count"]
     tiers = report["latency"]["tiers"]
-    total = sum(t["count"] for t in tiers.values())
-    if total != invoke:
-        fail(f"{label}: tier latency counts {total} != invocations {invoke}: "
-             f"{tiers}")
+    if sum(t["count"] for t in tiers.values()) != invoke:
+        fail(f"{tag}: per-tier latency counts {tiers} do not partition the "
+             f"{invoke} invocations")
+
+
+def check_clean(tag, spool):
+    if spool["status"] != "OK" or not spool["closed"] or spool["truncated"]:
+        fail(f"{tag}: spool not clean: {spool}")
+    if spool["corrupt_batches"] != 0 or spool["lost_total"] != 0:
+        fail(f"{tag}: spool lost or corrupt: {spool}")
+    if spool["first_batch_seq"] != 0 or spool["seq_gaps"] != 0:
+        fail(f"{tag}: spool stream not continuous: {spool}")
+
+
+def check_same_report(tag, live, view):
+    """`view` must equal `live` in every report member. The live report
+    alone knows graft names; everything else is the same field."""
+    live_grafts = [{k: v for k, v in g.items() if k != "name"}
+                   for g in live["grafts"]]
+    for key in REPORT_KEYS:
+        want = live_grafts if key == "grafts" else live[key]
+        if view[key] != want:
+            fail(f"{tag}: '{key}' diverged from the live report:\n"
+                 f"live   {json.dumps(want)}\nreplay {json.dumps(view[key])}")
 
 
 def check_replay(tag, graftstat, live, spool):
-    """Replays `spool` and checks it reproduces the `live` report exactly."""
+    check_schema(f"{tag}: live", live)
     replay = run_json([graftstat, "--spool", spool, "--json"])
-
-    # The spooled stream must be lossless and intact, or nothing else holds.
-    rs = replay["spool"]
-    if rs["status"] != "OK" or not rs["closed"] or rs["truncated"]:
-        fail(f"{tag}: replayed spool not clean: {rs}")
-    if rs["corrupt_batches"] != 0 or rs["lost_total"] != 0:
-        fail(f"{tag}: replayed spool lost or corrupt: {rs}")
-    if rs["first_batch_seq"] != 0 or rs["seq_gaps"] != 0:
-        fail(f"{tag}: replayed spool stream not continuous: {rs}")
-
-    # Transaction counts: one txn per invocation, same commit/abort split.
-    # The spool stream only carries begin/commit/abort events, so compare the
-    # keys the replay can reconstruct (slab recycling stats are in-process
-    # only).
-    live_txn = {k: v for k, v in live["txn"].items() if k in replay["txn"]}
-    if live_txn != replay["txn"]:
-        fail(f"{tag}: txn counts diverged: live {live['txn']} vs "
-             f"replay {replay['txn']}")
-
-    # Per-graft: join by trace_id; counts exact, fits within print precision.
-    live_grafts = {g["trace_id"]: g for g in live["grafts"]}
-    replay_grafts = {g["trace_id"]: g for g in replay["grafts"]}
-    if set(live_grafts) != set(replay_grafts):
-        fail(f"{tag}: graft sets diverged: live {sorted(live_grafts)} vs "
-             f"replay {sorted(replay_grafts)}")
-    aborts_total = 0
-    for trace_id, lg in live_grafts.items():
-        rg = replay_grafts[trace_id]
-        name = lg.get("name", f"graft#{trace_id}")
-        if lg["invocations"] != rg["invocations"]:
-            fail(f"{tag}: {name}: invocations diverged: "
-                 f"{lg['invocations']} vs {rg['invocations']}")
-        if lg["aborts"] != rg["aborts"]:
-            fail(f"{tag}: {name}: aborts diverged: "
-                 f"{lg['aborts']} vs {rg['aborts']}")
-        if lg["degraded"] != rg["degraded"]:
-            fail(f"{tag}: {name}: degraded flag diverged: "
-                 f"{lg['degraded']} vs {rg['degraded']}")
-        aborts_total += lg["aborts"]
-        check_fit_close(f"{tag}: {name}", lg["abort_cost"], rg["abort_cost"])
-    if aborts_total == 0:
-        fail(f"{tag}: workload produced no aborts; the golden test is vacuous")
-
-    # The replay's global model rebuilds the union of per-graft samples —
-    # compare it against the live report's merged "abort_cost_grafts" (the
-    # live "abort_cost_global" is the txn-internal model, a narrower cost
-    # window, and legitimately differs).
-    check_fit_close(f"{tag}: all-grafts", live["abort_cost_grafts"],
-                    replay["abort_cost_global"])
-
-    # Same recorded durations -> identical latency histograms, and the
-    # replayed per-tier counts still partition the invocation count.
-    li, ri = live["latency"]["invoke"], replay["latency"]["invoke"]
-    for key in ("p50_ns", "p95_ns", "p99_ns"):
-        if li[key] != ri[key]:
-            fail(f"{tag}: invoke latency {key} diverged: "
-                 f"{li[key]} vs {ri[key]}")
-    check_tier_sum(f"{tag}: replay", replay)
-    for tier, lt in live["latency"]["tiers"].items():
-        rt = replay["latency"]["tiers"][tier]
-        if lt["count"] != rt["count"]:
-            fail(f"{tag}: tier '{tier}' count diverged: "
-                 f"{lt['count']} vs {rt['count']}")
-
-    # A closed spool must terminate --follow promptly, exit 0.
     follow = run_json([graftstat, "--follow", spool, "--json",
                        "--interval-ms", "10"])
-    if not follow["spool"]["closed"]:
-        fail(f"{tag}: --follow did not see the close trailer: "
-             f"{follow['spool']}")
-    if follow["txn"] != {k: v for k, v in live["txn"].items()
-                         if k in follow["txn"]}:
-        fail(f"{tag}: --follow txn counts diverged: "
-             f"{follow['txn']} vs {live['txn']}")
-    return rs, aborts_total, len(live_grafts)
+    for mode, view in (("--spool", replay), ("--follow", follow)):
+        check_clean(f"{tag} {mode}", view["spool"])
+        check_schema(f"{tag} {mode}", view)
+        check_same_report(f"{tag} {mode}", live, view)
+    return replay["spool"]
+
+
+def flip_payload_byte(src, dst, batch_index):
+    """Copies spool `src` to `dst` with one payload byte of the given
+    batch flipped."""
+    data = bytearray(open(src, "rb").read())
+    offset = FILE_HEADER_BYTES
+    for _ in range(batch_index):
+        count = BATCH_HEADER.unpack_from(data, offset)[4]
+        offset += BATCH_HEADER.size + count * RECORD_BYTES
+    if BATCH_HEADER.unpack_from(data, offset)[4] == 0:
+        fail(f"batch {batch_index} of {src} has no payload to corrupt")
+    data[offset + BATCH_HEADER.size + 5] ^= 0xFF
+    os.makedirs(os.path.dirname(dst), exist_ok=True)
+    open(dst, "wb").write(bytes(data))
+
+
+def check_corrupt_everywhere(graftstat, spool, workdir):
+    """One flipped payload byte is SPOOL_CORRUPT, exit 1, in every mode."""
+    fleet_dir = os.path.join(workdir, "corrupt-fleet")
+    shutil.rmtree(fleet_dir, ignore_errors=True)
+    corrupt = os.path.join(fleet_dir, "vspool.1.0.bin")
+    flip_payload_byte(spool, corrupt, 2)
+    views = {
+        "--spool": run_json([graftstat, "--spool", corrupt, "--json"], 1),
+        "--follow": run_json([graftstat, "--follow", corrupt, "--json",
+                              "--interval-ms", "10"], 1),
+    }
+    fleet = run_json([graftstat, "--fleet", fleet_dir, "--json", "--once"], 1)
+    views["--fleet --once"] = fleet["kernels"][0]
+    for mode, view in views.items():
+        spool_stats = view["spool"]
+        if (spool_stats["status"] != "SPOOL_CORRUPT" or
+                spool_stats["corrupt_batches"] != 1):
+            fail(f"{mode} on a corrupted spool: {spool_stats}")
+
+
+def check_json_escaping(graftstat, spool, workdir):
+    """Paths holding `"` and `\\` still make valid JSON in every mode."""
+    odd_dir = os.path.join(workdir, 'a"b\\c')
+    shutil.rmtree(odd_dir, ignore_errors=True)
+    os.makedirs(odd_dir)
+    odd = os.path.join(odd_dir, "vspool.1.0.bin")
+    shutil.copyfile(spool, odd)
+    for argv in ([graftstat, "--spool", odd, "--json"],
+                 [graftstat, "--follow", odd, "--json", "--interval-ms", "10"]):
+        view = run_json(argv)
+        if view["spool"]["path"] != odd:
+            fail(f"{argv}: path came back as {view['spool']['path']!r}")
+    fleet = run_json([graftstat, "--fleet", odd_dir, "--json"])
+    if fleet["dir"] != odd_dir or len(fleet["kernels"]) != 1:
+        fail(f"--fleet under {odd_dir!r}: dir {fleet['dir']!r}, "
+             f"{len(fleet['kernels'])} kernels")
 
 
 def main():
@@ -163,38 +186,31 @@ def main():
 
     # --- Plain single-file spool -----------------------------------------
     spool = os.path.join(workdir, "golden.vspool")
-    live = run_json([graftstat, "--json", "--invocations", str(INVOCATIONS),
-                     "--spool-out", spool])
-    if live["spool_out"]["lost_total"] != 0:
-        fail(f"live run lost records: {live['spool_out']}")
-    check_tier_sum("live", live)
-    rs, aborts_total, graft_count = check_replay("plain", graftstat, live,
-                                                 spool)
+    live = self_test(graftstat, spool)
+    check_corrupt_everywhere(graftstat, spool, workdir)
+    check_json_escaping(graftstat, spool, workdir)
+    rs = check_replay("plain", graftstat, live, spool)
 
     # --- Rotated segment-ring spool --------------------------------------
     # Small segments force several rotations; the generous cap means nothing
     # is reclaimed, so the chain must replay to the *identical* report.
     rbase = os.path.join(workdir, "golden.rspool")
-    rlive = run_json([graftstat, "--json", "--invocations", str(INVOCATIONS),
-                      "--spool-out", rbase,
-                      "--spool-out-segment-bytes", "65536",
-                      "--spool-out-segments", "64"])
+    rlive = self_test(graftstat, rbase, VINO_SPOOL_SEGMENT_BYTES="65536",
+                      VINO_SPOOL_SEGMENTS="64")
     rso = rlive["spool_out"]
-    if rso["lost_total"] != 0:
-        fail(f"rotated live run lost records: {rso}")
     if rso["segments"] < 2:
         fail(f"rotated live run never rotated: {rso}")
     if rso["segments_reclaimed"] != 0:
         fail(f"rotated live run reclaimed segments; golden must be "
              f"lossless: {rso}")
-    rrs, _, _ = check_replay("rotated", graftstat, rlive, rbase)
+    rrs = check_replay("rotated", graftstat, rlive, rbase)
     if rrs["segments"] < 2:
         fail(f"chain replay collapsed to one segment: {rrs}")
 
     print(f"spool_golden: OK ({INVOCATIONS} invocations, "
           f"{rs['records']} records plain + {rrs['records']} rotated over "
-          f"{rrs['segments']} segments, {aborts_total} aborts, "
-          f"{graft_count} grafts match)")
+          f"{rrs['segments']} segments; live == --spool == --follow; "
+          f"corruption and odd paths handled in every mode)")
 
 
 if __name__ == "__main__":
