@@ -27,14 +27,10 @@
 //   * the kernel is still serving: a final sweep gets HTTP 200 from every
 //     benign tenant.
 //
-// --coarse emulates the pre-PR concurrency structure (one global mutex
-// serializing namespace lookups and every lock-manager operation) so the
-// p99 effect of the sharded lock table + read-mostly namespace is
-// measurable inside one binary; EXPERIMENTS.md records the comparison.
-//
 // Usage:
 //   serve_bench [--installers N] [--requests R] [--epochs E] [--threads T]
-//               [--density F] [--hostile F] [--lock-slots N] [--coarse]
+//               [--density F] [--hostile F] [--lock-slots N]
+//               [--hostile-retry N] [--lock-deadline-us U]
 //               [--smoke] [--spool PATH] [--json FILE]
 
 #include <algorithm>
@@ -47,7 +43,6 @@
 #include <cstring>
 #include <fstream>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -100,9 +95,6 @@ struct Options {
   // invokes it (it gets ejected again). 0 disables retries.
   int hostile_retry = 25;
   int lock_deadline_us = 150;  // Bounded lock wait before degrading.
-  bool coarse = false;
-  bool churn = true;
-  bool private_locks = false;
   bool smoke = false;
   std::string json_path;
   std::string spool_path;
@@ -112,9 +104,9 @@ struct Options {
   std::fprintf(
       stderr,
       "usage: %s [--installers N] [--requests R] [--epochs E] [--threads T]\n"
-      "          [--density F] [--hostile F] [--lock-slots N] [--coarse]\n"
-      "          [--no-churn] [--hostile-retry N] [--lock-deadline-us U]\n"
-      "          [--private-locks] [--smoke] [--spool PATH] [--json FILE]\n",
+      "          [--density F] [--hostile F] [--lock-slots N]\n"
+      "          [--hostile-retry N] [--lock-deadline-us U]\n"
+      "          [--smoke] [--spool PATH] [--json FILE]\n",
       argv0);
   std::exit(2);
 }
@@ -145,16 +137,6 @@ Options Parse(int argc, char** argv) {
       opt.hostile_retry = std::atoi(next(i));  // 0 disables retries.
     } else if (arg == "--lock-deadline-us") {
       opt.lock_deadline_us = std::atoi(next(i));
-    } else if (arg == "--coarse") {
-      opt.coarse = true;
-    } else if (arg == "--no-churn") {
-      opt.churn = false;  // For A/B runs that must differ only in locking.
-    } else if (arg == "--private-locks") {
-      // Each tenant locks its own slots, so no request ever waits on an
-      // application-held lock; what remains is pure manager + namespace
-      // overhead. This is the mode that isolates the coarse-vs-sharded
-      // structural difference from workload-inherent hold times.
-      opt.private_locks = true;
     } else if (arg == "--smoke") {
       opt.smoke = true;
       opt.installers = 48;
@@ -381,9 +363,6 @@ struct Harness {
   std::vector<std::unique_ptr<Tenant>> tenants;
   uint32_t alloc_id = 0;
   int hostile_count = 0;
-  // --coarse: the pre-PR structure — one mutex serializing every namespace
-  // lookup and every lock-manager operation across all serving threads.
-  std::mutex coarse_mu;
 };
 
 std::shared_ptr<Graft> LoadGraft(Harness& h, const SigningAuthority& authority,
@@ -553,50 +532,23 @@ uint64_t ServeOne(Harness& h, Tenant& tenant, int request, int thread_id,
   const uint64_t args[2] = {static_cast<uint64_t>(request),
                             static_cast<uint64_t>(tenant.id)};
   uint64_t result = 0;
-  if (h.opt.coarse) {
-    // Pre-PR emulation. The seed namespace served lookups under one plain
-    // mutex and returned a raw pointer with no way to pin the point against
-    // teardown — the only *correct* usage was to keep the mutex held while
-    // using the pointer (the lookup-vs-teardown race is what the visitor
-    // API fixed). So the faithful baseline serializes lookup + invoke.
-    std::lock_guard<std::mutex> guard(h.coarse_mu);
-    Result<FunctionGraftPoint*> lookup =
-        h.kernel.ns().LookupFunction(tenant.point_names[fam]);
-    if (lookup.ok()) result = (*lookup)->Invoke(args);
-  } else {
-    (void)h.kernel.ns().WithFunction(
-        tenant.point_names[fam],
-        [&](FunctionGraftPoint& point) -> Status {
-          result = point.Invoke(args);
-          return Status::kOk;
-        });
-  }
+  (void)h.kernel.ns().WithFunction(
+      tenant.point_names[fam], [&](FunctionGraftPoint& point) -> Status {
+        result = point.Invoke(args);
+        return Status::kOk;
+      });
   out.checksum += result;
 
   // 2. Lock manager: same (request, family) maps to the same resource for
-  // every tenant, so serving threads genuinely contend — unless
-  // --private-locks gave each tenant its own slot range.
-  const uint64_t slot =
+  // every tenant, so serving threads genuinely contend.
+  const LockResourceId resource =
       (static_cast<uint64_t>(request) * 2654435761ull + fam) %
       static_cast<uint64_t>(h.opt.lock_slots);
-  const LockResourceId resource =
-      h.opt.private_locks
-          ? static_cast<uint64_t>(tenant.id) *
-                    static_cast<uint64_t>(h.opt.lock_slots) +
-                slot
-          : slot;
   const LockHolderId holder =
       (static_cast<uint64_t>(thread_id + 1) << 32) | ++out.holder_serial;
   const LockMode mode = ((tenant.id + request) % 5 == 0) ? LockMode::kExclusive
                                                          : LockMode::kShared;
-  auto locked = [&](auto&& fn) {
-    if (h.opt.coarse) {
-      std::lock_guard<std::mutex> guard(h.coarse_mu);
-      return fn();
-    }
-    return fn();
-  };
-  Status got = locked([&] { return h.locks.GetLock(resource, holder, mode); });
+  const Status got = h.locks.GetLock(resource, holder, mode);
   bool held = got == Status::kOk;
   if (got == Status::kBusy) {
     ++out.lock_waits;
@@ -608,22 +560,13 @@ uint64_t ServeOne(Harness& h, Tenant& tenant, int request, int thread_id,
         std::chrono::microseconds(h.opt.lock_deadline_us);
     while (!held && std::chrono::steady_clock::now() < deadline) {
       std::this_thread::yield();
-      held = locked([&] { return h.locks.Holds(resource, holder); });
+      held = h.locks.Holds(resource, holder);
     }
     if (!held) {
-      if (h.opt.coarse) {
-        // Pre-PR: CancelWait did not exist. A timed-out waiter simply
-        // walked away with its request still queued; a later release then
-        // promotes the ghost to holder and nobody ever releases it — the
-        // slot is wedged, and every conflicting request after that burns
-        // the full wait timeout. This stranding is the fairness bug the
-        // sharded manager's atomic CancelWait fixes.
-      } else {
-        // Timed out: withdraw atomically. If the grant raced the timeout,
-        // CancelWait releases it; kNotFound would mean the queue lost us.
-        const Status cancel = h.locks.CancelWait(resource, holder);
-        if (cancel == Status::kNotFound) ++out.lock_anomalies;
-      }
+      // Timed out: withdraw atomically. If the grant raced the timeout,
+      // CancelWait releases it; kNotFound would mean the queue lost us.
+      const Status cancel = h.locks.CancelWait(resource, holder);
+      if (cancel == Status::kNotFound) ++out.lock_anomalies;
       ++out.lock_timeouts;
     }
   }
@@ -633,28 +576,18 @@ uint64_t ServeOne(Harness& h, Tenant& tenant, int request, int thread_id,
   // extension does not stay gone). The retry runs here, while this
   // request's resource lock is held — a misbehaved graft aborting inside a
   // lock-holding request is exactly the covert-DoS shape that stalls other
-  // tenants' waiters past their deadline. Post-PR those waiters time out
-  // and withdraw atomically; the emulated pre-PR manager strands them.
-  // Deterministic per (tenant, request) so --coarse and the sharded run
-  // perform the exact same ejections.
+  // tenants' waiters past their deadline; those waiters time out and
+  // withdraw atomically. Deterministic per (tenant, request), so every run
+  // performs the same ejections.
   if (tenant.attack_family >= 0 && h.opt.hostile_retry > 0 &&
       (request + tenant.id) % h.opt.hostile_retry == 0) {
-    const std::string& name = tenant.point_names[tenant.attack_family];
-    if (h.opt.coarse) {
-      std::lock_guard<std::mutex> guard(h.coarse_mu);
-      Result<FunctionGraftPoint*> lookup = h.kernel.ns().LookupFunction(name);
-      if (lookup.ok()) {
-        (void)(*lookup)->Replace(tenant.attack_graft);
-        out.checksum += (*lookup)->Invoke(args);
-      }
-    } else {
-      (void)h.kernel.ns().WithFunction(
-          name, [&](FunctionGraftPoint& point) -> Status {
-            (void)point.Replace(tenant.attack_graft);
-            out.checksum += point.Invoke(args);
-            return Status::kOk;
-          });
-    }
+    (void)h.kernel.ns().WithFunction(
+        tenant.point_names[tenant.attack_family],
+        [&](FunctionGraftPoint& point) -> Status {
+          (void)point.Replace(tenant.attack_graft);
+          out.checksum += point.Invoke(args);
+          return Status::kOk;
+        });
   }
 
   // 3. The tenant's in-kernel HTTP service (synchronous delivery: the
@@ -672,7 +605,7 @@ uint64_t ServeOne(Harness& h, Tenant& tenant, int request, int thread_id,
   }
 
   if (held) {
-    locked([&] { return h.locks.ReleaseLock(resource, holder); });
+    (void)h.locks.ReleaseLock(resource, holder);
   }
 
   const auto end = std::chrono::steady_clock::now();
@@ -869,10 +802,7 @@ void CheckInvariants(Harness& h, const std::vector<ThreadResult>& results,
 
   // 4. Lock table drained: no stranded waiters, no CancelWait anomalies.
   size_t stranded = 0;
-  const int slot_range =
-      h.opt.private_locks ? h.opt.installers * h.opt.lock_slots
-                          : h.opt.lock_slots;
-  for (int s = 0; s < slot_range; ++s) {
+  for (int s = 0; s < h.opt.lock_slots; ++s) {
     stranded += h.locks.WaiterCount(static_cast<LockResourceId>(s));
   }
   uint64_t anomalies = 0, waits = 0, timeouts = 0;
@@ -881,19 +811,10 @@ void CheckInvariants(Harness& h, const std::vector<ThreadResult>& results,
     waits += r.lock_waits;
     timeouts += r.lock_timeouts;
   }
-  if (h.opt.coarse) {
-    // The emulated pre-PR manager has no CancelWait, so stranded requests
-    // are the expected defect under demonstration, not a harness failure.
-    std::printf("  [pre] lock table NOT drained: %zu stranded of %llu "
-                "timeouts (%llu waits) — the seed's missing CancelWait\n",
-                stranded, static_cast<unsigned long long>(timeouts),
-                static_cast<unsigned long long>(waits));
-  } else {
-    report.Check(stranded == 0 && anomalies == 0,
-                 "lock table drained (" + std::to_string(waits) + " waits, " +
-                     std::to_string(timeouts) +
-                     " timeouts withdrew cleanly, 0 stranded)");
-  }
+  report.Check(stranded == 0 && anomalies == 0,
+               "lock table drained (" + std::to_string(waits) + " waits, " +
+                   std::to_string(timeouts) +
+                   " timeouts withdrew cleanly, 0 stranded)");
 
   // 5. Transactions balance and the hostile mix actually aborted.
   const TxnStats txn = h.kernel.txn().stats();
@@ -969,9 +890,6 @@ void WriteJson(const Harness& h, const std::vector<EpochMetrics>& epochs,
       << "    \"lock_slots\": " << h.opt.lock_slots << ",\n"
       << "    \"hostile_retry\": " << h.opt.hostile_retry << ",\n"
       << "    \"lock_deadline_us\": " << h.opt.lock_deadline_us << ",\n"
-      << "    \"private_locks\": " << (h.opt.private_locks ? "true" : "false")
-      << ",\n"
-      << "    \"coarse\": " << (h.opt.coarse ? "true" : "false") << ",\n"
       << "    \"invariants_checked\": " << report.checked << ",\n"
       << "    \"invariants_failed\": " << report.failed << "\n  },\n";
   out << "  \"benchmarks\": [\n";
@@ -1003,9 +921,8 @@ int Main(int argc, char** argv) {
 
   std::printf(
       "== multi-tenant serving: %d installers (%d hostile), density %.2f, "
-      "%d threads%s ==\n",
-      opt.installers, h.hostile_count, opt.density, opt.threads,
-      opt.coarse ? ", COARSE (pre-PR lock structure)" : "");
+      "%d threads ==\n",
+      opt.installers, h.hostile_count, opt.density, opt.threads);
   std::printf("   %zu graft points, %d TCP ports, %d lock slots\n",
               h.kernel.ListGraftPoints().size(), opt.installers,
               opt.lock_slots);
@@ -1019,41 +936,23 @@ int Main(int argc, char** argv) {
 
   // Background install churn during the measured epochs: benign grafts are
   // removed and reinstalled under live traffic, the install/remove-vs-invoke
-  // race the namespace and points must tolerate. In --coarse mode the
-  // churner takes the same global mutex the serving path does — pre-PR,
-  // installs went through the namespace's exclusive lock and therefore
-  // stalled every concurrent lookup; that serialization is exactly what the
-  // read-mostly namespace removed.
+  // race the namespace and points must tolerate.
   std::atomic<bool> churn_stop{false};
-  std::thread churn;
-  if (opt.churn) {
-    churn = std::thread([&h, &opt, &churn_stop] {
-      Rng rng(0x5EEDF00Dull);
-      while (!churn_stop.load(std::memory_order_acquire)) {
-        Tenant& tenant = *h.tenants[rng.Next() % h.tenants.size()];
-        const int f = static_cast<int>(rng.Next() % kFamilyCount);
-        if (!tenant.hostile && tenant.installed[f]) {
-          if (opt.coarse) {
-            std::lock_guard<std::mutex> guard(h.coarse_mu);
-            Result<FunctionGraftPoint*> lookup =
-                h.kernel.ns().LookupFunction(tenant.point_names[f]);
-            if (lookup.ok()) {
-              (*lookup)->Remove();
-              (void)(*lookup)->Replace(tenant.family_grafts[f]);
-            }
-          } else {
-            (void)h.kernel.ns().WithFunction(
-                tenant.point_names[f],
-                [&](FunctionGraftPoint& point) -> Status {
-                  point.Remove();
-                  return point.Replace(tenant.family_grafts[f]);
-                });
-          }
-        }
-        std::this_thread::sleep_for(std::chrono::microseconds(200));
+  std::thread churn([&h, &churn_stop] {
+    Rng rng(0x5EEDF00Dull);
+    while (!churn_stop.load(std::memory_order_acquire)) {
+      Tenant& tenant = *h.tenants[rng.Next() % h.tenants.size()];
+      const int f = static_cast<int>(rng.Next() % kFamilyCount);
+      if (!tenant.hostile && tenant.installed[f]) {
+        (void)h.kernel.ns().WithFunction(
+            tenant.point_names[f], [&](FunctionGraftPoint& point) -> Status {
+              point.Remove();
+              return point.Replace(tenant.family_grafts[f]);
+            });
       }
-    });
-  }
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+  });
 
   std::vector<EpochMetrics> epochs;
   std::printf("\n%-7s %10s %10s %10s %10s %12s %12s\n", "epoch", "p50(us)",
@@ -1072,10 +971,8 @@ int Main(int argc, char** argv) {
                 m.req_cost_ns, m.throughput);
   }
 
-  if (churn.joinable()) {
-    churn_stop.store(true, std::memory_order_release);
-    churn.join();
-  }
+  churn_stop.store(true, std::memory_order_release);
+  churn.join();
 
   ThreadResult sweep_result;
   Sweep(h, sweep_result);

@@ -11,13 +11,11 @@ merges the results into a BENCH_PR9.json-style snapshot:
                 gate statistically>,
     "grid":    { "d<density>_h<hostile>": {p50, p99, p999, mean,
                  req_cost, throughput, ...}, ... }   (medians over epochs)
-    "coarse_vs_sharded": { "coarse": {...}, "sharded": {...} }
   }
 
-The coarse_vs_sharded pair measures the PR's namespace/lock-manager fixes:
---coarse emulates the pre-PR structure (one global mutex serializing
-namespace lookups and lock-manager calls); the sharded run is the same
-scenario on the real kernel paths.
+The committed snapshot also keeps a "coarse_vs_sharded" pair, measured
+with a serve_bench mode that re-created the global mutex the sharded lock
+table replaced; that mode is gone, and the pair stays as the frozen record.
 
 Usage: serve_load.py <serve_bench-binary> <workdir> [--out FILE] [--quick]
 """
@@ -113,32 +111,6 @@ def main():
             )
             grid[tag] = summarize(report)
 
-    # --- Before/after: coarse emulation vs the sharded kernel paths -------
-    # Identical scenarios (live install churn included) differing only in
-    # the pre-PR defects: --coarse funnels lookups, installs, and
-    # lock-manager calls through one global mutex the way the pre-PR
-    # exclusive-namespace structure did, and reproduces the seed lock
-    # manager's missing CancelWait — timed-out waiters stay queued, get
-    # promoted to ghost holders, and wedge their slot, so later requests on
-    # it burn the full wait timeout. The sharded run uses the real kernel
-    # paths (read-mostly namespace + sharded lock table + atomic
-    # CancelWait). Hostile retries are on: each retry aborts inside a
-    # lock-holding request, stalling that slot's waiters past their
-    # deadline — the trigger that separates clean withdrawal (post-PR)
-    # from stranded ghost holders (pre-PR).
-    pair = {}
-    pair_extra = ["--density", "1.0", "--hostile", "0.05", "--epochs", "5",
-                  "--requests", "100", "--threads", "3",
-                  "--hostile-retry", "10", "--lock-deadline-us", "300"]
-    for label, extra in (("coarse", ["--coarse"]), ("sharded", [])):
-        print(f"serve_load: {label} (density 1.0, hostile 0.05)...")
-        report = run(
-            args.bench,
-            os.path.join(args.workdir, f"{label}.json"),
-            scale + pair_extra + extra,
-        )
-        pair[label] = summarize(report)
-
     merged = {
         "_meta": {
             "date": datetime.date.today().isoformat(),
@@ -147,16 +119,13 @@ def main():
                 "full gbench report of --smoke --epochs 4 (per-epoch "
                 "repetitions; gate with tools/bench_compare.py --sigmas 2 "
                 "BENCH_PR9.json#smoke new.json). 'grid' holds per-scenario "
-                "medians over epochs; latencies in ns. 'coarse_vs_sharded' "
-                "compares the pre-PR one-big-lock emulation (--coarse) "
-                "against the sharded lock table + read-mostly namespace on "
-                "the same scenario. Every scenario passed all survival "
-                "invariants (serve_bench exits non-zero otherwise)."
+                "medians over epochs; latencies in ns. Every scenario "
+                "passed all survival invariants (serve_bench exits non-zero "
+                "otherwise)."
             ),
         },
         "smoke": smoke,
         "grid": grid,
-        "coarse_vs_sharded": pair,
     }
 
     out_path = args.out or os.path.join(args.workdir, "BENCH_PR9.json")
@@ -165,12 +134,6 @@ def main():
         f.write("\n")
 
     print(f"serve_load: OK -> {out_path}")
-    for metric in ("p50", "p99", "req_cost"):
-        coarse, sharded = pair["coarse"][metric], pair["sharded"][metric]
-        print(
-            f"serve_load: {metric} coarse {coarse:.0f}ns vs sharded "
-            f"{sharded:.0f}ns ({coarse / sharded:.2f}x better after fixes)"
-        )
 
 
 if __name__ == "__main__":
