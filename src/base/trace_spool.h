@@ -272,8 +272,8 @@ class ChainedFollower {
 
   // Opens the stream's first file. kNotFound while it does not exist yet,
   // kSpoolTruncated while its header is short: both leave the follower
-  // re-openable (retries must pass the same path), and Poll retries too.
-  // kSpoolCorrupt for a bad magic, version or record size.
+  // re-openable (retries must pass the same path). kSpoolCorrupt for a bad
+  // magic, version or record size.
   Status Open(const std::string& path);
 
   // Appends the records of every complete, intact batch now available.
@@ -283,9 +283,6 @@ class ChainedFollower {
 
   [[nodiscard]] const ReadStats& stats() const { return stats_; }
   [[nodiscard]] bool closed() const { return stats_.closed; }
-
-  // Path of the segment (or file) currently being read.
-  [[nodiscard]] const std::string& current_path() const { return path_; }
 
  private:
   Status OpenFile();
@@ -299,7 +296,6 @@ class ChainedFollower {
   // replaced, or truncated below what was already consumed.
   [[nodiscard]] bool Displaced() const;
 
-  std::string requested_;  // The path given to Open.
   bool segmented_ = false;
   std::string base_;    // Segment base (segmented_ only).
   uint64_t index_ = 0;  // Current segment index (segmented_ only).
