@@ -1,6 +1,5 @@
 #include "src/base/trace.h"
 
-#include <algorithm>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
@@ -80,10 +79,6 @@ void SetEnabled(bool enabled) {
   internal::g_enabled.store(enabled, std::memory_order_relaxed);
 }
 
-uint64_t Ring::SnapshotInto(std::vector<TaggedRecord>& out) const {
-  return SnapshotFrom(0, out).lost;
-}
-
 Ring::RangeResult Ring::SnapshotFrom(uint64_t from_seq,
                                      std::vector<TaggedRecord>& out) const {
   const uint64_t end = head_.load(std::memory_order_acquire);
@@ -144,43 +139,6 @@ void Post(Event event, uint16_t tag, uint32_t a32, uint64_t a, uint64_t b) {
   RingForCurrentThread().Post(record);
 }
 
-std::vector<TaggedRecord> Snapshot(SnapshotStats* stats) {
-  // Pin the ring set under the lock, then read each ring lock-free.
-  std::vector<Ring*> rings;
-  {
-    Registry& registry = TheRegistry();
-    std::lock_guard<std::mutex> guard(registry.mutex);
-    rings.reserve(registry.rings.size());
-    for (const auto& ring : registry.rings) {
-      rings.push_back(ring.get());
-    }
-  }
-  std::vector<TaggedRecord> out;
-  uint64_t dropped = 0;
-  uint64_t overwritten = 0;
-  for (const Ring* ring : rings) {
-    dropped += ring->SnapshotInto(out);
-    overwritten += ring->overwritten();
-  }
-  std::sort(out.begin(), out.end(),
-            [](const TaggedRecord& x, const TaggedRecord& y) {
-              if (x.record.time_ns != y.record.time_ns) {
-                return x.record.time_ns < y.record.time_ns;
-              }
-              if (x.os_id != y.os_id) {
-                return x.os_id < y.os_id;
-              }
-              return x.seq < y.seq;
-            });
-  if (stats != nullptr) {
-    stats->records = out.size();
-    stats->dropped = dropped;
-    stats->rings = rings.size();
-    stats->overwritten = overwritten;
-  }
-  return out;
-}
-
 DrainCursor::DrainCursor() {
   // Reserve once so steady-state drains never grow a buffer: a single
   // drain appends at most kRingRecords - 1 records per ring, delivered
@@ -232,14 +190,6 @@ DrainCursor::Stats DrainCursor::DrainInto(TraceSink& sink) {
   stats.rings = ring_scratch_.size();
   lost_total_ += stats.lost;
   stats.lost_total = lost_total_;
-  return stats;
-}
-
-SnapshotStats Drain(TraceSink& sink) {
-  SnapshotStats stats;
-  for (const TaggedRecord& record : Snapshot(&stats)) {
-    sink.OnRecord(record);
-  }
   return stats;
 }
 

@@ -18,15 +18,15 @@
 //     fixed-size ring of POD records, allocated once on the thread's first
 //     post (tests/alloc_test.cc warms it, then asserts zero).
 //  3. No writer-side synchronization: a ring has exactly one writer (its
-//     thread). Readers (snapshot/merge) are lock-free against writers: the
+//     thread). The reader (DrainCursor) is lock-free against writers: the
 //     writer publishes each record with a release store of the ring head;
-//     a reader validates after copying that the slot was not recycled
+//     the reader validates after copying that the slot was not recycled
 //     (records are dropped, never torn). Record words are relaxed atomics
-//     so concurrent snapshot-during-write is data-race-free (TSan-clean)
-//     yet compiles to plain stores on x86.
+//     so a drain racing a write is data-race-free (TSan-clean) yet
+//     compiles to plain stores on x86.
 //
 // Wrap-around loses the *oldest* records, by design — a flight recorder
-// keeps the most recent history; per-ring drop counts are reported so a
+// keeps the most recent history; the drain counts what it lost so a
 // consumer knows what it is missing.
 
 #ifndef VINOLITE_SRC_BASE_TRACE_H_
@@ -145,7 +145,7 @@ static_assert(sizeof(Record) == 32, "trace record is four words");
 static_assert(std::is_trivially_copyable_v<Record>,
               "trace record must be POD: it is memcpy'd through atomics");
 
-// A Record plus its provenance, produced by snapshot/merge.
+// A Record plus its provenance, as a DrainCursor delivers it.
 struct TaggedRecord {
   Record record;
   uint64_t os_id = 0;  // Writer thread (KernelContext os id).
@@ -193,16 +193,6 @@ class Ring {
     return head_.load(std::memory_order_acquire);
   }
 
-  // Monotonic ring-wrap counter: how many posted records the writer has
-  // overwritten since the ring was created. Derived from the monotonic head,
-  // so it costs the writer nothing; spool batches report its registry-wide
-  // sum so a consumer knows the recorder's *total* loss, not just the loss
-  // within one snapshot window.
-  [[nodiscard]] uint64_t overwritten() const {
-    const uint64_t h = head();
-    return h > kRingRecords ? h - kRingRecords : 0;
-  }
-
   // Owning thread only. Writes the slot's words (relaxed), then publishes
   // with a release store of the head.
   void Post(const Record& record) {
@@ -216,15 +206,11 @@ class Ring {
     head_.store(h + 1, std::memory_order_release);
   }
 
-  // Any thread. Appends the ring's currently valid records (oldest first) as
-  // TaggedRecords; returns how many of the posted records were lost to
-  // wrap-around (or invalidated mid-copy by the writer lapping us).
-  uint64_t SnapshotInto(std::vector<TaggedRecord>& out) const;
-
-  // Incremental variant: appends the valid records in [from_seq, head).
-  // `lost` counts records in that range that wrapped before we arrived (or
-  // were invalidated mid-copy); `next_seq` is where the next drain should
-  // resume. Appends at most kRingRecords - 1 records per call.
+  // Any thread. Appends the valid records in [from_seq, head), oldest
+  // first, as TaggedRecords. `lost` counts records in that range that
+  // wrapped before we arrived (or were invalidated mid-copy by the writer
+  // lapping us); `next_seq` is where the next read should resume. Appends
+  // at most kRingRecords - 1 records per call.
   struct RangeResult {
     uint64_t next_seq = 0;
     uint64_t lost = 0;
@@ -238,7 +224,7 @@ class Ring {
   const uint64_t os_id_;
   std::atomic<uint64_t> head_{0};
   // Flat word array: slot i occupies words [i*4, i*4+4). Relaxed atomics so
-  // a snapshot racing the writer is DRF; plain stores on mainstream ISAs.
+  // a read racing the writer is DRF; plain stores on mainstream ISAs.
   std::atomic<uint64_t> words_[kRingRecords * kWordsPerRecord] = {};
 };
 
@@ -259,40 +245,20 @@ void Post(Event event, uint16_t tag, uint32_t a32, uint64_t a, uint64_t b);
 [[nodiscard]] inline uint64_t NowNs() { return CoarseNowNs(); }
 
 // ---------------------------------------------------------------------------
-// Snapshot / merge.
+// Reading: the incremental drain.
 
-// Consumer of a merged, time-ordered event stream.
+// Consumer of drained records.
 class TraceSink {
  public:
   virtual ~TraceSink() = default;
   virtual void OnRecord(const TaggedRecord& record) = 0;
 };
 
-struct SnapshotStats {
-  uint64_t records = 0;     // Records delivered.
-  uint64_t dropped = 0;     // Posted but lost to ring wrap-around.
-  uint64_t rings = 0;       // Per-thread rings stitched (live + retired).
-  uint64_t overwritten = 0; // Monotonic: total ring-wrap loss across all
-                            // rings since they were created (Σ Ring::
-                            // overwritten()), not just this snapshot's.
-};
-
-// Stitches every thread's ring into one view ordered by (time_ns, os_id,
-// seq) and returns it. Safe to call while writers are posting: each ring
-// contributes a consistent recent window; records overwritten mid-copy are
-// counted as dropped, never torn.
-[[nodiscard]] std::vector<TaggedRecord> Snapshot(SnapshotStats* stats = nullptr);
-
-// Snapshot() delivered through a sink, for consumers that stream.
-SnapshotStats Drain(TraceSink& sink);
-
-// ---------------------------------------------------------------------------
-// Incremental drain.
-
-// Remembers, per ring, how far it has read, so a periodic consumer (the
-// spool drainer, src/base/trace_spool.h) delivers every record exactly once
-// instead of re-reading the whole window. Records are delivered ring by
-// ring in per-thread seq order — no global time merge; TaggedRecord carries
+// The recorder's one reader. Remembers, per ring, how far it has read, so a
+// periodic consumer (the spool drainer, src/base/trace_spool.h) delivers
+// every record exactly once; a fresh cursor reads every ring from its
+// oldest surviving record. Records are delivered ring by ring in
+// per-thread seq order — no global time merge; TaggedRecord carries
 // (os_id, seq) so an offline consumer can sort once at replay time.
 //
 // Steady-state allocation-free: the scratch buffers are reserved up front
@@ -316,9 +282,9 @@ class DrainCursor {
   DrainCursor& operator=(const DrainCursor&) = delete;
 
   // Delivers every record posted since the previous DrainInto and advances
-  // the cursor. Safe against concurrent writers (same copy-then-revalidate
-  // protocol as Snapshot) and against ResetForTest (a generation bump
-  // forgets the stale per-ring positions).
+  // the cursor. Safe against concurrent writers (Ring::SnapshotFrom's
+  // copy-then-revalidate protocol) and against ResetForTest (a generation
+  // bump forgets the stale per-ring positions).
   Stats DrainInto(TraceSink& sink);
 
  private:

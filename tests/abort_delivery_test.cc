@@ -19,6 +19,7 @@
 #include <memory>
 #include <span>
 #include <thread>
+#include <vector>
 
 #include "src/base/context.h"
 #include "src/base/trace.h"
@@ -157,8 +158,14 @@ TEST(AbortDeliveryTest, CommitTimeAbortKeepsPerGraftAbortCostSample) {
   EXPECT_DOUBLE_EQ(fit.mean_locks, 1.0);
 
   // The kInvokeEnd record reports the abort path with the lock count.
+  struct Collector : trace::TraceSink {
+    std::vector<trace::TaggedRecord> got;
+    void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
+  } sink;
+  trace::DrainCursor cursor;
+  (void)cursor.DrainInto(sink);
   bool found = false;
-  for (const trace::TaggedRecord& tr : trace::Snapshot()) {
+  for (const trace::TaggedRecord& tr : sink.got) {
     if (tr.record.event == static_cast<uint16_t>(trace::Event::kInvokeEnd) &&
         tr.record.tag == static_cast<uint16_t>(trace::PathTag::kAbort) &&
         tr.record.a == graft->trace_id()) {

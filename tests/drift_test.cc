@@ -91,8 +91,14 @@ class DriftTest : public ::testing::Test {
   }
 
   static size_t CountDegradedEvents(uint64_t trace_id) {
+    struct Collector : trace::TraceSink {
+      std::vector<trace::TaggedRecord> got;
+      void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
+    } sink;
+    trace::DrainCursor cursor;
+    (void)cursor.DrainInto(sink);
     size_t count = 0;
-    for (const trace::TaggedRecord& tagged : trace::Snapshot()) {
+    for (const trace::TaggedRecord& tagged : sink.got) {
       if (tagged.record.event ==
               static_cast<uint16_t>(trace::Event::kGraftDegraded) &&
           tagged.record.a == trace_id) {

@@ -1,7 +1,8 @@
-// Flight-recorder tests: ring semantics (wrap-around, drop accounting),
-// snapshot/merge ordering, torn-record immunity under concurrent writers
-// (run under TSan by tools/check.sh), enable/disable races, and the
-// histogram + abort-cost-model math the recorder exports.
+// Flight-recorder tests, all read through DrainCursor, the recorder's one
+// reader: ring semantics (wrap-around, loss accounting), exactly-once
+// delivery, torn-record immunity under concurrent writers (run under TSan
+// by tools/check.sh), enable/disable races, and the histogram +
+// abort-cost-model math the recorder exports.
 
 #include <gtest/gtest.h>
 
@@ -29,61 +30,10 @@ class TraceTest : public ::testing::Test {
   }
 };
 
-TEST_F(TraceTest, PostAndSnapshotRoundTrip) {
-  trace::Post(trace::Event::kTxnBegin, 0, 7, 100, 0);
-  trace::Post(trace::Event::kTxnCommit, 0, 2, 100, 5);
-  trace::SnapshotStats stats;
-  const auto records = trace::Snapshot(&stats);
-  ASSERT_EQ(records.size(), 2u);
-  EXPECT_EQ(stats.records, 2u);
-  EXPECT_EQ(stats.dropped, 0u);
-  EXPECT_EQ(stats.rings, 1u);
-
-  EXPECT_EQ(static_cast<trace::Event>(records[0].record.event),
-            trace::Event::kTxnBegin);
-  EXPECT_EQ(records[0].record.a32, 7u);
-  EXPECT_EQ(records[0].record.a, 100u);
-  EXPECT_EQ(records[0].os_id, KernelContext::Current().os_id);
-  EXPECT_EQ(records[0].seq, 0u);
-
-  EXPECT_EQ(static_cast<trace::Event>(records[1].record.event),
-            trace::Event::kTxnCommit);
-  EXPECT_EQ(records[1].record.b, 5u);
-  EXPECT_EQ(records[1].seq, 1u);
-  // One writer, monotonic clock: time-ordered.
-  EXPECT_LE(records[0].record.time_ns, records[1].record.time_ns);
-}
-
-TEST_F(TraceTest, WrapAroundKeepsMostRecentAndCountsDrops) {
-  const uint64_t total = trace::kRingRecords + 100;
-  for (uint64_t i = 0; i < total; ++i) {
-    trace::Post(trace::Event::kLockAcquire, 0, 0, i, 0);
-  }
-  trace::SnapshotStats stats;
-  const auto records = trace::Snapshot(&stats);
-  // A wrapped ring yields capacity - 1 records: the oldest in-window slot
-  // is the one a concurrent writer would be overwriting, and a reader
-  // cannot prove it was not, so it is conservatively dropped.
-  ASSERT_EQ(records.size(), trace::kRingRecords - 1);
-  EXPECT_EQ(stats.dropped, 101u);
-  // The survivors are the most recent posts, oldest first.
-  EXPECT_EQ(records.front().record.a, 101u);
-  EXPECT_EQ(records.front().seq, 101u);
-  EXPECT_EQ(records.back().record.a, total - 1);
-  // The monotonic wrap counter reports total overwritten history, derived
-  // from head, so it is exact (unlike `dropped`, which conservatively adds
-  // the one unprovable slot).
-  EXPECT_EQ(stats.overwritten, 100u);
-
-  // And it only grows: more wrapping, bigger counter — a later consumer can
-  // always tell how much of the ring's life it missed.
-  for (uint64_t i = 0; i < 50; ++i) {
-    trace::Post(trace::Event::kLockAcquire, 0, 0, total + i, 0);
-  }
-  trace::SnapshotStats after;
-  (void)trace::Snapshot(&after);
-  EXPECT_EQ(after.overwritten, 150u);
-}
+struct CursorCollector : trace::TraceSink {
+  std::vector<trace::TaggedRecord> got;
+  void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
+};
 
 TEST_F(TraceTest, EventAndPathTagNamesAreStable) {
   EXPECT_EQ(trace::EventName(trace::Event::kInvokeBegin), "invoke-begin");
@@ -92,52 +42,26 @@ TEST_F(TraceTest, EventAndPathTagNamesAreStable) {
   EXPECT_EQ(trace::PathTagName(trace::PathTag::kAbort), "abort");
 }
 
-TEST_F(TraceTest, DrainDeliversThroughSink) {
-  trace::Post(trace::Event::kWatchdogFire, 0, 0, 1, 2);
-  trace::Post(trace::Event::kGraftEjected, 0, 0, 3, 4);
-  struct Collector : trace::TraceSink {
-    std::vector<trace::TaggedRecord> got;
-    void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
-  } sink;
-  const trace::SnapshotStats stats = trace::Drain(sink);
-  EXPECT_EQ(stats.records, 2u);
-  ASSERT_EQ(sink.got.size(), 2u);
-  EXPECT_EQ(static_cast<trace::Event>(sink.got[1].record.event),
-            trace::Event::kGraftEjected);
-}
-
-TEST_F(TraceTest, ResetForTestForgetsHistory) {
-  trace::Post(trace::Event::kTxnBegin, 0, 0, 1, 0);
-  trace::ResetForTest();
-  trace::SnapshotStats stats;
-  EXPECT_TRUE(trace::Snapshot(&stats).empty());
-  EXPECT_EQ(stats.rings, 0u);
-  // A post after reset lands in a fresh ring (the cached thread-local ring
-  // pointer must notice the generation bump).
-  trace::Post(trace::Event::kTxnBegin, 0, 0, 2, 0);
-  const auto records = trace::Snapshot();
-  ASSERT_EQ(records.size(), 1u);
-  EXPECT_EQ(records[0].record.a, 2u);
-  EXPECT_EQ(records[0].seq, 0u);
-}
-
-// The core lock-free claim: records delivered by a snapshot taken while
+// The core lock-free claim: records delivered by a drain taken while
 // writers are mid-post are never torn. Every writer stamps each record with
 // a == its sequence number and b == a XOR a per-thread magic; a torn record
-// (words from two different posts) fails the invariant.
-TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
+// (words from two different posts) fails the invariant. Each pass drains
+// through a fresh cursor, which reads every ring's whole window from its
+// oldest surviving record, so the read races the writer at the overwrite
+// point.
+TEST_F(TraceTest, MultiWriterFreshDrainDuringWriteDeliversNoTornRecords) {
   constexpr int kWriters = 4;
   constexpr uint64_t kPostsPerWriter = 3 * trace::kRingRecords;  // Wraps.
   std::atomic<int> writers_done{0};
-  // Raised just before the first snapshot: the writers start only then, so
-  // that snapshot overlaps them however the threads are scheduled.
-  std::atomic<bool> snapshotting{false};
+  // Raised just before the first drain: the writers start only then, so
+  // that drain overlaps them however the threads are scheduled.
+  std::atomic<bool> draining{false};
 
   std::vector<std::thread> writers;
   writers.reserve(kWriters);
   for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([w, &writers_done, &snapshotting] {
-      while (!snapshotting.load(std::memory_order_acquire)) {
+    writers.emplace_back([w, &writers_done, &draining] {
+      while (!draining.load(std::memory_order_acquire)) {
         std::this_thread::yield();
       }
       const uint64_t magic = 0x9e3779b97f4a7c15ull * static_cast<uint64_t>(w + 1);
@@ -150,15 +74,16 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
     });
   }
 
-  // Snapshot continuously while the writers hammer their rings.
-  uint64_t snapshots = 0;
+  // Drain a fresh window continuously while the writers hammer their rings.
+  uint64_t drains = 0;
   uint64_t checked = 0;
-  snapshotting.store(true, std::memory_order_release);
+  draining.store(true, std::memory_order_release);
   do {
-    trace::SnapshotStats stats;
-    const auto records = trace::Snapshot(&stats);
-    ++snapshots;
-    for (const auto& r : records) {
+    trace::DrainCursor cursor;
+    CursorCollector sink;
+    (void)cursor.DrainInto(sink);
+    ++drains;
+    for (const auto& r : sink.got) {
       if (static_cast<trace::Event>(r.record.event) !=
           trace::Event::kLockAcquire) {
         continue;  // A stray record from the harness thread.
@@ -175,14 +100,16 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
   for (auto& t : writers) {
     t.join();
   }
-  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(drains, 0u);
 
-  // Quiescent now: the final snapshot sees each writer's full recent window,
-  // untorn and in per-thread seq order.
-  const auto records = trace::Snapshot();
+  // Quiescent now: a final fresh drain sees each writer's full recent
+  // window, untorn and in per-thread seq order.
+  trace::DrainCursor cursor;
+  CursorCollector sink;
+  (void)cursor.DrainInto(sink);
   uint64_t last_seq[kWriters];
   bool seen[kWriters] = {};
-  for (const auto& r : records) {
+  for (const auto& r : sink.got) {
     if (static_cast<trace::Event>(r.record.event) !=
         trace::Event::kLockAcquire) {
       continue;
@@ -202,23 +129,35 @@ TEST_F(TraceTest, MultiWriterSnapshotDuringWriteDeliversNoTornRecords) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental drain (DrainCursor) — the spool drainer's read side.
-
-struct CursorCollector : trace::TraceSink {
-  std::vector<trace::TaggedRecord> got;
-  void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
-};
+// Incremental drain: what the spool drainer sees.
 
 TEST_F(TraceTest, DrainCursorDeliversEachRecordExactlyOnce) {
   trace::DrainCursor cursor;
   CursorCollector sink;
 
-  trace::Post(trace::Event::kTxnBegin, 0, 0, 1, 0);
-  trace::Post(trace::Event::kTxnCommit, 0, 0, 1, 0);
+  trace::Post(trace::Event::kTxnBegin, 0, 7, 100, 0);
+  trace::Post(trace::Event::kTxnCommit, 0, 2, 100, 5);
   trace::DrainCursor::Stats stats = cursor.DrainInto(sink);
   EXPECT_EQ(stats.records, 2u);
   EXPECT_EQ(stats.lost, 0u);
+  EXPECT_EQ(stats.rings, 1u);
   ASSERT_EQ(sink.got.size(), 2u);
+
+  // Every field round-trips, with its writer and stream position.
+  const trace::TaggedRecord& begin = sink.got[0];
+  EXPECT_EQ(static_cast<trace::Event>(begin.record.event),
+            trace::Event::kTxnBegin);
+  EXPECT_EQ(begin.record.a32, 7u);
+  EXPECT_EQ(begin.record.a, 100u);
+  EXPECT_EQ(begin.os_id, KernelContext::Current().os_id);
+  EXPECT_EQ(begin.seq, 0u);
+  const trace::TaggedRecord& commit = sink.got[1];
+  EXPECT_EQ(static_cast<trace::Event>(commit.record.event),
+            trace::Event::kTxnCommit);
+  EXPECT_EQ(commit.record.b, 5u);
+  EXPECT_EQ(commit.seq, 1u);
+  // One writer, monotonic clock: time-ordered.
+  EXPECT_LE(begin.record.time_ns, commit.record.time_ns);
 
   // Nothing new: a second drain is empty, not a re-delivery.
   stats = cursor.DrainInto(sink);
@@ -246,9 +185,16 @@ TEST_F(TraceTest, DrainCursorAccountsWrapLossBetweenDrains) {
     trace::Post(trace::Event::kLockAcquire, 0, 0, i, 0);
   }
   trace::DrainCursor::Stats stats = cursor.DrainInto(sink);
+  // A wrapped ring yields capacity - 1 records: the oldest in-window slot
+  // is the one a concurrent writer would be overwriting, and a reader
+  // cannot prove it was not, so it is conservatively dropped.
   EXPECT_EQ(stats.records, trace::kRingRecords - 1);
   EXPECT_EQ(stats.lost, 501u);  // 500 wrapped + the unprovable oldest slot.
   EXPECT_EQ(stats.records + stats.lost, total);
+  // The survivors are the most recent posts, oldest first.
+  ASSERT_FALSE(sink.got.empty());
+  EXPECT_EQ(sink.got.front().seq, 501u);
+  EXPECT_EQ(sink.got.front().record.a, 501u);
   EXPECT_EQ(sink.got.back().record.a, total - 1);
 
   // Once it is keeping up, no further loss — and lost_total stays put.
@@ -269,6 +215,14 @@ TEST_F(TraceTest, DrainCursorSurvivesResetForTest) {
   ASSERT_EQ(sink.got.size(), 1u);
 
   trace::ResetForTest();  // Generation bump: stale positions are forgotten.
+  // The history is gone: a fresh cursor finds no ring at all.
+  trace::DrainCursor fresh;
+  const trace::DrainCursor::Stats empty = fresh.DrainInto(sink);
+  EXPECT_EQ(empty.records, 0u);
+  EXPECT_EQ(empty.rings, 0u);
+
+  // A post after reset lands in a fresh ring (the cached thread-local ring
+  // pointer must notice the generation bump).
   trace::Post(trace::Event::kTxnBegin, 0, 0, 2, 0);
   const trace::DrainCursor::Stats stats = cursor.DrainInto(sink);
   EXPECT_EQ(stats.records, 1u);
@@ -373,10 +327,13 @@ TEST_F(TraceTest, EnableDisableRacesAreBenign) {
       }
     });
   }
+  trace::DrainCursor cursor;
+  CursorCollector sink;
   for (int i = 0; i < 2000; ++i) {
     trace::SetEnabled(i % 2 == 0);
     if (i % 64 == 0) {
-      (void)trace::Snapshot();
+      (void)cursor.DrainInto(sink);
+      sink.got.clear();
     }
   }
   stop.store(true);
@@ -384,7 +341,7 @@ TEST_F(TraceTest, EnableDisableRacesAreBenign) {
     t.join();
   }
   trace::SetEnabled(true);
-  (void)trace::Snapshot();  // Still coherent.
+  (void)cursor.DrainInto(sink);  // Still coherent.
 }
 
 // ---------------------------------------------------------------------------
