@@ -17,8 +17,8 @@
 //             DeserializeSignedGraft/Load; must be rejected, never crash.
 //
 // — and drives it through the full load → verify → install → invoke →
-// abort/eject lifecycle, with the serve_bench survival invariants enforced
-// as hard assertions after every run:
+// abort/eject lifecycle, with the survival invariants of
+// tests/serve_survival_test.cc enforced as hard assertions after every run:
 //
 //   * the kernel still serves (the sentinel function point answers),
 //   * hostile programs were rejected at load or ejected at first abort,

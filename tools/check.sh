@@ -8,51 +8,50 @@
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
 #      refuses at load time — must contain every attack,
-#   3. flaky-dispatch guard: robustness_test, net_test and trace_test
-#      repeated 20x until-fail (the mixed sync/async event case was an 18/20
-#      flake before the worker pool; net_test races deliveries against
-#      connection lookups, trace_test a drain cursor against writers; any
-#      regression shows up here),
+#   3. flaky-dispatch guard: robustness_test, net_test, trace_test and
+#      serve_survival_test repeated 20x until-fail (the mixed sync/async
+#      event case was an 18/20 flake before the worker pool; net_test races
+#      deliveries against connection lookups, trace_test a drain cursor
+#      against writers, serve_survival_test serving threads against hostile
+#      aborts, lock deadlines and install churn; any regression shows up
+#      here),
 #   4. flight recorder live: the whole suite re-run with VINO_TRACE=1 (every
 #      instrumentation site exercised with the ring hot) and every kernel
-#      spooling, then every spool replayed with graftstat --spool,
+#      spooling, then every spool replayed with graftstat --spool — among
+#      them serve_survival_test's, whose kernel must spool losslessly,
 #   5. fleet observability: three kernel processes spool rotated segment
 #      rings into one VINO_SPOOL directory and `graftstat --fleet --json
 #      --once` must multiplex all of them (tools/fleet_smoke.py), repeated
 #      under the flake guard since it exercises real process interleaving,
-#   6. multi-tenant serving smoke: serve_bench --smoke (200-installer
-#      scenario scaled down, hostile mix included) with the spool attached;
-#      its survival invariants — every hostile graft ejected, zero lost
-#      events, lock table drained, billing balanced, kernel still serving —
-#      hard-fail the gate, and the produced spool must replay cleanly
-#      through graftstat --spool,
-#   7. adversarial graft fuzzing: graftfuzz --smoke — deterministic
+#   6. adversarial graft fuzzing: graftfuzz --smoke — deterministic
 #      survive-and-eject campaigns (fixed seeds, all three program classes,
 #      both execution tiers) against a live kernel with the spool attached;
 #      any anomaly (sandbox escape, tier divergence, missed ejection, lost
 #      events, spool loss) fails the gate and leaves a reproducer bundle
 #      under build/fuzz-artifacts,
-#   8. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
-#      races (Drain vs DispatchAsync, pool lifecycle, txn locks, ring
-#      snapshot-during-write, concurrent Tier-1 dispatch over one shared
+#   7. ThreadSanitizer build + the concurrency-heavy tests, so dispatch
+#      races (Drain vs DispatchAsync, pool lifecycle, txn locks, a ring
+#      drain racing its writers, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, lock-table sharding, namespace install/invoke/
-#      remove churn, the serving smoke itself) fail CI instead of shipping;
-#      the tier-differential and op-semantics tests then re-run forced to
-#      each execution tier, and the fuzz smoke re-runs under TSan,
-#   9. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
+#      remove churn, multi-tenant serving under hostile load) fail CI
+#      instead of shipping; the tier-differential and op-semantics tests
+#      then re-run pinned to the Tier-0 interpreter (the list already ran
+#      them on the default Tier 1), and the fuzz smoke re-runs under TSan,
+#   8. AddressSanitizer+UBSan build + the full suite (minus alloc_test,
 #      whose global operator-new counter conflicts with ASan's allocator
 #      interposition), so heap misuse and undefined behaviour in the Vm /
-#      packing / undo-replay paths fail CI too; the fuzz smoke re-runs
-#      under ASan+UBSan as well.
+#      packing / undo-replay paths fail CI too; the tier-differential tests
+#      re-run pinned to Tier 0, and the fuzz smoke re-runs under ASan+UBSan
+#      as well.
 #
 # Usage: tools/check.sh [--fast] [--bench]
 #   --fast   skip the sanitizer stages (normal build + tests + flake guard
 #            + a reduced-budget fuzz smoke).
-#   --bench  also run the micro-benchmarks and the serving smoke and diff
-#            them against the committed BENCH_PR2/PR7/PR9 json snapshots
-#            (warn-only: shared CI boxes are too noisy for a hard perf
-#            gate; read the table — unless VINO_QUIET_RUNNER=1 marks the
-#            box as quiet enough to make a statistically significant
+#   --bench  also run the micro-benchmarks and a short ledger run per
+#            BENCHMARK.json workload, and diff them against the committed
+#            BENCH_PR2/PR7/PR16 json snapshots (warn-only: shared CI boxes
+#            are too noisy for a hard perf gate; read the table — unless
+#            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
 
 set -euo pipefail
@@ -69,7 +68,7 @@ for arg in "$@"; do
   esac
 done
 
-echo "== [1/9] build + full test suite (both execution tiers) =="
+echo "== [1/8] build + full test suite (both execution tiers) =="
 cmake -B build -S . >/dev/null
 cmake --build build -j "$JOBS"
 # The loader's tier selection honours VINO_EXEC_TIER (unset defaults to the
@@ -78,7 +77,7 @@ cmake --build build -j "$JOBS"
 VINO_EXEC_TIER=1 ctest --test-dir build --output-on-failure -j "$JOBS"
 VINO_EXEC_TIER=0 ctest --test-dir build --output-on-failure -j "$JOBS"
 
-echo "== [2/9] offline verifier audit: vverify over example grafts + zoo =="
+echo "== [2/8] offline verifier audit: vverify over example grafts + zoo =="
 AUDIT_DIR="$PWD/build/graft-audit"
 rm -rf "$AUDIT_DIR" && mkdir -p "$AUDIT_DIR"
 for src in examples/grafts/*.vasm; do
@@ -100,15 +99,16 @@ grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
 
-echo "== [3/9] flaky-dispatch guard: robustness/net/trace tests x20 =="
-ctest --test-dir build -R 'robustness_test|net_test|trace_test' \
+echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival tests x20 =="
+ctest --test-dir build \
+  -R 'robustness_test|net_test|trace_test|serve_survival_test' \
   --repeat until-fail:20 --output-on-failure
 
-echo "== [4/9] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
+echo "== [4/8] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
 # VINO_SPOOL makes every VinoKernel constructed by the suite spool its
-# flight recorder to a per-kernel file; every spool produced must then
-# parse cleanly with graftstat --spool (exit 0 tolerates truncated tails,
-# rejects corruption).
+# flight recorder to a per-kernel file (serve_survival_test asserts its own
+# spool lost nothing); every spool produced must then parse cleanly with
+# graftstat --spool (exit 0 tolerates truncated tails, rejects corruption).
 # Absolute: ctest runs tests with the build tree as working directory.
 SPOOL_DIR="$PWD/build/spool-smoke"
 rm -rf "$SPOOL_DIR" && mkdir -p "$SPOOL_DIR"
@@ -126,9 +126,9 @@ if [[ "$SPOOL_COUNT" -eq 0 ]]; then
 fi
 echo "spool smoke: ok ($SPOOL_COUNT spools replayed cleanly)"
 # graftstat's report schema is checked by graftstat_spool_golden, which the
-# suite above just ran traced and spooled (and stages 1 and 9 run too).
+# suite above just ran traced and spooled (and stages 1 and 8 run too).
 
-echo "== [5/9] fleet observability: multi-kernel spool dir + --fleet attach =="
+echo "== [5/8] fleet observability: multi-kernel spool dir + --fleet attach =="
 # Three graftstat self-test processes spool rotated segment rings into one
 # VINO_SPOOL directory; one --fleet view must multiplex all of them. Real
 # process interleaving, so it runs under the same until-fail flake guard as
@@ -136,20 +136,7 @@ echo "== [5/9] fleet observability: multi-kernel spool dir + --fleet attach =="
 ctest --test-dir build -R graftstat_fleet_smoke --repeat until-fail:5 \
   --output-on-failure
 
-echo "== [6/9] multi-tenant serving smoke: survival invariants hard-fail =="
-# A scaled-down 48-installer run of the PR-9 serving scenario, hostile mix
-# included, flight recorder spooled. serve_bench exits non-zero if any
-# survival invariant fails (hostile graft not ejected, lost events,
-# stranded lock waiters, unbalanced billing, kernel not serving), which
-# fails this gate; the spool it produced must then replay cleanly.
-SERVE_SPOOL="$PWD/build/serve-smoke-spool.bin"
-rm -f "$SERVE_SPOOL"
-VINO_TRACE=1 build/bench/serve_bench --smoke \
-  --spool "$SERVE_SPOOL" --json "$PWD/build/serve.smoke.json"
-build/tools/graftstat --spool "$SERVE_SPOOL" --json >/dev/null
-echo "serving smoke: ok (all invariants held; spool replayed cleanly)"
-
-echo "== [7/9] adversarial graft fuzzing: graftfuzz --smoke =="
+echo "== [6/8] adversarial graft fuzzing: graftfuzz --smoke =="
 # Deterministic survive-and-eject campaigns: fixed seeds drive generated
 # valid / forged / byte-soup programs through the full load -> verify ->
 # install -> invoke -> abort/eject lifecycle on a live kernel with the
@@ -169,7 +156,8 @@ build/tools/graftfuzz --smoke --artifacts "$FUZZ_ART" \
 if [[ "$BENCH" == "1" ]]; then
   # Shared CI boxes are too noisy for a hard perf gate, so the default is
   # warn-only; a runner that declares itself quiet (VINO_QUIET_RUNNER=1)
-  # turns a ≥2-sigma regression into a hard failure.
+  # turns a regression (a ≥2-sigma one for the micros, one past its
+  # BENCHMARK.json bound for the ledger) into a hard failure.
   BENCH_GATE=(--warn-only)
   GATE_LABEL="warn-only"
   if [[ "${VINO_QUIET_RUNNER:-0}" == "1" ]]; then
@@ -188,50 +176,47 @@ if [[ "$BENCH" == "1" ]]; then
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR7.json#bench_sfi.after" "build/bench_sfi.smoke.json"
-  echo "== [bench] serving macro smoke vs BENCH_PR9.json ($GATE_LABEL) =="
-  # Same shape serve_load.py records under the "smoke" key: per-epoch
-  # repetitions of the --smoke scenario, so --sigmas has spread to work with.
-  build/bench/serve_bench --smoke --epochs 4 \
-    --json "build/serve_bench.smoke.json" >/dev/null
-  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR9.json#smoke" "build/serve_bench.smoke.json"
+  echo "== [bench] serving ledger vs BENCH_PR16.json ($GATE_LABEL) =="
+  # A short run of each gated workload; its last line is the result, and
+  # each end-to-end metric is held to its own direction and bound from
+  # BENCHMARK.json.
+  for w in serve_benign serve_hostile; do
+    python3 ledger/run.py --workload "$w" --seed 1 --seconds 10 \
+      > "build/ledger.$w.out"
+    tail -n 1 "build/ledger.$w.out" > "build/ledger.$w.json"
+    tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} \
+      "BENCH_PR16.json#ledger_smoke.$w" "build/ledger.$w.json"
+  done
 fi
 
 if [[ "$FAST" == "1" ]]; then
-  echo "== [8/9] [9/9] skipped (--fast) =="
+  echo "== [7/8] [8/8] skipped (--fast) =="
   exit 0
 fi
 
-echo "== [8/9] ThreadSanitizer: concurrency-heavy tests =="
+echo "== [7/8] ThreadSanitizer: concurrency-heavy tests =="
 cmake -B build-tsan -S . -DVINO_SANITIZE=thread >/dev/null
 cmake --build build-tsan -j "$JOBS"
 # TSAN_OPTIONS: fail the test process on the first report; tools/tsan.supp
 # silences libstdc++ _Sp_atomic false positives (see that file).
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   ctest --test-dir build-tsan \
-  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|install_stress_test|lockmgr_test|grafted_lockmgr_test' \
+  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|install_stress_test|lockmgr_test|grafted_lockmgr_test|serve_survival_test|property_test|isa_roundtrip_test' \
   --output-on-failure -j "$JOBS"
-# The serving smoke under TSan: installer churn, hostile ejections, lock
-# waits, and HTTP dispatch racing across worker threads in one process.
-TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
-  build-tsan/bench/serve_bench --smoke \
-  --json "$PWD/build-tsan/serve.smoke.json"
 # The tier-differential fuzz, the threaded dispatcher's shared-artifact
-# races and the op-semantics boundary cases, with the loader forced to each
-# tier in turn.
-for tier in 0 1; do
-  VINO_EXEC_TIER="$tier" \
-  TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
-    ctest --test-dir build-tsan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
-    --output-on-failure -j "$JOBS"
-done
+# races and the op-semantics boundary cases ran above on the default
+# Tier 1; once more with the loader pinned to the Tier-0 interpreter.
+VINO_EXEC_TIER=0 \
+TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
+  ctest --test-dir build-tsan \
+  -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
+  --output-on-failure -j "$JOBS"
 # The survive-and-eject fuzz smoke under TSan: spool drainer, watchdogless
 # abort delivery, and event-pool dispatch racing inside one live kernel.
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   build-tsan/tools/graftfuzz --smoke --artifacts "$FUZZ_ART"
 
-echo "== [9/9] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
+echo "== [8/8] AddressSanitizer+UBSan: full suite (minus alloc_test) =="
 cmake -B build-asan -S . -DVINO_SANITIZE=address >/dev/null
 cmake --build build-asan -j "$JOBS"
 # alloc_test is excluded: it replaces global operator new to count heap
@@ -239,17 +224,16 @@ cmake --build build-asan -j "$JOBS"
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
 UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
   ctest --test-dir build-asan -E 'alloc_test' --output-on-failure -j "$JOBS"
-# Differential tier coverage under ASan too, forced to each tier in turn;
-# the op-semantics boundary cases (shift by 64, INT64_MIN >> 63, signed
-# compares) run here under UBSan on both tiers.
-for tier in 0 1; do
-  VINO_EXEC_TIER="$tier" \
-  ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
-  UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
-    ctest --test-dir build-asan \
-    -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
-    --output-on-failure -j "$JOBS"
-done
+# Differential tier coverage under ASan too: the suite above ran on the
+# default Tier 1, so the op-semantics boundary cases (shift by 64,
+# INT64_MIN >> 63, signed compares) run once more under UBSan with the
+# loader pinned to the Tier-0 interpreter.
+VINO_EXEC_TIER=0 \
+ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
+UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1" \
+  ctest --test-dir build-asan \
+  -R 'property_test|threaded_vm_test|abort_delivery_test|isa_roundtrip_test' \
+  --output-on-failure -j "$JOBS"
 # The fuzz smoke under ASan+UBSan: generated hostility through the whole
 # load/verify/invoke/eject path with heap misuse and UB checked live.
 ASAN_OPTIONS="halt_on_error=1 detect_leaks=0" \
