@@ -21,8 +21,6 @@
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
 
 #include "src/base/sharded_counter.h"
 
@@ -279,72 +277,6 @@ class AbortCostModel {
   enum CostCounter : size_t { kC, kCL, kCG };
   ShardedCounters<6> sums_;
   ShardedCounters<3> cost_sums_;
-};
-
-// Sliding window over the most recent abort samples: the "what the graft
-// has cost lately" side of drift detection, against AbortCostModel's
-// "what it has cost over its lifetime". A mutex is fine here — aborts are
-// the µs-scale disaster path, and the window is only touched then.
-class AbortCostWindow {
- public:
-  struct Snapshot {
-    uint64_t samples = 0;  // Samples currently in the window (≤ capacity).
-    uint64_t total = 0;    // Samples ever recorded.
-    double mean_locks = 0.0;
-    double mean_undo = 0.0;
-    double mean_cost_ns = 0.0;
-  };
-
-  explicit AbortCostWindow(size_t capacity = 256)
-      : ring_(capacity > 0 ? capacity : 1) {}
-
-  AbortCostWindow(const AbortCostWindow&) = delete;
-  AbortCostWindow& operator=(const AbortCostWindow&) = delete;
-
-  void Record(uint64_t locks, uint64_t undo_len, uint64_t cost_ns) {
-    std::lock_guard<std::mutex> guard(mutex_);
-    Sample& slot = ring_[next_];
-    if (total_ >= ring_.size()) {
-      sum_locks_ -= slot.locks;  // Evict before overwrite.
-      sum_undo_ -= slot.undo_len;
-      sum_cost_ -= slot.cost_ns;
-    }
-    slot = Sample{locks, undo_len, cost_ns};
-    sum_locks_ += locks;
-    sum_undo_ += undo_len;
-    sum_cost_ += cost_ns;
-    next_ = (next_ + 1) % ring_.size();
-    ++total_;
-  }
-
-  [[nodiscard]] Snapshot Read() const {
-    std::lock_guard<std::mutex> guard(mutex_);
-    Snapshot snap;
-    snap.total = total_;
-    snap.samples = total_ < ring_.size() ? total_ : ring_.size();
-    if (snap.samples > 0) {
-      const double n = static_cast<double>(snap.samples);
-      snap.mean_locks = static_cast<double>(sum_locks_) / n;
-      snap.mean_undo = static_cast<double>(sum_undo_) / n;
-      snap.mean_cost_ns = static_cast<double>(sum_cost_) / n;
-    }
-    return snap;
-  }
-
- private:
-  struct Sample {
-    uint64_t locks = 0;
-    uint64_t undo_len = 0;
-    uint64_t cost_ns = 0;
-  };
-
-  mutable std::mutex mutex_;
-  std::vector<Sample> ring_;
-  size_t next_ = 0;
-  uint64_t total_ = 0;
-  uint64_t sum_locks_ = 0;
-  uint64_t sum_undo_ = 0;
-  uint64_t sum_cost_ = 0;
 };
 
 }  // namespace vino

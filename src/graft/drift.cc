@@ -1,70 +1,46 @@
 #include "src/graft/drift.h"
 
-#include <atomic>
 #include <cstdlib>
 
 namespace vino {
-namespace {
 
-DriftPolicy MakeEnvPolicy() {
-  DriftPolicy policy;
+bool DriftEjectFromEnv() {
   const char* eject = std::getenv("VINO_DRIFT_EJECT");
-  policy.eject = eject != nullptr && eject[0] == '1';
-  return policy;
+  return eject != nullptr && eject[0] == '1';
 }
 
-// The current policy. Slots leak on replacement so a reader holding the
-// previous reference (a graft mid-eject-check) never dangles.
-std::atomic<const DriftPolicy*>& PolicySlot() {
-  static std::atomic<const DriftPolicy*> slot{new DriftPolicy(MakeEnvPolicy())};
-  return slot;
-}
-
-}  // namespace
-
-void SetGlobalDriftPolicy(const DriftPolicy& policy) {
-  PolicySlot().store(new DriftPolicy(policy), std::memory_order_release);
-}
-
-const DriftPolicy& GlobalDriftPolicy() {
-  return *PolicySlot().load(std::memory_order_acquire);
-}
-
-DriftVerdict DriftDetector::Record(const DriftPolicy& policy,
-                                   const AbortCostModel& long_run,
-                                   const LatencyHistogram& cost_hist,
-                                   uint64_t locks, uint64_t undo_len,
-                                   uint64_t cost_ns) {
+DriftVerdict DriftDetector::Record(const AbortCostModel& model) {
   DriftVerdict verdict;
-  std::lock_guard<std::mutex> guard(mutex_);
-  ++n_;
-  sum_locks_ += locks;
-  sum_undo_ += undo_len;
-  sum_cost_ += cost_ns;
-  if (policy.window_samples == 0 || n_ < policy.window_samples) {
-    verdict.strikes = strikes_;
+  const uint64_t seen = seen_.fetch_add(1, std::memory_order_relaxed) + 1;
+  if (seen % kDriftWindowSamples != 0) {
     return verdict;
   }
 
-  const double n = static_cast<double>(n_);
-  const double mean_locks = static_cast<double>(sum_locks_) / n;
-  const double mean_undo = static_cast<double>(sum_undo_) / n;
-  const double mean_cost = static_cast<double>(sum_cost_) / n;
-  n_ = 0;
-  sum_locks_ = 0;
-  sum_undo_ = 0;
-  sum_cost_ = 0;
+  std::lock_guard<std::mutex> guard(mutex_);
+  const AbortCostModel::Fitted fit = model.Fit();
+  // Two threads that reach consecutive window ends may take the mutex out
+  // of order; the later one then finds the earlier one's window consumed.
+  if (fit.samples <= judged_samples_) {
+    return verdict;
+  }
+  const double total = static_cast<double>(fit.samples);
+  const double total_locks = fit.mean_locks * total;
+  const double total_undo = fit.mean_undo * total;
+  const double total_cost_ns = fit.mean_cost_ns * total;
+  const double n = static_cast<double>(fit.samples - judged_samples_);
+  const double mean_locks = (total_locks - judged_locks_) / n;
+  const double mean_undo = (total_undo - judged_undo_) / n;
+  const double mean_cost = (total_cost_ns - judged_cost_ns_) / n;
+  judged_samples_ = fit.samples;
+  judged_locks_ = total_locks;
+  judged_undo_ = total_undo;
+  judged_cost_ns_ = total_cost_ns;
 
   // The window's samples are already inside the long-run model; requiring
-  // min_model_samples beyond the window keeps a cold graft from being
+  // kDriftMinModelSamples beyond the window keeps a cold graft from being
   // judged against a fit made mostly of the window itself.
-  if (long_run.samples() < policy.min_model_samples + policy.window_samples) {
-    verdict.strikes = strikes_;
-    return verdict;
-  }
-  const AbortCostModel::Fitted fit = long_run.Fit();
-  if (!fit.valid) {
-    verdict.strikes = strikes_;
+  if (fit.samples < kDriftMinModelSamples + kDriftWindowSamples ||
+      !fit.valid) {
     return verdict;
   }
 
@@ -79,12 +55,10 @@ DriftVerdict DriftDetector::Record(const DriftPolicy& policy,
     predicted = baseline_pred_ns_;
   }
 
-  const double median =
-      static_cast<double>(cost_hist.QuantileNs(0.5));
-  const bool drifted = mean_cost > predicted * policy.cost_ratio &&
-                       mean_cost > predicted +
-                                       static_cast<double>(policy.min_excess_ns) &&
-                       mean_cost > median;
+  const bool drifted =
+      mean_cost > predicted * kDriftCostRatio &&
+      mean_cost > predicted + static_cast<double>(kDriftMinExcessNs) &&
+      mean_cost > fit.mean_cost_ns;
 
   verdict.evaluated = true;
   verdict.drifted = drifted;
@@ -95,7 +69,7 @@ DriftVerdict DriftDetector::Record(const DriftPolicy& policy,
       baseline_pred_ns_ = predicted;
     }
     ++strikes_;
-    verdict.degraded = strikes_ >= policy.strike_windows;
+    verdict.degraded = strikes_ >= kDriftStrikeWindows;
   } else {
     strikes_ = 0;
     baseline_pred_ns_ = 0.0;

@@ -3,21 +3,21 @@
 // The paper's disaster story is continuous — a kernel doesn't just survive
 // one bad invocation, it notices a graft whose *recovery cost* is drifting
 // away from the fitted a + b·L + c·G model and gets rid of it. This layer
-// compares each graft's recent abort-cost samples (a tumbling window)
-// against two long-run baselines the kernel already maintains:
+// judges each graft's recent abort-cost samples (a tumbling window) against
+// the graft's one accumulator, its AbortCostModel:
 //
-//   1. the graft's fitted AbortCostModel, evaluated at the window's mean
-//      (L, G) — "what should an abort with this shape have cost", and
-//   2. the graft's abort-cost LatencyHistogram median — "what have its
-//      aborts actually cost historically".
+//   1. the model's fit, evaluated at the window's mean (L, G) — "what
+//      should an abort with this shape have cost", and
+//   2. the model's lifetime mean cost — "what have its aborts actually
+//      cost historically".
 //
 // A window is *drifted* when its mean cost exceeds the model prediction by
 // both a multiplicative ratio and an absolute floor, and also exceeds the
-// historical median (so a model fitted on microscopically cheap aborts
-// cannot flag noise). `strike_windows` consecutive drifted windows degrade
-// the graft: a kGraftDegraded trace event is posted and — only under the
-// opt-in eject policy — the graft points eject it on its next invocation
-// through the existing ForciblyRemove path.
+// lifetime mean (so a model fitted on microscopically cheap aborts cannot
+// flag noise). kDriftStrikeWindows consecutive drifted windows degrade the
+// graft: a kGraftDegraded trace event is posted and — only when the
+// kernel's TxnManager was built with eject_degraded — the graft points
+// eject it on its next invocation through the existing ForciblyRemove path.
 //
 // The baseline prediction is latched at the first strike: the long-run
 // model keeps absorbing the drifted samples, so comparing later windows
@@ -27,6 +27,7 @@
 #ifndef VINOLITE_SRC_GRAFT_DRIFT_H_
 #define VINOLITE_SRC_GRAFT_DRIFT_H_
 
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 
@@ -34,59 +35,54 @@
 
 namespace vino {
 
-// Knobs for detection and the (opt-in) eject policy. Installed process-
-// globally — grafts are process-wide entities and the detector runs below
-// any particular kernel instance. VinoKernelConfig::eject_policy applies
-// one at kernel construction; VINO_DRIFT_EJECT=1 flips `eject` on for the
-// default policy.
-struct DriftPolicy {
-  bool detect = true;  // Evaluate windows and post kGraftDegraded.
-  bool eject = false;  // Let graft points eject degraded grafts.
+// Detection thresholds. A window is kDriftWindowSamples aborts; it is judged
+// only once the fit rests on kDriftMinModelSamples aborts before it; its mean
+// must exceed kDriftCostRatio × the prediction and the prediction plus
+// kDriftMinExcessNs; kDriftStrikeWindows such windows in a row degrade.
+inline constexpr uint32_t kDriftWindowSamples = 32;
+inline constexpr uint64_t kDriftMinModelSamples = 64;
+inline constexpr double kDriftCostRatio = 2.0;
+inline constexpr uint64_t kDriftMinExcessNs = 2'000;
+inline constexpr uint32_t kDriftStrikeWindows = 2;
 
-  uint32_t window_samples = 32;     // Tumbling-window size (aborts).
-  uint64_t min_model_samples = 64;  // Fit must rest on ≥ this many aborts.
-  double cost_ratio = 2.0;          // Window mean must exceed ratio×model…
-  uint64_t min_excess_ns = 2'000;   // …and model + this absolute floor.
-  uint32_t strike_windows = 2;      // Consecutive drifted windows to trip.
-};
-
-// Replaces the process-global policy (reads of the previous one stay valid
-// forever; the slot leaks by design). Set at startup / test setup — not
-// meant for concurrent flipping under load.
-void SetGlobalDriftPolicy(const DriftPolicy& policy);
-[[nodiscard]] const DriftPolicy& GlobalDriftPolicy();
+// VINO_DRIFT_EJECT=1 in the environment: the default of
+// VinoKernelConfig::eject_degraded for new kernels.
+[[nodiscard]] bool DriftEjectFromEnv();
 
 // What one Record() decided (mostly: nothing yet — windows are tumbling).
+// Fields other than `evaluated` are meaningful only on an evaluated window.
 struct DriftVerdict {
   bool evaluated = false;  // This sample completed a window.
   bool drifted = false;    // The completed window exceeded the thresholds.
-  bool degraded = false;   // Strikes reached the policy limit.
+  bool degraded = false;   // Strikes reached kDriftStrikeWindows.
   uint32_t strikes = 0;
   double window_mean_cost_ns = 0.0;
   double predicted_cost_ns = 0.0;  // Baseline the window was judged against.
 };
 
-// Per-graft detector state. Mutex-guarded: it is only touched on the abort
-// path, which is µs-scale by construction (undo replay + lock release).
+// Per-graft detector state. Keeps no sums of its own: the window is read
+// from the graft's AbortCostModel as the difference between two fits. Every
+// sample bumps one relaxed counter; only every kDriftWindowSamples-th takes
+// the mutex and judges.
 class DriftDetector {
  public:
   DriftDetector() = default;
   DriftDetector(const DriftDetector&) = delete;
   DriftDetector& operator=(const DriftDetector&) = delete;
 
-  // Feeds one abort sample. `long_run` and `cost_hist` are the graft's
-  // lifetime model and abort-cost histogram (both already include this
-  // sample — the detector only reads their aggregates).
-  DriftVerdict Record(const DriftPolicy& policy, const AbortCostModel& long_run,
-                      const LatencyHistogram& cost_hist, uint64_t locks,
-                      uint64_t undo_len, uint64_t cost_ns);
+  // Feeds one abort sample, already recorded into `model` (the graft's
+  // lifetime model).
+  DriftVerdict Record(const AbortCostModel& model);
 
  private:
-  std::mutex mutex_;
-  uint64_t n_ = 0;  // Samples in the current (tumbling) window.
-  uint64_t sum_locks_ = 0;
-  uint64_t sum_undo_ = 0;
-  uint64_t sum_cost_ = 0;
+  std::atomic<uint64_t> seen_{0};  // Samples fed; window ends are multiples.
+
+  std::mutex mutex_;  // Guards the judgment state below.
+  // The previous judgment's fit totals: where the current window starts.
+  uint64_t judged_samples_ = 0;
+  double judged_locks_ = 0.0;
+  double judged_undo_ = 0.0;
+  double judged_cost_ns_ = 0.0;
   uint32_t strikes_ = 0;
   double baseline_pred_ns_ = 0.0;  // Latched at the first strike.
 };

@@ -19,7 +19,6 @@ EventGraftPoint::EventGraftPoint(std::string name, Config config,
       config_(config),
       txn_manager_(txn_manager),
       exec_(host, config_.fuel, config_.poll_interval) {
-  exec_.latency = &handler_latency_;
   if (ns != nullptr) {
     ns->RegisterEvent(this);
   }
@@ -81,8 +80,9 @@ bool EventGraftPoint::RunHandler(const std::shared_ptr<Graft>& graft,
       RunGraftInvocation(*txn_manager_, graft, args, exec_);
   if (IsOk(outcome.status)) {
     // Drift → action: a handler the detector marked degraded is removed
-    // under the opt-in policy even though this run committed fine.
-    if (graft->degraded() && GlobalDriftPolicy().eject &&
+    // when this kernel opted in (eject_degraded), even though this run
+    // committed fine.
+    if (graft->degraded() && txn_manager_->eject_degraded() &&
         IsOk(RemoveHandler(graft->name()))) {
       VINO_LOG_INFO << "event point '" << name_ << "': handler '"
                     << graft->name() << "' degraded (abort-cost drift); removed";

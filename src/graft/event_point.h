@@ -49,7 +49,6 @@
 #include <string>
 #include <vector>
 
-#include "src/base/histogram.h"
 #include "src/base/sharded_counter.h"
 #include "src/base/status.h"
 #include "src/base/worker_pool.h"
@@ -133,12 +132,6 @@ class EventGraftPoint {
   // Peak simultaneously in-flight async tasks from this point.
   [[nodiscard]] uint64_t peak_in_flight() const;
 
-  // Handler invocation durations (all delivery flavours), log-bucketed for
-  // p50/p95/p99 export. Populated only while tracing is enabled.
-  [[nodiscard]] const LatencyHistogram& handler_latency() const {
-    return handler_latency_;
-  }
-
  private:
   struct Handler {
     std::shared_ptr<Graft> graft;
@@ -192,9 +185,6 @@ class EventGraftPoint {
     kAsyncInlineRuns,
   };
   ShardedCounters<5> counters_;
-
-  // Flight-recorder latency export; written only when trace::Enabled().
-  LatencyHistogram handler_latency_;
 };
 
 }  // namespace vino

@@ -20,7 +20,6 @@ FunctionGraftPoint::FunctionGraftPoint(std::string name, DefaultFn default_fn,
   exec_.watchdog = config_.watchdog;
   exec_.wall_budget = config_.wall_budget;
   exec_.validator = config_.validator ? &config_.validator : nullptr;
-  exec_.latency = &invoke_latency_;
   if (ns != nullptr) {
     ns->RegisterFunction(this);
   }
@@ -83,11 +82,9 @@ uint64_t FunctionGraftPoint::Invoke(std::span<const uint64_t> args) {
       VINO_LOG_ERROR << "graft point '" << name_ << "': default failed validation";
     }
     if (traced) {
-      const uint64_t duration_ns = trace::NowNs() - start_ns;
-      invoke_latency_.Record(duration_ns);
       trace::Post(trace::Event::kInvokeEnd,
                   static_cast<uint16_t>(trace::PathTag::kNull), 0, 0,
-                  duration_ns);
+                  trace::NowNs() - start_ns);
     }
     return result;
   }
@@ -122,10 +119,11 @@ uint64_t FunctionGraftPoint::RunGraft(const std::shared_ptr<Graft>& graft,
   }
 
   // Drift → action: a graft the detector marked degraded (abort costs
-  // drifting above its fitted model) is ejected under the opt-in policy
-  // even though this invocation committed fine. Its valid result still
-  // counts — the graft misbehaved economically, not semantically.
-  if (graft->degraded() && GlobalDriftPolicy().eject) {
+  // drifting above its fitted model) is ejected when this kernel opted in
+  // (eject_degraded), even though this invocation committed fine. Its
+  // valid result still counts — the graft misbehaved economically, not
+  // semantically.
+  if (graft->degraded() && txn_manager_->eject_degraded()) {
     ForciblyRemove(graft, Status::kGraftDegraded);
   }
   return outcome.value;

@@ -28,7 +28,6 @@
 #include <span>
 #include <string>
 
-#include "src/base/histogram.h"
 #include "src/base/sharded_counter.h"
 #include "src/base/status.h"
 #include "src/graft/graft.h"
@@ -117,12 +116,6 @@ class FunctionGraftPoint {
   };
   [[nodiscard]] Stats stats() const;
 
-  // Invoke() durations (all paths: null, safe, unsafe, abort), log-bucketed
-  // for p50/p95/p99 export. Populated only while tracing is enabled.
-  [[nodiscard]] const LatencyHistogram& invoke_latency() const {
-    return invoke_latency_;
-  }
-
  private:
   uint64_t RunGraft(const std::shared_ptr<Graft>& graft,
                     std::span<const uint64_t> args);
@@ -151,9 +144,6 @@ class FunctionGraftPoint {
     kForcibleRemovals,
   };
   ShardedCounters<5> counters_;
-
-  // Flight-recorder latency export; written only when trace::Enabled().
-  LatencyHistogram invoke_latency_;
 
   // Strike counting stays a single atomic: it is only touched on the cold
   // bad-result path and its value gates removal, so one authoritative

@@ -36,16 +36,14 @@ Graft::Graft(std::string name, NativeFn fn, GraftIdentity owner)
 void Graft::RecordAbortCost(uint64_t locks, uint64_t undo_len,
                             uint64_t cost_ns) {
   abort_cost_.Record(locks, undo_len, cost_ns);
-  abort_cost_hist_.Record(cost_ns);
-  const DriftPolicy& policy = GlobalDriftPolicy();
-  if (!policy.detect || degraded()) {
-    return;  // Already degraded: model/histogram keep accumulating above.
+  if (degraded()) {
+    return;  // Already degraded: the model keeps accumulating above.
   }
-  const DriftVerdict verdict = drift_.Record(policy, abort_cost_,
-                                             abort_cost_hist_, locks,
-                                             undo_len, cost_ns);
-  if (verdict.degraded) {
-    degraded_.store(true, std::memory_order_relaxed);
+  const DriftVerdict verdict = drift_.Record(abort_cost_);
+  // Concurrent window ends can each find the strikes run out; only the
+  // thread that flips the flag posts.
+  if (verdict.degraded &&
+      !degraded_.exchange(true, std::memory_order_relaxed)) {
     const double ratio_permille =
         verdict.predicted_cost_ns > 0.0
             ? verdict.window_mean_cost_ns / verdict.predicted_cost_ns * 1000.0

@@ -102,17 +102,15 @@ class Graft {
   // One abort sample (§4.5 cost model): L locks held, G undo records
   // replayed, measured abort cost. Fed by the invocation wrapper on every
   // abort, traced or not; Fit() gives this graft's own a + b·L + c·G line.
-  // Also feeds the abort-cost histogram and the drift detector: sustained
-  // drift above the fitted model marks the graft degraded and posts a
-  // kGraftDegraded trace event (src/graft/drift.h).
+  // The model is the graft's only abort-cost accumulator: the drift
+  // detector reads its windows from it, and sustained drift above the fit
+  // marks the graft degraded and posts a kGraftDegraded trace event
+  // (src/graft/drift.h).
   void RecordAbortCost(uint64_t locks, uint64_t undo_len, uint64_t cost_ns);
   [[nodiscard]] const AbortCostModel& abort_cost() const { return abort_cost_; }
-  [[nodiscard]] const LatencyHistogram& abort_cost_hist() const {
-    return abort_cost_hist_;
-  }
 
   // Sticky: set by the drift detector; graft points eject degraded grafts
-  // on their next invocation when the policy's `eject` is on.
+  // on their next invocation when their TxnManager's eject_degraded is on.
   [[nodiscard]] bool degraded() const {
     return degraded_.load(std::memory_order_relaxed);
   }
@@ -132,7 +130,6 @@ class Graft {
   std::atomic<uint64_t> aborts_{0};
   std::atomic<uint64_t> tier_runs_[kExecTierCount] = {};
   AbortCostModel abort_cost_;
-  LatencyHistogram abort_cost_hist_;
   DriftDetector drift_;
   std::atomic<bool> degraded_{false};
 };

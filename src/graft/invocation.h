@@ -95,8 +95,8 @@ struct GraftExecContext {
       nullptr;
 
   // Optional borrowed histogram receiving the whole invocation's duration
-  // (all paths) when tracing is enabled. Graft points pass their own so the
-  // flight recorder can export per-point p50/p95/p99.
+  // (all paths) when tracing is enabled. Graft points lend none; graftstat's
+  // self-test lends its own as the reference its reduced report must equal.
   LatencyHistogram* latency = nullptr;
 
   // Optional borrowed per-tier histograms, indexed by tier_plus1 (0 =

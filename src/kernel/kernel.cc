@@ -40,6 +40,7 @@ std::unique_ptr<spool::SpoolDrainer> MakeSpoolDrainer(
 
 VinoKernel::VinoKernel(const VinoKernelConfig& config)
     : spool_(MakeSpoolDrainer(config.trace_spool)),
+      txn_(config.eject_degraded),
       toolchain_(config.signing_key),
       loader_(&ns_, &host_, SigningAuthority(config.signing_key)),
       watchdog_(config.start_watchdog
@@ -51,11 +52,7 @@ VinoKernel::VinoKernel(const VinoKernelConfig& config)
       mem_(config.memory_frames, &txn_, &host_, &ns_),
       event_pool_(config.event_pool),
       net_(&txn_, &host_, &ns_, &event_pool_),
-      sched_(config.sched, &clock_, &txn_, &host_, &ns_) {
-  if (config.eject_policy.has_value()) {
-    SetGlobalDriftPolicy(*config.eject_policy);
-  }
-}
+      sched_(config.sched, &clock_, &txn_, &host_, &ns_) {}
 
 Result<std::shared_ptr<Graft>> VinoKernel::LoadGraftFromSource(
     std::string_view source, std::string name, GraftIdentity identity,

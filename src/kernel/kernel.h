@@ -18,7 +18,6 @@
 #define VINOLITE_SRC_KERNEL_KERNEL_H_
 
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 
@@ -71,14 +70,11 @@ struct VinoKernelConfig {
   // construction.
   spool::SpoolDrainer::Options trace_spool;
 
-  // Opt-in abort-cost drift policy (DESIGN.md "Fleet observability").
-  // When set, it is installed as the process-global policy at kernel
-  // construction (grafts are process-wide, so the last kernel constructed
-  // with a policy wins); unset kernels leave the current policy alone.
-  // The default policy detects drift (kGraftDegraded events) but does not
-  // eject; set eject = true — or VINO_DRIFT_EJECT=1 — to let graft points
-  // remove degraded grafts automatically.
-  std::optional<DriftPolicy> eject_policy;
+  // Abort-cost drift (DESIGN.md "Fleet observability"): detection always
+  // runs and posts kGraftDegraded events. With eject_degraded, this
+  // kernel's graft points also remove degraded grafts; other kernels in
+  // the process are unaffected. VINO_DRIFT_EJECT=1 sets the default.
+  bool eject_degraded = DriftEjectFromEnv();
 };
 
 class VinoKernel {

@@ -171,10 +171,10 @@ void TxnManager::Abort(KernelContext& ctx, Transaction* txn, Status reason) {
 
   VINO_LOG_DEBUG << "txn " << txn->id() << " abort: " << StatusName(reason);
 
-  // Abort-cost attribution (§4.5): L and G before the undo replay destroys
-  // them, wall time across the whole replay+release. Feeds the manager-wide
-  // a + b·L + c·G fit; the invocation wrapper separately attributes the
-  // sample to the aborting graft.
+  // Flight recorder: L and G before the undo replay destroys them, wall
+  // time across the whole replay+release. The a + b·L + c·G fit is per
+  // graft: the invocation wrapper attributes each sample to the aborting
+  // graft's model.
   const bool traced = trace::Enabled();
   uint64_t abort_start_ns = 0;
   uint64_t traced_id = 0;
@@ -206,10 +206,7 @@ void TxnManager::Abort(KernelContext& ctx, Transaction* txn, Status reason) {
   }
   SlabPush(ctx, txn);
   if (traced) {
-    const uint64_t cost_ns = trace::NowNs() - abort_start_ns;
-    abort_latency_.Record(cost_ns);
-    abort_cost_.Record(traced_locks, traced_undo, cost_ns);
-    recent_abort_cost_.Record(traced_locks, traced_undo, cost_ns);
+    abort_latency_.Record(trace::NowNs() - abort_start_ns);
     trace::Post(trace::Event::kTxnAbort, static_cast<uint16_t>(reason),
                 traced_locks, traced_id, traced_undo);
   }

@@ -43,7 +43,11 @@ class TxnManager {
   // every thread forever.
   static constexpr uint32_t kMaxSlabSize = 32;
 
-  TxnManager() = default;
+  // `eject_degraded`: this kernel's graft points forcibly remove a graft
+  // the drift detector marked degraded (src/graft/drift.h). Off by
+  // default; VinoKernelConfig::eject_degraded sets it per kernel.
+  explicit TxnManager(bool eject_degraded = false)
+      : eject_degraded_(eject_degraded) {}
   TxnManager(const TxnManager&) = delete;
   TxnManager& operator=(const TxnManager&) = delete;
 
@@ -95,6 +99,8 @@ class TxnManager {
 
   [[nodiscard]] TxnStats stats() const;
 
+  [[nodiscard]] bool eject_degraded() const { return eject_degraded_; }
+
   // --- Flight-recorder exports (populated while tracing is enabled) -----
   // Durations of the commit and abort paths, log-bucketed for p50/p95/p99.
   [[nodiscard]] const LatencyHistogram& commit_latency() const {
@@ -102,16 +108,6 @@ class TxnManager {
   }
   [[nodiscard]] const LatencyHistogram& abort_latency() const {
     return abort_latency_;
-  }
-  // Manager-wide fit of the paper's abort-cost model `a + b·L + c·G`
-  // (§4.5's measured 35 µs + 10 µs·L + c·G): every abort contributes its
-  // locks-held count, undo-log length, and measured cost.
-  [[nodiscard]] const AbortCostModel& abort_cost() const { return abort_cost_; }
-  // The same samples, windowed to the most recent aborts — "what aborts
-  // cost lately" vs the lifetime fit above. graftstat renders the pair as
-  // a manager-wide drift line; per-graft drift lives in src/graft/drift.h.
-  [[nodiscard]] const AbortCostWindow& recent_abort_cost() const {
-    return recent_abort_cost_;
   }
 
  private:
@@ -125,6 +121,7 @@ class TxnManager {
   void SlabPush(KernelContext& ctx, Transaction* txn);
   static void SlabDrop(Transaction* head);  // KernelContext's exit deleter.
 
+  const bool eject_degraded_;
   std::atomic<uint64_t> next_id_{1};
 
   enum Counter : size_t {
@@ -142,8 +139,6 @@ class TxnManager {
   // hot path never reads the clock or touches these lines).
   LatencyHistogram commit_latency_;
   LatencyHistogram abort_latency_;
-  AbortCostModel abort_cost_;
-  AbortCostWindow recent_abort_cost_;
 };
 
 // RAII wrapper for kernel code paths that bracket work in a transaction.

@@ -1,14 +1,16 @@
 // Abort-cost drift detection (src/graft/drift.h): a graft whose recovery
 // cost drifts away from its fitted a + b·L + c·G model is flagged
-// kGraftDegraded after `strike_windows` consecutive bad windows, and —
-// only under the opt-in eject policy — removed by its graft point on the
-// next invocation. Well-behaved grafts must never trip the detector.
+// kGraftDegraded after kDriftStrikeWindows consecutive bad windows, and —
+// only when its kernel's TxnManager opted in with eject_degraded — removed
+// by its graft point on the next invocation. Well-behaved grafts must never
+// trip the detector.
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <span>
+#include <thread>
 #include <vector>
 
 #include "src/base/histogram.h"
@@ -26,18 +28,10 @@ namespace {
 
 constexpr GraftIdentity kRoot{0, true};
 
-// A tight deterministic policy: 8-sample windows, a fit resting on ≥ 32
-// prior samples, 2 strikes to degrade.
-DriftPolicy TestPolicy(bool eject = false) {
-  DriftPolicy policy;
-  policy.eject = eject;
-  policy.window_samples = 8;
-  policy.min_model_samples = 32;
-  policy.cost_ratio = 2.0;
-  policy.min_excess_ns = 2'000;
-  policy.strike_windows = 2;
-  return policy;
-}
+// The first window the detector judges ends here: kDriftMinModelSamples
+// samples of history plus the window itself.
+constexpr uint64_t kWarmup = kDriftMinModelSamples + kDriftWindowSamples;
+constexpr uint64_t kWindow = kDriftWindowSamples;
 
 // Synthetic abort shapes following cost = 1000 + 100·L + 10·G exactly, with
 // decorrelated L and G so the least-squares fit is well-conditioned.
@@ -55,7 +49,7 @@ Shape ConformingSample(uint64_t i) {
 
 Shape InflatedSample(uint64_t i) {
   Shape shape = ConformingSample(i);
-  shape.cost = 40'000;  // Far above both the fit and the historical median.
+  shape.cost = 40'000;  // Far above both the fit and the lifetime mean.
   return shape;
 }
 
@@ -64,10 +58,8 @@ class DriftTest : public ::testing::Test {
   void SetUp() override {
     trace::ResetForTest();
     trace::SetEnabled(true);
-    SetGlobalDriftPolicy(TestPolicy());
   }
   void TearDown() override {
-    SetGlobalDriftPolicy(DriftPolicy{});
     trace::SetEnabled(false);
     trace::ResetForTest();
   }
@@ -109,23 +101,34 @@ class DriftTest : public ::testing::Test {
   }
 };
 
-TEST_F(DriftTest, DetectorIgnoresConformingWindows) {
-  DriftDetector detector;
+// A graft's model and detector, fed the way Graft::RecordAbortCost feeds
+// them.
+struct DetectorRig {
   AbortCostModel model;
-  LatencyHistogram hist;
-  const DriftPolicy policy = TestPolicy();
-  for (uint64_t i = 0; i < 80; ++i) {
-    const Shape s = ConformingSample(i);
-    model.Record(s.locks, s.undo, s.cost);
-    hist.Record(s.cost);
-    const DriftVerdict verdict =
-        detector.Record(policy, model, hist, s.locks, s.undo, s.cost);
+  DriftDetector detector;
+
+  // Feeds samples [start, start + n); returns the last verdict.
+  DriftVerdict Feed(uint64_t n, Shape (*make)(uint64_t), uint64_t start) {
+    DriftVerdict last;
+    for (uint64_t i = start; i < start + n; ++i) {
+      const Shape s = make(i);
+      model.Record(s.locks, s.undo, s.cost);
+      last = detector.Record(model);
+    }
+    return last;
+  }
+};
+
+TEST_F(DriftTest, DetectorIgnoresConformingWindows) {
+  DetectorRig rig;
+  for (uint64_t i = 0; i < kWarmup + 2 * kWindow; ++i) {
+    const DriftVerdict verdict = rig.Feed(1, ConformingSample, i);
     EXPECT_FALSE(verdict.drifted) << "sample " << i;
     EXPECT_FALSE(verdict.degraded);
     EXPECT_EQ(verdict.strikes, 0u);
-    // Windows tumble: only every 8th sample completes one, and the first
-    // evaluated window needs min_model_samples beyond the window itself.
-    if ((i + 1) % policy.window_samples != 0 || i + 1 < 40) {
+    // Windows tumble: only every kWindow-th sample completes one, and the
+    // first evaluated window needs kDriftMinModelSamples beyond itself.
+    if ((i + 1) % kWindow != 0 || i + 1 < kWarmup) {
       EXPECT_FALSE(verdict.evaluated) << "sample " << i;
     } else {
       EXPECT_TRUE(verdict.evaluated) << "sample " << i;
@@ -138,140 +141,133 @@ TEST_F(DriftTest, DetectorIgnoresConformingWindows) {
 }
 
 TEST_F(DriftTest, DetectorDegradesAfterStrikeWindowsAndLatchesBaseline) {
-  DriftDetector detector;
-  AbortCostModel model;
-  LatencyHistogram hist;
-  const DriftPolicy policy = TestPolicy();
-  auto feed = [&](uint64_t n, Shape (*make)(uint64_t),
-                  uint64_t start) -> DriftVerdict {
-    DriftVerdict last;
-    for (uint64_t i = start; i < start + n; ++i) {
-      const Shape s = make(i);
-      model.Record(s.locks, s.undo, s.cost);
-      hist.Record(s.cost);
-      last = detector.Record(policy, model, hist, s.locks, s.undo, s.cost);
-    }
-    return last;
-  };
+  DetectorRig rig;
+  ASSERT_FALSE(rig.Feed(kWarmup, ConformingSample, 0).drifted);  // Healthy.
 
-  ASSERT_FALSE(feed(40, ConformingSample, 0).drifted);  // Healthy baseline.
-
-  const DriftVerdict first = feed(8, InflatedSample, 40);
+  const DriftVerdict first = rig.Feed(kWindow, InflatedSample, kWarmup);
   EXPECT_TRUE(first.evaluated);
   EXPECT_TRUE(first.drifted);
   EXPECT_FALSE(first.degraded);  // One strike.
   EXPECT_EQ(first.strikes, 1u);
 
-  const DriftVerdict second = feed(8, InflatedSample, 48);
+  const DriftVerdict second =
+      rig.Feed(kWindow, InflatedSample, kWarmup + kWindow);
   EXPECT_TRUE(second.drifted);
   EXPECT_TRUE(second.degraded);  // Two strikes: tripped.
   EXPECT_EQ(second.strikes, 2u);
-  // Baseline latch: the long-run model absorbed 16 inflated samples, but
+  // Baseline latch: the long-run model absorbed two inflated windows, but
   // the second window was judged against the pre-drift prediction.
   EXPECT_EQ(second.predicted_cost_ns, first.predicted_cost_ns);
   EXPECT_GT(second.window_mean_cost_ns,
-            second.predicted_cost_ns * policy.cost_ratio);
+            second.predicted_cost_ns * kDriftCostRatio);
 }
 
 TEST_F(DriftTest, CleanWindowResetsStrikes) {
-  DriftDetector detector;
-  AbortCostModel model;
-  LatencyHistogram hist;
-  const DriftPolicy policy = TestPolicy();
-  auto feed = [&](uint64_t n, Shape (*make)(uint64_t),
-                  uint64_t start) -> DriftVerdict {
-    DriftVerdict last;
-    for (uint64_t i = start; i < start + n; ++i) {
-      const Shape s = make(i);
-      model.Record(s.locks, s.undo, s.cost);
-      hist.Record(s.cost);
-      last = detector.Record(policy, model, hist, s.locks, s.undo, s.cost);
-    }
-    return last;
-  };
-
-  feed(40, ConformingSample, 0);
-  EXPECT_EQ(feed(8, InflatedSample, 40).strikes, 1u);
+  DetectorRig rig;
+  rig.Feed(kWarmup, ConformingSample, 0);
+  EXPECT_EQ(rig.Feed(kWindow, InflatedSample, kWarmup).strikes, 1u);
   // One transient bad window followed by a healthy one is noise, not drift.
-  const DriftVerdict healthy = feed(8, ConformingSample, 48);
+  const DriftVerdict healthy =
+      rig.Feed(kWindow, ConformingSample, kWarmup + kWindow);
   EXPECT_FALSE(healthy.drifted);
   EXPECT_EQ(healthy.strikes, 0u);
-  EXPECT_EQ(feed(8, InflatedSample, 56).strikes, 1u);  // Counting restarts.
+  // Counting restarts.
+  EXPECT_EQ(rig.Feed(kWindow, InflatedSample, kWarmup + 2 * kWindow).strikes,
+            1u);
 }
 
 TEST_F(DriftTest, WellBehavedGraftNeverDegrades) {
   auto graft = NativeGraft("steady");
-  Feed(*graft, 200, ConformingSample);
+  Feed(*graft, kWarmup + 7 * kWindow, ConformingSample);
   EXPECT_FALSE(graft->degraded());
   EXPECT_EQ(CountDegradedEvents(graft->trace_id()), 0u);
 }
 
 TEST_F(DriftTest, DriftedGraftDegradesOnceAndPostsTrace) {
   auto graft = NativeGraft("drifter");
-  Feed(*graft, 40, ConformingSample);
+  Feed(*graft, kWarmup, ConformingSample);
   EXPECT_FALSE(graft->degraded());
-  Feed(*graft, 16, InflatedSample, 40);
+  Feed(*graft, 2 * kWindow, InflatedSample, kWarmup);
   EXPECT_TRUE(graft->degraded());
   // Degradation is sticky and the event posts exactly once, even as abort
   // samples keep arriving.
-  Feed(*graft, 32, InflatedSample, 56);
+  Feed(*graft, 4 * kWindow, InflatedSample, kWarmup + 2 * kWindow);
   EXPECT_TRUE(graft->degraded());
   EXPECT_EQ(CountDegradedEvents(graft->trace_id()), 1u);
   // The model kept accumulating after the verdict (graftstat still fits it).
-  EXPECT_EQ(graft->abort_cost().samples(), 88u);
+  EXPECT_EQ(graft->abort_cost().samples(), kWarmup + 6 * kWindow);
 }
 
-TEST_F(DriftTest, DetectDisabledPolicyNeverDegrades) {
-  DriftPolicy policy = TestPolicy();
-  policy.detect = false;
-  SetGlobalDriftPolicy(policy);
-  auto graft = NativeGraft("unwatched");
-  Feed(*graft, 40, ConformingSample);
-  Feed(*graft, 32, InflatedSample, 40);
+TEST_F(DriftTest, ConcurrentAbortsDegradeOnce) {
+  // Window ends race: each thread's every kWindow-th sample may judge a
+  // window holding other threads' samples, and two judgments may take the
+  // detector's mutex out of order. The verdict still comes once.
+  constexpr uint64_t kThreads = 4;
+  constexpr uint64_t kPerThread = 8 * kWindow;
+  auto graft = NativeGraft("contended");
+  auto feed_all = [&graft](Shape (*make)(uint64_t)) {
+    std::vector<std::thread> threads;
+    for (uint64_t t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&graft, make, t] {
+        Feed(*graft, kPerThread, make, t * kPerThread);
+      });
+    }
+    for (std::thread& thread : threads) {
+      thread.join();
+    }
+  };
+
+  feed_all(ConformingSample);
+  EXPECT_EQ(graft->abort_cost().samples(), kThreads * kPerThread);
   EXPECT_FALSE(graft->degraded());
+
+  feed_all(InflatedSample);
+  EXPECT_TRUE(graft->degraded());
+  EXPECT_EQ(CountDegradedEvents(graft->trace_id()), 1u);
 }
 
 TEST_F(DriftTest, FunctionPointEjectsDegradedGraftUnderOptInPolicy) {
-  TxnManager txn;
   HostCallTable host;
-  GraftNamespace ns;
-  FunctionGraftPoint point(
-      "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
-      FunctionGraftPoint::Config{}, &txn, &host, &ns);
+  auto default_fn = [](std::span<const uint64_t>) -> uint64_t { return 7; };
+  TxnManager observe_txn;
+  TxnManager eject_txn(/*eject_degraded=*/true);
+  FunctionGraftPoint observe_point("obj.observe", default_fn, {}, &observe_txn,
+                                   &host, nullptr);
+  FunctionGraftPoint eject_point("obj.eject", default_fn, {}, &eject_txn, &host,
+                                 nullptr);
 
   auto graft = NativeGraft("degraded-fn");
-  Feed(*graft, 40, ConformingSample);
-  Feed(*graft, 16, InflatedSample, 40);
+  Feed(*graft, kWarmup, ConformingSample);
+  Feed(*graft, 2 * kWindow, InflatedSample, kWarmup);
   ASSERT_TRUE(graft->degraded());
 
-  // Default policy (eject off): the degraded graft keeps running — the
+  // Default manager (eject off): the degraded graft keeps running — the
   // detector observes, the operator decides.
-  ASSERT_EQ(point.Replace(graft), Status::kOk);
-  EXPECT_EQ(point.Invoke({}), 42u);
-  EXPECT_TRUE(point.grafted());
-  EXPECT_EQ(point.stats().forcible_removals, 0u);
+  ASSERT_EQ(observe_point.Replace(graft), Status::kOk);
+  EXPECT_EQ(observe_point.Invoke({}), 42u);
+  EXPECT_TRUE(observe_point.grafted());
+  EXPECT_EQ(observe_point.stats().forcible_removals, 0u);
 
   // Opt-in eject: the next invocation still commits (and its valid result
   // counts), but the graft is forcibly removed afterwards.
-  SetGlobalDriftPolicy(TestPolicy(/*eject=*/true));
-  EXPECT_EQ(point.Invoke({}), 42u);
-  EXPECT_FALSE(point.grafted());
-  EXPECT_EQ(point.stats().forcible_removals, 1u);
+  ASSERT_EQ(eject_point.Replace(graft), Status::kOk);
+  EXPECT_EQ(eject_point.Invoke({}), 42u);
+  EXPECT_FALSE(eject_point.grafted());
+  EXPECT_EQ(eject_point.stats().forcible_removals, 1u);
 
   // Back to the clean default path.
-  EXPECT_EQ(point.Invoke({}), 7u);
+  EXPECT_EQ(eject_point.Invoke({}), 7u);
 }
 
 TEST_F(DriftTest, FunctionPointNeverEjectsHealthyGraftUnderEjectPolicy) {
-  SetGlobalDriftPolicy(TestPolicy(/*eject=*/true));
-  TxnManager txn;
+  TxnManager txn(/*eject_degraded=*/true);
   HostCallTable host;
   GraftNamespace ns;
   FunctionGraftPoint point(
       "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
       FunctionGraftPoint::Config{}, &txn, &host, &ns);
   auto graft = NativeGraft("healthy-fn");
-  Feed(*graft, 200, ConformingSample);
+  Feed(*graft, kWarmup + 7 * kWindow, ConformingSample);
   ASSERT_EQ(point.Replace(graft), Status::kOk);
   for (int i = 0; i < 50; ++i) {
     EXPECT_EQ(point.Invoke({}), 42u);
@@ -281,36 +277,38 @@ TEST_F(DriftTest, FunctionPointNeverEjectsHealthyGraftUnderEjectPolicy) {
 }
 
 TEST_F(DriftTest, EventPointRemovesDegradedHandlerUnderOptInPolicy) {
-  TxnManager txn;
   HostCallTable host;
-  GraftNamespace ns;
-  EventGraftPoint point("ev", EventGraftPoint::Config{}, &txn, &host, &ns);
+  TxnManager observe_txn;
+  TxnManager eject_txn(/*eject_degraded=*/true);
+  EventGraftPoint observe_point("ev.observe", {}, &observe_txn, &host, nullptr);
+  EventGraftPoint eject_point("ev.eject", {}, &eject_txn, &host, nullptr);
 
   auto bad = NativeGraft("degraded-handler");
-  Feed(*bad, 40, ConformingSample);
-  Feed(*bad, 16, InflatedSample, 40);
+  Feed(*bad, kWarmup, ConformingSample);
+  Feed(*bad, 2 * kWindow, InflatedSample, kWarmup);
   ASSERT_TRUE(bad->degraded());
   auto good = NativeGraft("healthy-handler");
 
-  ASSERT_EQ(point.AddHandler(bad, 1), Status::kOk);
-  ASSERT_EQ(point.AddHandler(good, 2), Status::kOk);
+  for (EventGraftPoint* point : {&observe_point, &eject_point}) {
+    ASSERT_EQ(point->AddHandler(bad, 1), Status::kOk);
+    ASSERT_EQ(point->AddHandler(good, 2), Status::kOk);
+  }
 
   // Eject off: both handlers stay.
-  point.Dispatch({});
-  EXPECT_EQ(point.handler_count(), 2u);
+  observe_point.Dispatch({});
+  EXPECT_EQ(observe_point.handler_count(), 2u);
 
-  SetGlobalDriftPolicy(TestPolicy(/*eject=*/true));
-  point.Dispatch({});
-  EXPECT_EQ(point.handler_count(), 1u);  // Degraded handler removed...
-  EXPECT_EQ(point.RemoveHandler("healthy-handler"), Status::kOk);  // ...not this.
+  // Eject on: the degraded handler is removed, the healthy one stays.
+  eject_point.Dispatch({});
+  EXPECT_EQ(eject_point.handler_count(), 1u);
+  EXPECT_EQ(eject_point.RemoveHandler("healthy-handler"), Status::kOk);
 }
 
 TEST_F(DriftTest, EjectPolicyRemovesDriftingGraftWithTracingOff) {
   // Protection must not depend on the flight recorder: with tracing off,
-  // every abort still feeds the detector, and the eject policy acts on it.
+  // every abort still feeds the detector, and the eject switch acts on it.
   trace::SetEnabled(false);
-  SetGlobalDriftPolicy(TestPolicy(/*eject=*/true));
-  TxnManager txn;
+  TxnManager txn(/*eject_degraded=*/true);
   HostCallTable host;
   GraftNamespace ns;
   FunctionGraftPoint point(
@@ -319,7 +317,6 @@ TEST_F(DriftTest, EjectPolicyRemovesDriftingGraftWithTracingOff) {
 
   // Fails every call after logging one undo record. Replaying the record
   // is free for the first kWarmup calls and then takes 100 µs.
-  constexpr uint64_t kWarmup = 40;
   uint64_t calls = 0;
   bool fail = true;
   auto graft = std::make_shared<Graft>(
@@ -341,45 +338,24 @@ TEST_F(DriftTest, EjectPolicyRemovesDriftingGraftWithTracingOff) {
 
   // Each call aborts, so the point forcibly removes the graft every time;
   // like a tenant retrying its broken graft, the test re-installs it.
-  while (!graft->degraded() && calls < 200) {
+  while (!graft->degraded() && calls < kWarmup + 8 * kWindow) {
     ASSERT_EQ(point.Replace(graft), Status::kOk);
     EXPECT_EQ(point.Invoke({}), 7u);  // Aborted: the default answers.
     EXPECT_FALSE(point.grafted());
   }
   EXPECT_EQ(graft->abort_cost().samples(), calls);  // One sample per abort.
   ASSERT_TRUE(graft->degraded());
-  // Two 8-sample windows of slow replays after the warm-up.
-  EXPECT_LE(calls, kWarmup + 2 * 8 + 8);
+  // Two windows of slow replays after the warm-up, plus one of slack.
+  EXPECT_LE(calls, kWarmup + 3 * kWindow);
   EXPECT_EQ(point.stats().forcible_removals, calls);
 
   // Degraded is sticky: once the graft stops failing, its first committing
-  // call still counts, and the eject policy removes it afterwards.
+  // call still counts, and the eject switch removes it afterwards.
   fail = false;
   ASSERT_EQ(point.Replace(graft), Status::kOk);
   EXPECT_EQ(point.Invoke({}), 42u);
   EXPECT_FALSE(point.grafted());
   EXPECT_EQ(point.stats().forcible_removals, calls + 1);
-}
-
-TEST_F(DriftTest, AbortCostWindowEvictsOldestSamples) {
-  AbortCostWindow window(4);
-  for (uint64_t i = 0; i < 4; ++i) {
-    window.Record(1, 2, 100);
-  }
-  AbortCostWindow::Snapshot snap = window.Read();
-  EXPECT_EQ(snap.samples, 4u);
-  EXPECT_EQ(snap.total, 4u);
-  EXPECT_DOUBLE_EQ(snap.mean_cost_ns, 100.0);
-
-  for (uint64_t i = 0; i < 4; ++i) {
-    window.Record(3, 6, 500);  // Displace the whole first generation.
-  }
-  snap = window.Read();
-  EXPECT_EQ(snap.samples, 4u);
-  EXPECT_EQ(snap.total, 8u);
-  EXPECT_DOUBLE_EQ(snap.mean_locks, 3.0);
-  EXPECT_DOUBLE_EQ(snap.mean_undo, 6.0);
-  EXPECT_DOUBLE_EQ(snap.mean_cost_ns, 500.0);
 }
 
 }  // namespace

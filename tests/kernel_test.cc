@@ -7,12 +7,14 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "src/base/trace.h"
 #include "src/base/trace_spool.h"
+#include "src/graft/function_point.h"
 #include "src/kernel/kernel.h"
 
 namespace vino {
@@ -242,22 +244,42 @@ TEST(KernelTest, ConfiguredRotationSpoolsSegmentRing) {
   trace::ResetForTest();
 }
 
-TEST(KernelTest, EjectPolicyConfigInstallsGlobalDriftPolicy) {
-  DriftPolicy policy;
-  policy.eject = true;
-  policy.window_samples = 5;
-  policy.strike_windows = 3;
-  {
-    VinoKernelConfig config;
-    config.start_watchdog = false;
-    config.eject_policy = policy;
-    VinoKernel kernel(config);
-    EXPECT_TRUE(GlobalDriftPolicy().eject);
-    EXPECT_EQ(GlobalDriftPolicy().window_samples, 5u);
-    EXPECT_EQ(GlobalDriftPolicy().strike_windows, 3u);
+TEST(KernelTest, EjectDegradedIsPerKernel) {
+  // The observing kernel is built first: a later kernel's switch must not
+  // reach back into it.
+  VinoKernelConfig config;
+  config.start_watchdog = false;
+  config.eject_degraded = false;
+  VinoKernel observing(config);
+  config.eject_degraded = true;
+  VinoKernel ejecting(config);
+
+  // 96 conforming aborts, then two drift windows of 40 µs ones.
+  auto graft = std::make_shared<Graft>(
+      "drifter",
+      [](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+        return 42ull;
+      },
+      GraftIdentity{0, true});
+  for (uint64_t i = 0; i < 160; ++i) {
+    const uint64_t locks = i % 4;
+    const uint64_t undo = (i * 7) % 16;
+    graft->RecordAbortCost(locks, undo,
+                           i < 96 ? 1000 + 100 * locks + 10 * undo : 40'000);
   }
-  SetGlobalDriftPolicy(DriftPolicy{});  // Restore for later tests.
-  EXPECT_FALSE(GlobalDriftPolicy().eject);
+  ASSERT_TRUE(graft->degraded());
+
+  auto make_point = [&graft](VinoKernel& kernel) {
+    auto point = std::make_unique<FunctionGraftPoint>(
+        "test.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
+        FunctionGraftPoint::Config{}, &kernel.txn(), &kernel.host(), nullptr);
+    EXPECT_EQ(point->Replace(graft), Status::kOk);
+    EXPECT_EQ(point->Invoke({}), 42u);
+    return point;
+  };
+  EXPECT_TRUE(make_point(observing)->grafted())
+      << "the observing kernel's point ejected the graft";
+  EXPECT_FALSE(make_point(ejecting)->grafted());
 }
 
 TEST(KernelTest, NoSpoolConfiguredMeansNoDrainer) {

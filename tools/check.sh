@@ -33,7 +33,8 @@
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, a ring
 #      drain racing its writers, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, lock-table sharding, namespace install/invoke/
-#      remove churn, multi-tenant serving under hostile load) fail CI
+#      remove churn, concurrent aborts ending drift windows, multi-tenant
+#      serving under hostile load) fail CI
 #      instead of shipping; the tier-differential and op-semantics tests
 #      then re-run pinned to the Tier-0 interpreter (the list already ran
 #      them on the default Tier 1), and the fuzz smoke re-runs under TSan,
@@ -49,7 +50,7 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR2/PR7/PR16 json snapshots (warn-only: shared CI boxes
+#            BENCH_PR17/PR7/PR16 json snapshots (warn-only: shared CI boxes
 #            are too noisy for a hard perf gate; read the table — unless
 #            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
@@ -164,12 +165,12 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  echo "== [bench] wrapper/txn micros vs BENCH_PR2.json ($GATE_LABEL) =="
+  echo "== [bench] wrapper/txn micros vs BENCH_PR17.json ($GATE_LABEL) =="
   for b in bench_wrapper bench_txn; do
     build/bench/"$b" --json="build/$b.smoke.json" \
       --benchmark_min_time=0.05 >/dev/null
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-      "BENCH_PR2.json#$b.after" "build/$b.smoke.json"
+      "BENCH_PR17.json#$b" "build/$b.smoke.json"
   done
   echo "== [bench] sfi tier micros vs BENCH_PR7.json ($GATE_LABEL) =="
   build/bench/bench_sfi --json="build/bench_sfi.smoke.json" \
@@ -201,7 +202,7 @@ cmake --build build-tsan -j "$JOBS"
 # silences libstdc++ _Sp_atomic false positives (see that file).
 TSAN_OPTIONS="halt_on_error=1 suppressions=$PWD/tools/tsan.supp" \
   ctest --test-dir build-tsan \
-  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|install_stress_test|lockmgr_test|grafted_lockmgr_test|serve_survival_test|property_test|isa_roundtrip_test' \
+  -R 'worker_pool_test|robustness_test|stress_test|net_test|graft_point_test|txn_lock_test|watchdog_test|kernel_test|drift_test|trace_test|trace_spool_test|abort_delivery_test|threaded_vm_test|install_stress_test|lockmgr_test|grafted_lockmgr_test|serve_survival_test|property_test|isa_roundtrip_test' \
   --output-on-failure -j "$JOBS"
 # The tier-differential fuzz, the threaded dispatcher's shared-artifact
 # races and the op-semantics boundary cases ran above on the default

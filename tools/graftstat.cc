@@ -54,9 +54,8 @@
 // mean_cost_ns}. Each mode prints one object: "mode", then
 //   self-test       invocations, [spool_out {path, records, batches,
 //                   lost_total, segments, segments_reclaimed}],
-//                   txn_manager {slab_misses, slab_overflows, commit, abort,
-//                   abort_cost, recent {samples, total, mean_locks,
-//                   mean_undo, mean_cost_ns, predicted_ns, ratio}}, report
+//                   txn_manager {slab_misses, slab_overflows, commit,
+//                   abort}, report
 //   spool, follow   spool {path, status, batches, corrupt_batches, records,
 //                   lost_total, truncated, closed, rotated, segments,
 //                   first_batch_seq, seq_gaps}, report
@@ -938,20 +937,6 @@ int RunSelfTest(uint64_t invocations, const std::string& spool_out,
     return 1;
   }
 
-  // Only the live process has these: the transaction layer's own view of
-  // its aborts, slab and quantiles, and the drift of recent aborts from its
-  // lifetime fit (per-graft drift runs in the kernel, src/graft/drift.h).
-  const AbortCostModel::Fitted txn_fit = txn_manager.abort_cost().Fit();
-  const vino::AbortCostWindow::Snapshot recent =
-      txn_manager.recent_abort_cost().Read();
-  double predicted_ns = 0.0;
-  if (txn_fit.valid && recent.samples > 0) {
-    predicted_ns = std::max(0.0, txn_fit.a_ns +
-                                     txn_fit.b_ns * recent.mean_locks +
-                                     txn_fit.c_ns * recent.mean_undo);
-  }
-  const double ratio =
-      predicted_ns > 0.0 ? recent.mean_cost_ns / predicted_ns : 0.0;
   const vino::spool::SpoolDrainer::Stats ds =
       drainer != nullptr ? drainer->stats()
                          : vino::spool::SpoolDrainer::Stats{};
@@ -975,14 +960,7 @@ int RunSelfTest(uint64_t invocations, const std::string& spool_out,
     PrintQuantilesJson(Read(txn_manager.commit_latency()));
     std::printf(",\n    \"abort\": ");
     PrintQuantilesJson(Read(txn_manager.abort_latency()));
-    std::printf(",\n    \"abort_cost\": ");
-    PrintFitJson(txn_fit);
-    std::printf(",\n    \"recent\": {\"samples\": %" PRIu64
-                ", \"total\": %" PRIu64 ", \"mean_locks\": %.2f, "
-                "\"mean_undo\": %.2f, \"mean_cost_ns\": %.1f, "
-                "\"predicted_ns\": %.1f, \"ratio\": %.3f}},\n",
-                recent.samples, recent.total, recent.mean_locks,
-                recent.mean_undo, recent.mean_cost_ns, predicted_ns, ratio);
+    std::printf("},\n");
     PrintReportJson(report, "  ");
     std::printf("\n}\n");
     return 0;
@@ -1004,13 +982,6 @@ int RunSelfTest(uint64_t invocations, const std::string& spool_out,
               txn.slab_misses, txn.slab_overflows);
   PrintQuantilesText("commit", Read(txn_manager.commit_latency()));
   PrintQuantilesText("abort", Read(txn_manager.abort_latency()));
-  PrintFitText("txn-layer", txn_fit);
-  if (recent.samples > 0 && predicted_ns > 0.0) {
-    std::printf("  %-14s last %" PRIu64 " of %" PRIu64
-                " aborts: mean cost %.1f µs vs fitted %.1f µs (×%.2f)\n",
-                "recent-drift", recent.samples, recent.total,
-                recent.mean_cost_ns / 1e3, predicted_ns / 1e3, ratio);
-  }
   std::printf("\n");
   PrintReportText(report);
   return 0;
