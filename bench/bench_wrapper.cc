@@ -6,7 +6,7 @@
 //   * the transaction begin/commit pair,
 //   * the resource-account swap,
 //   * the result validator,
-//   * the watchdog arm/disarm,
+//   * the watchdog arm/disarm, on one thread and on two sharing a kernel,
 //   * the VM entry/exit for a minimal program,
 //   * poll_interval sensitivity (abort-latency vs throughput knob).
 
@@ -123,6 +123,38 @@ void BM_WrapperVmNullWithWatchdog(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WrapperVmNullWithWatchdog);
+
+// The ledger's shape: two client threads, each invoking its own point, on
+// one kernel's TxnManager and, when `armed`, its one watchdog. The pair of
+// rows prices what one thread's arm/disarm costs the other.
+void RunSharedKernel(benchmark::State& state, bool armed) {
+  // Built once for both threads: each thread's set-up runs before the
+  // loop's start barrier, concurrently with the other's.
+  static Fixture shared;
+  FunctionGraftPoint::Config config;
+  if (armed) {
+    static Watchdog dog(10'000);
+    config.watchdog = &dog;
+    config.wall_budget = 1'000'000;  // Never fires.
+  }
+  FunctionGraftPoint point(
+      "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
+      &shared.txn, &shared.host, nullptr);
+  (void)point.Replace(NullProgramGraft());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(point.Invoke({}));
+  }
+}
+
+void BM_WrapperVmNullSharedKernel(benchmark::State& state) {
+  RunSharedKernel(state, /*armed=*/false);
+}
+BENCHMARK(BM_WrapperVmNullSharedKernel)->Threads(2);
+
+void BM_WrapperVmNullWithWatchdogSharedKernel(benchmark::State& state) {
+  RunSharedKernel(state, /*armed=*/true);
+}
+BENCHMARK(BM_WrapperVmNullWithWatchdogSharedKernel)->Threads(2);
 
 // Abort instead of commit (includes forcible removal + reinstall).
 void BM_WrapperVmAbort(benchmark::State& state) {

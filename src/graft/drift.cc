@@ -20,45 +20,44 @@ DriftVerdict DriftDetector::Record(const AbortCostModel& model) {
   const AbortCostModel::Fitted fit = model.Fit();
   // Two threads that reach consecutive window ends may take the mutex out
   // of order; the later one then finds the earlier one's window consumed.
-  if (fit.samples <= judged_samples_) {
+  if (fit.samples <= judged_.samples) {
     return verdict;
   }
+  const AbortCostModel::Fitted before = judged_;
+  judged_ = fit;
   const double total = static_cast<double>(fit.samples);
-  const double total_locks = fit.mean_locks * total;
-  const double total_undo = fit.mean_undo * total;
-  const double total_cost_ns = fit.mean_cost_ns * total;
-  const double n = static_cast<double>(fit.samples - judged_samples_);
-  const double mean_locks = (total_locks - judged_locks_) / n;
-  const double mean_undo = (total_undo - judged_undo_) / n;
-  const double mean_cost = (total_cost_ns - judged_cost_ns_) / n;
-  judged_samples_ = fit.samples;
-  judged_locks_ = total_locks;
-  judged_undo_ = total_undo;
-  judged_cost_ns_ = total_cost_ns;
+  const double total_before = static_cast<double>(before.samples);
+  const double n = total - total_before;
+  const double mean_locks =
+      (fit.mean_locks * total - before.mean_locks * total_before) / n;
+  const double mean_undo =
+      (fit.mean_undo * total - before.mean_undo * total_before) / n;
+  const double mean_cost =
+      (fit.mean_cost_ns * total - before.mean_cost_ns * total_before) / n;
 
-  // The window's samples are already inside the long-run model; requiring
-  // kDriftMinModelSamples beyond the window keeps a cold graft from being
-  // judged against a fit made mostly of the window itself.
-  if (fit.samples < kDriftMinModelSamples + kDriftWindowSamples ||
-      !fit.valid) {
+  // A cold graft is not judged: the fit must rest on kDriftMinModelSamples
+  // aborts before the window.
+  if (before.samples < kDriftMinModelSamples || !before.valid) {
     return verdict;
   }
 
   double predicted =
-      fit.a_ns + fit.b_ns * mean_locks + fit.c_ns * mean_undo;
+      before.a_ns + before.b_ns * mean_locks + before.c_ns * mean_undo;
   if (predicted < 0.0) {
     predicted = 0.0;
   }
+  double lifetime_mean = before.mean_cost_ns;
   // Latch the baseline at the first strike: the model keeps absorbing the
-  // drifted windows, so later comparisons reuse the pre-drift prediction.
-  if (strikes_ > 0 && baseline_pred_ns_ > 0.0) {
+  // drifted windows, so later comparisons reuse the pre-drift values.
+  if (strikes_ > 0) {
     predicted = baseline_pred_ns_;
+    lifetime_mean = baseline_mean_ns_;
   }
 
   const bool drifted =
       mean_cost > predicted * kDriftCostRatio &&
       mean_cost > predicted + static_cast<double>(kDriftMinExcessNs) &&
-      mean_cost > fit.mean_cost_ns;
+      mean_cost > lifetime_mean;
 
   verdict.evaluated = true;
   verdict.drifted = drifted;
@@ -67,12 +66,12 @@ DriftVerdict DriftDetector::Record(const AbortCostModel& model) {
   if (drifted) {
     if (strikes_ == 0) {
       baseline_pred_ns_ = predicted;
+      baseline_mean_ns_ = lifetime_mean;
     }
     ++strikes_;
     verdict.degraded = strikes_ >= kDriftStrikeWindows;
   } else {
     strikes_ = 0;
-    baseline_pred_ns_ = 0.0;
   }
   verdict.strikes = strikes_;
   return verdict;

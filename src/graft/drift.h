@@ -9,7 +9,9 @@
 //   1. the model's fit, evaluated at the window's mean (L, G) — "what
 //      should an abort with this shape have cost", and
 //   2. the model's lifetime mean cost — "what have its aborts actually
-//      cost historically".
+//      cost historically",
+//
+// both as they stood before the window.
 //
 // A window is *drifted* when its mean cost exceeds the model prediction by
 // both a multiplicative ratio and an absolute floor, and also exceeds the
@@ -19,10 +21,13 @@
 // kernel's TxnManager was built with eject_degraded — the graft points
 // eject it on its next invocation through the existing ForciblyRemove path.
 //
-// The baseline prediction is latched at the first strike: the long-run
-// model keeps absorbing the drifted samples, so comparing later windows
-// against a *fresh* fit would let a sustained regression talk its way back
-// under the threshold before the strikes run out.
+// Neither baseline may contain the window it judges: one stalled abort can
+// inflate a window's mean several-fold, and a fit that has absorbed it
+// raises the bar for the windows after it. Both are also latched at the
+// first strike: the long-run model keeps absorbing the drifted samples, so
+// comparing later windows against a *fresh* fit would let a sustained
+// regression talk its way back under the threshold before the strikes run
+// out.
 
 #ifndef VINOLITE_SRC_GRAFT_DRIFT_H_
 #define VINOLITE_SRC_GRAFT_DRIFT_H_
@@ -78,13 +83,13 @@ class DriftDetector {
   std::atomic<uint64_t> seen_{0};  // Samples fed; window ends are multiples.
 
   std::mutex mutex_;  // Guards the judgment state below.
-  // The previous judgment's fit totals: where the current window starts.
-  uint64_t judged_samples_ = 0;
-  double judged_locks_ = 0.0;
-  double judged_undo_ = 0.0;
-  double judged_cost_ns_ = 0.0;
+  // The fit at the previous judgment: the current window starts where it
+  // ends, and is judged against it.
+  AbortCostModel::Fitted judged_;
   uint32_t strikes_ = 0;
-  double baseline_pred_ns_ = 0.0;  // Latched at the first strike.
+  // Latched at the first strike: the prediction and the lifetime mean.
+  double baseline_pred_ns_ = 0.0;
+  double baseline_mean_ns_ = 0.0;
 };
 
 }  // namespace vino

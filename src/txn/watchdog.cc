@@ -1,6 +1,7 @@
 #include "src/txn/watchdog.h"
 
 #include <chrono>
+#include <functional>
 #include <vector>
 
 #include "src/base/context.h"
@@ -10,12 +11,64 @@
 
 namespace vino {
 
+namespace {
+
+// Nested budgets (an invocation inside an invocation) one thread can hold
+// before its list first grows.
+constexpr size_t kReservedTimers = 8;
+
+// A token is its list's index above kSeqBits and the list's arm count
+// below, so Disarm finds the list from the token alone.
+constexpr unsigned kSeqBits = 48;
+constexpr uint64_t kSeqMask = (uint64_t{1} << kSeqBits) - 1;
+
+std::atomic<uint64_t> g_next_serial{1};
+
+// The calling thread's lists, by watchdog serial. A miss looks the list up
+// in the watchdog again, so evicting an entry never registers a second list.
+struct CachedList {
+  uint64_t serial = 0;  // 0 = empty; serials start at 1.
+  uint32_t index = 0;
+};
+constexpr size_t kCachedLists = 4;
+thread_local std::array<CachedList, kCachedLists> t_cached;
+thread_local size_t t_next_evict = 0;
+
+}  // namespace
+
+// One arming thread's timers, in no order. `mutex` is taken by the owner's
+// arms and disarms, by the ticker once per tick, and by a Disarm from
+// another thread holding one of its tokens. Cache-line aligned so two
+// threads' lists never share a written line.
+struct alignas(64) Watchdog::TimerList {
+  struct Timer {
+    uint64_t token;
+    uint64_t os_id;
+    Micros deadline;
+    uint64_t target_txn;  // 0 = untargeted.
+    Status reason;
+  };
+
+  TimerList(uint32_t slot, std::thread::id registrar)
+      : index(slot), owner(registrar) {
+    timers.reserve(kReservedTimers);
+  }
+
+  const uint32_t index;         // Slot in lists_: its tokens' high bits.
+  const std::thread::id owner;  // The registering thread.
+  std::mutex mutex;
+  uint64_t next_seq = 1;        // Guarded by mutex.
+  std::vector<Timer> timers;    // Guarded by mutex.
+};
+
 Watchdog::Watchdog(Micros tick)
-    : tick_(tick), ticker_([this] { TickLoop(); }) {}
+    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)),
+      tick_(tick),
+      ticker_([this] { TickLoop(); }) {}
 
 Watchdog::~Watchdog() {
   {
-    std::lock_guard<std::mutex> guard(mutex_);
+    std::lock_guard<std::mutex> guard(stop_mutex_);
     stopping_ = true;
   }
   wake_.notify_all();
@@ -34,50 +87,108 @@ uint64_t Watchdog::Arm(Micros budget, Status reason) {
 uint64_t Watchdog::ArmFor(uint64_t os_id, Micros budget, Status reason,
                           uint64_t target_txn) {
   const Micros deadline = SteadyClock::Instance().NowMicros() + budget;
-  std::lock_guard<std::mutex> guard(mutex_);
-  const uint64_t token = next_token_++;
-  timers_.emplace(token, Timer{os_id, deadline, reason, target_txn});
+  TimerList& list = CallerList();
+  std::lock_guard<std::mutex> guard(list.mutex);
+  const uint64_t token =
+      (uint64_t{list.index} << kSeqBits) | (list.next_seq++ & kSeqMask);
+  list.timers.push_back(
+      TimerList::Timer{token, os_id, deadline, target_txn, reason});
   return token;
 }
 
 void Watchdog::Disarm(uint64_t token) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  timers_.erase(token);
+  const uint64_t index = token >> kSeqBits;
+  if (index >= list_count_.load(std::memory_order_acquire)) {
+    return;  // Not a token this watchdog issued.
+  }
+  TimerList& list = *lists_[index];
+  std::lock_guard<std::mutex> guard(list.mutex);
+  std::vector<TimerList::Timer>& timers = list.timers;
+  for (size_t i = 0; i < timers.size(); ++i) {
+    if (timers[i].token == token) {
+      timers[i] = timers.back();
+      timers.pop_back();
+      return;
+    }
+  }
+  // Absent: it already fired, and the ticker removed it then.
 }
 
 uint64_t Watchdog::fires() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return fires_;
+  return fires_.load(std::memory_order_relaxed);
+}
+
+Watchdog::TimerList& Watchdog::CallerList() {
+  for (const CachedList& cached : t_cached) {
+    if (cached.serial == serial_) {
+      return *lists_[cached.index];
+    }
+  }
+  return RegisterCaller();
+}
+
+Watchdog::TimerList& Watchdog::RegisterCaller() {
+  // A thread that reuses an exited thread's id inherits its list, which that
+  // thread will never touch again.
+  const std::thread::id self = std::this_thread::get_id();
+  uint32_t index = 0;
+  {
+    std::lock_guard<std::mutex> guard(lists_mutex_);
+    const uint32_t count = list_count_.load(std::memory_order_relaxed);
+    index = count;
+    for (uint32_t i = 0; i < count; ++i) {
+      if (lists_[i]->owner == self) {
+        index = i;
+        break;
+      }
+    }
+    if (index == count && count < kMaxLists) {
+      lists_[count] = std::make_unique<TimerList>(count, self);
+      list_count_.store(count + 1, std::memory_order_release);
+    } else if (index == count) {  // Every list taken: share one.
+      index = static_cast<uint32_t>(std::hash<std::thread::id>{}(self) %
+                                    kMaxLists);
+    }
+  }
+  t_cached[t_next_evict++ % kCachedLists] = CachedList{serial_, index};
+  return *lists_[index];
 }
 
 void Watchdog::TickLoop() {
-  std::unique_lock<std::mutex> lock(mutex_);
-  while (!stopping_) {
-    wake_.wait_for(lock, std::chrono::microseconds(tick_));
-    if (stopping_) {
-      return;
-    }
+  std::unique_lock<std::mutex> lock(stop_mutex_);
+  while (!wake_.wait_for(lock, std::chrono::microseconds(tick_),
+                         [this] { return stopping_; })) {
     const Micros now = SteadyClock::Instance().NowMicros();
-    std::vector<uint64_t> expired;
-    for (const auto& [token, timer] : timers_) {
-      if (timer.deadline <= now) {
-        expired.push_back(token);
-      }
+    const uint32_t count = list_count_.load(std::memory_order_acquire);
+    for (uint32_t i = 0; i < count; ++i) {
+      FireExpired(*lists_[i], now);
     }
-    for (const uint64_t token : expired) {
-      const Timer timer = timers_[token];
-      timers_.erase(token);
-      ++fires_;
-      VINO_LOG_INFO << "watchdog: budget expired for thread " << timer.os_id;
-      // `b` is how far past its deadline the victim was when the tick
-      // noticed (µs): a proxy for watchdog latency vs. tick granularity.
-      VINO_TRACE(trace::Event::kWatchdogFire,
-                 static_cast<uint16_t>(timer.reason), 0, timer.os_id,
-                 now - timer.deadline);
-      KernelContext::PostAbortRequest(timer.os_id,
-                                      static_cast<int32_t>(timer.reason),
-                                      timer.target_txn);
+  }
+}
+
+// Removal and post both happen under the list's lock, so a timer fires
+// exactly once and a Disarm that returns first stops it for good.
+void Watchdog::FireExpired(TimerList& list, Micros now) {
+  std::lock_guard<std::mutex> guard(list.mutex);
+  std::vector<TimerList::Timer>& timers = list.timers;
+  for (size_t i = 0; i < timers.size();) {
+    const TimerList::Timer timer = timers[i];
+    if (timer.deadline > now) {
+      ++i;
+      continue;
     }
+    timers[i] = timers.back();
+    timers.pop_back();
+    fires_.fetch_add(1, std::memory_order_relaxed);
+    VINO_LOG_INFO << "watchdog: budget expired for thread " << timer.os_id;
+    // `b` is how far past its deadline the victim was when the tick
+    // noticed (µs): a proxy for watchdog latency vs. tick granularity.
+    VINO_TRACE(trace::Event::kWatchdogFire,
+               static_cast<uint16_t>(timer.reason), 0, timer.os_id,
+               now - timer.deadline);
+    KernelContext::PostAbortRequest(timer.os_id,
+                                    static_cast<int32_t>(timer.reason),
+                                    timer.target_txn);
   }
 }
 

@@ -9,15 +9,23 @@
 // expired. It complements the fuel limit (which bounds *instructions*) by
 // bounding *time*, catching grafts that block — e.g. in a host call — or
 // native grafts that poll preemption points but never finish.
+//
+// Every budgeted graft invocation arms and disarms, so an arm must cost
+// what setting a deadline costs, not a kernel-wide lock: each thread that
+// arms gets its own timer list inside the watchdog. Arm, ArmFor and the
+// Disarm of their token lock only that list and allocate nothing once it
+// is warm; the ticker walks every list once per tick.
 
 #ifndef VINOLITE_SRC_TXN_WATCHDOG_H_
 #define VINOLITE_SRC_TXN_WATCHDOG_H_
 
+#include <array>
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 
 #include "src/base/clock.h"
 #include "src/base/status.h"
@@ -43,10 +51,13 @@ class Watchdog {
 
   // Arms on behalf of another thread (by context os id). `target_txn` tags
   // the eventual post (0 = whatever transaction is innermost at fire time).
+  // The timer is kept in the calling thread's list: the target may never
+  // have armed this watchdog.
   uint64_t ArmFor(uint64_t os_id, Micros budget, Status reason,
                   uint64_t target_txn = 0);
 
-  // Cancels a timer. Safe to call after expiry (no-op).
+  // Cancels a timer, from any thread. Safe to call after expiry (no-op).
+  // Once it returns, the timer's abort post has either landed or never will.
   void Disarm(uint64_t token);
 
   // Timers that expired and fired an abort request.
@@ -67,23 +78,36 @@ class Watchdog {
   };
 
  private:
-  struct Timer {
-    uint64_t os_id;
-    Micros deadline;
-    Status reason;
-    uint64_t target_txn;  // 0 = untargeted.
-  };
+  struct TimerList;  // One arming thread's timers (watchdog.cc).
 
+  // Lists one watchdog registers. A thread that arms once all are taken
+  // shares one: every list access is locked, so that costs contention,
+  // never correctness.
+  static constexpr uint32_t kMaxLists = 256;
+
+  // The calling thread's list: found through a thread-local cache keyed by
+  // serial_, registered on the thread's first arm.
+  TimerList& CallerList();
+  TimerList& RegisterCaller();
+  void FireExpired(TimerList& list, Micros now);
   void TickLoop();
 
+  // Process-unique, never reused: a cache entry for a destroyed watchdog
+  // can never match a new one built at the same address.
+  const uint64_t serial_;
   const Micros tick_;
-  mutable std::mutex mutex_;
+  std::atomic<uint64_t> fires_{0};
+
+  std::mutex lists_mutex_;  // Serialises registration.
+  // lists_[0, list_count_) are published; a slot is written once, before
+  // the count that covers it.
+  std::atomic<uint32_t> list_count_{0};
+  std::array<std::unique_ptr<TimerList>, kMaxLists> lists_;
+
+  std::mutex stop_mutex_;
   std::condition_variable wake_;
-  bool stopping_ = false;
-  uint64_t next_token_ = 1;
-  uint64_t fires_ = 0;
-  std::unordered_map<uint64_t, Timer> timers_;
-  std::thread ticker_;
+  bool stopping_ = false;  // Guarded by stop_mutex_.
+  std::thread ticker_;     // Last: TickLoop reads every member above.
 };
 
 }  // namespace vino

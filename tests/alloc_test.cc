@@ -24,6 +24,7 @@
 #include "src/txn/accessor.h"
 #include "src/txn/txn_manager.h"
 #include "src/txn/undo_log.h"
+#include "src/txn/watchdog.h"
 
 namespace {
 
@@ -126,6 +127,36 @@ TEST_F(AllocTest, SteadyStateNullNativeGraftSafePathIsAllocationFree) {
   }
   EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
+}
+
+TEST_F(AllocTest, WatchdogArmedSafePathIsAllocationFree) {
+  // The kernel's point shape (VinoKernel::DefaultPointConfig): every
+  // invocation arms and disarms the kernel's watchdog. The thread's timer
+  // list is reserved on its first arm; after that, arming allocates nothing.
+  Watchdog dog;
+  FunctionGraftPoint::Config config;
+  config.watchdog = &dog;
+  config.wall_budget = 1'000'000;  // 1 s: never fires.
+  FunctionGraftPoint point(
+      "p", [](std::span<const uint64_t>) -> uint64_t { return 7; }, config,
+      &txn_, &host_, nullptr);
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+                "null-native",
+                [](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+                  return 0ull;
+                },
+                kRoot)),
+            Status::kOk);
+  for (int i = 0; i < 8; ++i) {
+    (void)point.Invoke({});  // Warm slab, stats shard, and timer list.
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    (void)point.Invoke({});
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
+  EXPECT_EQ(dog.fires(), 0u);
 }
 
 TEST_F(AllocTest, SmallCaptureUndoClosureStaysInline) {

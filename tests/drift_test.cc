@@ -53,6 +53,14 @@ Shape InflatedSample(uint64_t i) {
   return shape;
 }
 
+// An abort whose replay was preempted for 4 ms: a hundred inflated samples'
+// worth of cost in one.
+Shape StalledSample(uint64_t i) {
+  Shape shape = ConformingSample(i);
+  shape.cost = 4'000'000;
+  return shape;
+}
+
 class DriftTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -174,6 +182,27 @@ TEST_F(DriftTest, CleanWindowResetsStrikes) {
   // Counting restarts.
   EXPECT_EQ(rig.Feed(kWindow, InflatedSample, kWarmup + 2 * kWindow).strikes,
             1u);
+}
+
+TEST_F(DriftTest, OneStalledAbortInTheFirstDriftedWindowStillDegrades) {
+  // The stall lifts the first drifted window's mean fourfold. A baseline
+  // that absorbed it would pass the next window, drifted just as far from
+  // the pre-drift model, as normal: the strikes would reset and the graft
+  // would never degrade.
+  DetectorRig rig;
+  rig.Feed(kWarmup, ConformingSample, 0);
+  rig.Feed(kWindow - 1, InflatedSample, kWarmup);
+  const DriftVerdict first =
+      rig.Feed(1, StalledSample, kWarmup + kWindow - 1);
+  EXPECT_TRUE(first.drifted);
+  EXPECT_EQ(first.strikes, 1u);
+
+  const DriftVerdict second =
+      rig.Feed(kWindow, InflatedSample, kWarmup + kWindow);
+  EXPECT_TRUE(second.evaluated);
+  EXPECT_TRUE(second.drifted);
+  EXPECT_TRUE(second.degraded);
+  EXPECT_EQ(second.predicted_cost_ns, first.predicted_cost_ns);
 }
 
 TEST_F(DriftTest, WellBehavedGraftNeverDegrades) {

@@ -5,8 +5,11 @@
 
 #include <atomic>
 #include <chrono>
+#include <latch>
 #include <memory>
+#include <optional>
 #include <thread>
+#include <vector>
 
 #include "src/base/context.h"
 #include "src/graft/function_point.h"
@@ -70,6 +73,114 @@ TEST(WatchdogTest, MultipleTimersIndependent) {
   std::this_thread::sleep_for(std::chrono::milliseconds(15));
   EXPECT_EQ(dog.fires(), 1u);  // Only the short one fired.
   dog.Disarm(keep);
+  KernelContext::Current().pending_abort.store(0);
+}
+
+TEST(WatchdogTest, ConcurrentScopesFireOnlyTheExpiredThread) {
+  // Four threads arm and disarm in a loop, as serving clients do around
+  // every invocation, while a fifth thread's budget expires. Only the fifth
+  // is aborted, and the fire is counted once.
+  Watchdog dog(1'000);
+  TxnManager manager;
+  std::atomic<bool> stop{false};
+  std::atomic<uint64_t> rounds{0};
+  std::atomic<uint64_t> worker_aborts{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < 4; ++t) {
+    workers.emplace_back([&] {
+      while (!stop.load()) {
+        Transaction* txn = manager.Begin();
+        {
+          Watchdog::Scope scope(dog, 1'000'000);  // 1 s: never expires.
+          if (TxnManager::AbortPending()) {
+            ++worker_aborts;
+          }
+        }
+        if (manager.Commit(txn) != Status::kOk) {
+          ++worker_aborts;
+        }
+        ++rounds;
+      }
+    });
+  }
+
+  Status victim_reason = Status::kOk;
+  std::thread victim([&] {
+    Transaction* txn = manager.Begin();
+    Watchdog::Scope scope(dog, 2'000);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (!TxnManager::AbortPending() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::yield();
+    }
+    victim_reason = txn->abort_reason();
+    manager.Abort(txn, Status::kTxnTimedOut);
+  });
+  victim.join();
+  stop.store(true);
+  for (std::thread& worker : workers) {
+    worker.join();
+  }
+
+  EXPECT_EQ(victim_reason, Status::kTxnTimedOut);
+  EXPECT_EQ(dog.fires(), 1u);
+  EXPECT_EQ(worker_aborts.load(), 0u);
+  EXPECT_GT(rounds.load(), 0u);
+}
+
+TEST(WatchdogTest, OneWatchdogNeverFiresAnothersBudget) {
+  // Two kernels' watchdogs in one process, the second of them built where a
+  // destroyed one stood. This thread has armed all three; a budget armed
+  // through one is fired by that one alone.
+  std::optional<Watchdog> dog;
+  dog.emplace(1'000);
+  Watchdog other(1'000);
+  { Watchdog::Scope scope(*dog, 1'000'000); }
+  { Watchdog::Scope scope(other, 1'000'000); }
+  dog.reset();
+  dog.emplace(1'000);
+
+  (void)dog->Arm(500);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (dog->fires() + other.fires() == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(dog->fires(), 1u);
+  EXPECT_EQ(other.fires(), 0u);
+  KernelContext::Current().pending_abort.store(0);
+}
+
+TEST(WatchdogTest, ThreadsBeyondTheListTableShareLists) {
+  // More threads arm one watchdog at once than it has lists (256), so the
+  // last ones share lists, as does this thread. Sharing costs contention,
+  // never correctness: disarmed budgets stay silent, an expiring one fires
+  // once.
+  constexpr int kThreads = 300;
+  Watchdog dog(1'000);
+  std::latch all_armed(kThreads);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&] {
+      const uint64_t token = dog.Arm(1'000'000);
+      all_armed.arrive_and_wait();  // All alive at once: no id is reused.
+      dog.Disarm(token);
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(dog.fires(), 0u);
+
+  (void)dog.Arm(500);
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (dog.fires() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(dog.fires(), 1u);
   KernelContext::Current().pending_abort.store(0);
 }
 

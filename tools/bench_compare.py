@@ -19,7 +19,7 @@ its own direction (`better`) and `bound` from BENCHMARK.json instead of
   tools/bench_compare.py old.json new.json
   tools/bench_compare.py --threshold 15 --sigmas 3 old.json new.json
   tools/bench_compare.py --warn-only BENCH_PR2.json#bench_txn.after new.json
-  tools/bench_compare.py BENCH_PR16.json#ledger_smoke.serve_benign last.json
+  tools/bench_compare.py BENCH_PR18.json#ledger_smoke.serve_benign last.json
 
 A `FILE#dotted.path` selector digs into a composite JSON file (used to
 compare against the committed BENCH_PR2.json snapshot). Exit status is 1 if

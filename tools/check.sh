@@ -8,13 +8,15 @@
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
 #      refuses at load time — must contain every attack,
-#   3. flaky-dispatch guard: robustness_test, net_test, trace_test and
-#      serve_survival_test repeated 20x until-fail (the mixed sync/async
-#      event case was an 18/20 flake before the worker pool; net_test races
-#      deliveries against connection lookups, trace_test a drain cursor
-#      against writers, serve_survival_test serving threads against hostile
-#      aborts, lock deadlines and install churn; any regression shows up
-#      here),
+#   3. flaky-dispatch guard: robustness_test, net_test, trace_test,
+#      serve_survival_test, watchdog_test and drift_test repeated 20x
+#      until-fail (the mixed sync/async event case was an 18/20 flake
+#      before the worker pool; net_test races deliveries against connection
+#      lookups, trace_test a drain cursor against writers,
+#      serve_survival_test serving threads against hostile aborts, lock
+#      deadlines and install churn, watchdog_test arming threads against
+#      the ticker, and drift_test's eject case times real undo replays that
+#      a loaded box can stall; any regression shows up here),
 #   4. flight recorder live: the whole suite re-run with VINO_TRACE=1 (every
 #      instrumentation site exercised with the ring hot) and every kernel
 #      spooling, then every spool replayed with graftstat --spool — among
@@ -50,7 +52,7 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR17/PR7/PR16 json snapshots (warn-only: shared CI boxes
+#            BENCH_PR17/PR7/PR18 json snapshots (warn-only: shared CI boxes
 #            are too noisy for a hard perf gate; read the table — unless
 #            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
@@ -100,9 +102,9 @@ grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
 
-echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival tests x20 =="
+echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival/watchdog/drift tests x20 =="
 ctest --test-dir build \
-  -R 'robustness_test|net_test|trace_test|serve_survival_test' \
+  -R 'robustness_test|net_test|trace_test|serve_survival_test|watchdog_test|drift_test' \
   --repeat until-fail:20 --output-on-failure
 
 echo "== [4/8] flight recorder live: suite with VINO_TRACE=1 + spooling + graftstat =="
@@ -177,7 +179,7 @@ if [[ "$BENCH" == "1" ]]; then
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR7.json#bench_sfi.after" "build/bench_sfi.smoke.json"
-  echo "== [bench] serving ledger vs BENCH_PR16.json ($GATE_LABEL) =="
+  echo "== [bench] serving ledger vs BENCH_PR18.json ($GATE_LABEL) =="
   # A short run of each gated workload; its last line is the result, and
   # each end-to-end metric is held to its own direction and bound from
   # BENCHMARK.json.
@@ -186,7 +188,7 @@ if [[ "$BENCH" == "1" ]]; then
       > "build/ledger.$w.out"
     tail -n 1 "build/ledger.$w.out" > "build/ledger.$w.json"
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} \
-      "BENCH_PR16.json#ledger_smoke.$w" "build/ledger.$w.json"
+      "BENCH_PR18.json#ledger_smoke.$w" "build/ledger.$w.json"
   done
 fi
 
