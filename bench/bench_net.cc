@@ -7,7 +7,8 @@
 //
 // Each benchmark thread delivers to its own port and handler (a graft's
 // arena has one writer), so with two threads only the stack itself is
-// shared: its connection table, listener tables and counters.
+// shared: its id-block counter, ring directory, listener tables and
+// counters. Each thread fills its own connection ring.
 //
 //   bench_net --benchmark_repetitions=10 --json=out.json
 
@@ -97,10 +98,10 @@ struct Fixture {
   NetStack stack;
 };
 
-// A fresh stack per run: connections are never freed, so one stack shared
-// by every run would grow without bound. Thread 0 builds and tears it down;
-// the benchmark loop's start and end barriers order that against the
-// other threads.
+// A fresh stack per run, so every run's threads start from empty rings and
+// each run pays the same first lap. Thread 0 builds and tears it down; the
+// benchmark loop's start and end barriers order that against the other
+// threads.
 std::unique_ptr<Fixture> fixture;
 
 void BM_DeliverConnection(benchmark::State& state) {

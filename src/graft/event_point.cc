@@ -1,6 +1,7 @@
 #include "src/graft/event_point.h"
 
 #include <algorithm>
+#include <atomic>
 #include <thread>
 #include <utility>
 
@@ -11,6 +12,30 @@
 #include "src/graft/namespace.h"
 
 namespace vino {
+
+namespace {
+
+thread_local const EventGraftPoint::HandledEvent* t_handling = nullptr;
+
+// One async event's arguments, shared by its handlers' tasks; the last
+// handler to finish runs `done`.
+struct AsyncEvent {
+  AsyncEvent(std::vector<uint64_t> event_args, size_t handlers,
+             std::function<void()> on_done)
+      : args(std::move(event_args)), left(handlers), done(std::move(on_done)) {}
+
+  void HandlerFinished() {
+    if (left.fetch_sub(1, std::memory_order_acq_rel) == 1 && done) {
+      done();
+    }
+  }
+
+  const std::vector<uint64_t> args;
+  std::atomic<size_t> left;
+  const std::function<void()> done;
+};
+
+}  // namespace
 
 EventGraftPoint::EventGraftPoint(std::string name, Config config,
                                  TxnManager* txn_manager,
@@ -76,8 +101,11 @@ bool EventGraftPoint::RunHandler(const std::shared_ptr<Graft>& graft,
   // The shared safe-path wrapper (graft/invocation.h): txn + account swap +
   // run + commit/abort. Event handlers take no validator and no per-point
   // watchdog; their time bound is the fuel budget.
+  const HandledEvent event{this, args, &graft->account()};
+  const HandledEvent* const outer = std::exchange(t_handling, &event);
   const InvocationOutcome outcome =
       RunGraftInvocation(*txn_manager_, graft, args, exec_);
+  t_handling = outer;
   if (IsOk(outcome.status)) {
     // Drift → action: a handler the detector marked degraded is removed
     // when this kernel opted in (eject_degraded), even though this run
@@ -128,19 +156,26 @@ EventGraftPoint::DispatchOutcome EventGraftPoint::Dispatch(
   return outcome;
 }
 
-void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args) {
+void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args,
+                                    std::function<void()> done) {
   const auto handlers = SnapshotHandlers();
   counters_.Add(kEvents);
-  // Handlers share one immutable copy of the event arguments.
-  const auto shared_args =
-      std::make_shared<const std::vector<uint64_t>>(std::move(args));
+  if (handlers.empty()) {
+    if (done) {
+      done();
+    }
+    return;
+  }
+  const auto event = std::make_shared<AsyncEvent>(
+      std::move(args), handlers.size(), std::move(done));
   for (const auto& graft : handlers) {
     // kThreads is admission control on per-handler concurrency: one unit
     // per in-flight pool task. A handler at its limit still receives the
     // event — synchronously, on the dispatching thread. Never drop.
     if (!IsOk(graft->account().Charge(ResourceType::kThreads, 1))) {
-      RunAndCount(graft, *shared_args);
+      RunAndCount(graft, event->args);
       counters_.Add(kAsyncInlineRuns);
+      event->HandlerFinished();
       continue;
     }
     {
@@ -153,11 +188,12 @@ void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args) {
     // this very thread if saturated; the thread-id comparison below keeps
     // the pool/inline stats honest either way.
     const std::thread::id submitter = std::this_thread::get_id();
-    pool().Submit([this, graft, shared_args, submitter] {
-      RunAndCount(graft, *shared_args);
+    pool().Submit([this, graft, event, submitter] {
+      RunAndCount(graft, event->args);
       graft->account().Uncharge(ResourceType::kThreads, 1);
       counters_.Add(std::this_thread::get_id() == submitter ? kAsyncInlineRuns
                                                             : kAsyncPoolRuns);
+      event->HandlerFinished();
       std::lock_guard<std::mutex> guard(drain_mutex_);
       if (--in_flight_ == 0) {
         drained_.notify_all();
@@ -184,6 +220,10 @@ EventGraftPoint::Stats EventGraftPoint::stats() const {
 uint64_t EventGraftPoint::peak_in_flight() const {
   std::lock_guard<std::mutex> guard(drain_mutex_);
   return peak_in_flight_;
+}
+
+const EventGraftPoint::HandledEvent* EventGraftPoint::Handling() {
+  return t_handling;
 }
 
 }  // namespace vino

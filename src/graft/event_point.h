@@ -43,6 +43,7 @@
 
 #include <condition_variable>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -112,8 +113,11 @@ class EventGraftPoint {
   // flight (admission control). A handler whose account cannot afford a
   // worker — or whose pool is saturated — runs inline on the calling
   // thread instead; the event is delivered either way. Outstanding tasks
-  // are awaited by Drain() or the destructor.
-  void DispatchAsync(std::vector<uint64_t> args);
+  // are awaited by Drain() or the destructor. `done`, if set, runs once
+  // after the event's last handler has finished (at once if it has none),
+  // before Drain() can see that handler's task complete.
+  void DispatchAsync(std::vector<uint64_t> args,
+                     std::function<void()> done = {});
 
   // Waits for all asynchronous handler invocations dispatched by this
   // point to finish. Safe to call concurrently with DispatchAsync.
@@ -131,6 +135,17 @@ class EventGraftPoint {
 
   // Peak simultaneously in-flight async tasks from this point.
   [[nodiscard]] uint64_t peak_in_flight() const;
+
+  // The event whose handler the calling thread is running: its point, its
+  // arguments and the handler graft's account. Null outside a handler; a
+  // nested dispatch shows its own event until it returns. Host calls read
+  // it to keep a handler to the objects its event handed it.
+  struct HandledEvent {
+    const EventGraftPoint* point;
+    std::span<const uint64_t> args;
+    const ResourceAccount* account;
+  };
+  [[nodiscard]] static const HandledEvent* Handling();
 
  private:
   struct Handler {

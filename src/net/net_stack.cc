@@ -1,9 +1,32 @@
 #include "src/net/net_stack.h"
 
+#include "src/base/context.h"
 #include "src/resource/account.h"
 #include "src/txn/accessor.h"
 
 namespace vino {
+
+// One reusable connection. Only its ring's owner refills `conn`, while the
+// slot is not busy, and publishes `id` after it.
+struct NetStack::Slot {
+  std::atomic<ConnectionId> id{0};  // The published id; 0 before the first.
+  // Set while the slot's delivery runs; cleared (release) by the delivering
+  // thread, or by an async event's last handler.
+  std::atomic<bool> busy{false};
+  // The point its delivery event went to. Atomic: a foreign handler's scope
+  // check may read it while the owner refills the slot.
+  std::atomic<const EventGraftPoint*> point{nullptr};
+  Connection conn;
+};
+
+// One delivering thread's connections. `cursor` and `laps` are the owner's;
+// `block` is also read by other rings taking a block.
+struct alignas(64) NetStack::Ring {
+  std::atomic<uint64_t> block{0};  // The current lap's id block.
+  uint64_t laps = 0;               // Blocks taken so far.
+  uint64_t cursor = 0;             // Slots passed so far, filled or skipped.
+  Slot slots[kRingSlots];
+};
 
 NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
                    GraftNamespace* ns, WorkerPool* pool)
@@ -13,14 +36,22 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
       pool_(pool),
       listeners_{std::make_unique<std::atomic<EventGraftPoint*>[]>(kPorts),
                  std::make_unique<std::atomic<EventGraftPoint*>[]>(kPorts)},
-      chunks_(std::make_unique<std::atomic<Connection*>[]>(kDirectoryChunks)) {
+      directory_(std::make_unique<std::atomic<Ring*>[]>(kDirectoryBlocks)) {
+  // Undo closures name the connection by id and look it up again: an undo
+  // replayed after the slot was recycled (a nested commit merges it into an
+  // outer transaction) finds no connection and leaves the slot alone.
+
   // net.recv: r0 = connection id, r1 = arena destination, r2 = max bytes.
   // Returns the number of bytes copied (0 at end of request).
   host->Register(
       "net.recv",
       [this](HostCallContext& ctx) -> Result<uint64_t> {
-        Connection* conn = FindConnection(ctx.args[0]);
-        if (conn == nullptr || !conn->open) {
+        const Result<Connection*> own = OwnConnection(ctx.args[0]);
+        if (!own.ok()) {
+          return own.status();
+        }
+        Connection* conn = *own;
+        if (!conn->open) {
           return Status::kNotFound;
         }
         if (ctx.image == nullptr) {
@@ -41,7 +72,11 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
           }
           const uint64_t prior = conn->rx_consumed;
           conn->rx_consumed += n;
-          TxnOnAbort([conn, prior] { conn->rx_consumed = prior; });
+          TxnOnAbort([this, id = conn->id, prior] {
+            if (Connection* c = FindConnection(id)) {
+              c->rx_consumed = prior;
+            }
+          });
         }
         return n;
       },
@@ -52,8 +87,12 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
   host->Register(
       "net.send",
       [this](HostCallContext& ctx) -> Result<uint64_t> {
-        Connection* conn = FindConnection(ctx.args[0]);
-        if (conn == nullptr || !conn->open) {
+        const Result<Connection*> own = OwnConnection(ctx.args[0]);
+        if (!own.ok()) {
+          return own.status();
+        }
+        Connection* conn = *own;
+        if (!conn->open) {
           return Status::kNotFound;
         }
         if (ctx.image == nullptr || !ctx.image->InArena(ctx.args[1], ctx.args[2])) {
@@ -73,8 +112,12 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
           return s;
         }
         counters_.Add(kBytesSent, n);
-        TxnOnAbort([this, conn, prior_size, n] {
-          conn->tx.resize(prior_size);
+        // The aborted send leaves the byte count even if its slot was
+        // recycled: it was never committed.
+        TxnOnAbort([this, id = conn->id, prior_size, n] {
+          if (Connection* c = FindConnection(id)) {
+            c->tx.resize(prior_size);
+          }
           counters_.Add(kBytesSent, uint64_t{0} - n);
         });
         return n;
@@ -85,13 +128,18 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
   host->Register(
       "net.close",
       [this](HostCallContext& ctx) -> Result<uint64_t> {
-        Connection* conn = FindConnection(ctx.args[0]);
-        if (conn == nullptr) {
-          return Status::kNotFound;
+        const Result<Connection*> own = OwnConnection(ctx.args[0]);
+        if (!own.ok()) {
+          return own.status();
         }
+        Connection* conn = *own;
         if (conn->open) {
           conn->open = false;
-          TxnOnAbort([conn] { conn->open = true; });
+          TxnOnAbort([this, id = conn->id] {
+            if (Connection* c = FindConnection(id)) {
+              c->open = true;
+            }
+          });
         }
         return 0ull;
       },
@@ -99,16 +147,9 @@ NetStack::NetStack(TxnManager* txn_manager, HostCallTable* host,
 }
 
 NetStack::~NetStack() {
-  // Async handlers still in flight may look connections up.
+  // Async handlers still in flight may look connections up, and their
+  // events clear their slots' busy flags.
   DrainEvents();
-  // Chunks are allocated in id order, so the first empty slot ends them.
-  for (size_t i = 0; i < kDirectoryChunks; ++i) {
-    Connection* chunk = chunks_[i].load(std::memory_order_relaxed);
-    if (chunk == nullptr) {
-      break;
-    }
-    delete[] chunk;
-  }
 }
 
 EventGraftPoint* NetStack::Listen(Protocol proto, uint16_t port) {
@@ -132,65 +173,111 @@ EventGraftPoint* NetStack::ListenTcp(uint16_t port) { return Listen(kTcp, port);
 
 EventGraftPoint* NetStack::ListenUdp(uint16_t port) { return Listen(kUdp, port); }
 
-Result<ConnectionId> NetStack::NewConnection(uint16_t port, std::string payload) {
-  std::lock_guard<std::mutex> guard(mutex_);
-  const ConnectionId id = newest_.load(std::memory_order_relaxed) + 1;
-  const size_t index = id >> kChunkBits;
-  if (index >= kDirectoryChunks) {
-    return Status::kNoMemory;
+Result<NetStack::Slot*> NetStack::NewConnection(const EventGraftPoint* point,
+                                                uint16_t port,
+                                                const std::string& payload) {
+  if (Ring* ring = rings_.Local([](uint32_t) { return std::make_unique<Ring>(); })) {
+    return Open(*ring, point, port, payload);
   }
-  Connection* chunk = chunks_[index].load(std::memory_order_relaxed);
-  if (chunk == nullptr) {
-    chunk = new Connection[kChunkSize];
-    chunks_[index].store(chunk, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> guard(overflow_mutex_);
+  if (overflow_ == nullptr) {
+    overflow_ = std::make_unique<Ring>();
   }
-  Connection& conn = chunk[id & (kChunkSize - 1)];
-  conn.id = id;
+  return Open(*overflow_, point, port, payload);
+}
+
+Result<NetStack::Slot*> NetStack::Open(Ring& ring, const EventGraftPoint* point,
+                                       uint16_t port, const std::string& payload) {
+  // Pass over slots whose delivery still runs; a whole lap of them is full.
+  uint64_t cursor = ring.cursor;
+  for (size_t skipped = 0;
+       ring.slots[cursor % kRingSlots].busy.load(std::memory_order_acquire);
+       ++cursor) {
+    if (++skipped == kRingSlots) {
+      return Status::kNoMemory;
+    }
+  }
+  if ((cursor >> kRingBits) == ring.laps) {  // A new lap: relabel.
+    ring.block.store(TakeBlock(ring), std::memory_order_relaxed);
+    ++ring.laps;
+  }
+  ring.cursor = cursor + 1;
+  const size_t index = cursor % kRingSlots;
+  Slot& slot = ring.slots[index];
+  Connection& conn = slot.conn;
+  conn.id = (ring.block.load(std::memory_order_relaxed) << kRingBits) | index;
   conn.port = port;
-  conn.rx = std::move(payload);
-  // Publishes the slot (and its chunk) to FindConnection's acquire load.
-  newest_.store(id, std::memory_order_release);
-  return id;
+  conn.open = true;
+  conn.rx.assign(payload);
+  conn.rx_consumed = 0;
+  conn.tx.clear();  // Keeps its capacity: a warm reply allocates nothing.
+  slot.point.store(point, std::memory_order_relaxed);
+  slot.busy.store(true, std::memory_order_relaxed);
+  // Publishes the refilled slot to FindSlot's acquire load.
+  slot.id.store(conn.id, std::memory_order_release);
+  return &slot;
+}
+
+// A block's directory entry may still belong to a ring filling the block
+// kDirectoryBlocks back (a thread that went quiet while the stack handed out
+// ~67 M ids). That block is passed over, so a ring's current connections
+// never lose their entry.
+uint64_t NetStack::TakeBlock(Ring& ring) {
+  for (;;) {
+    const uint64_t block = next_block_.fetch_add(1, std::memory_order_relaxed);
+    const size_t entry = block % kDirectoryBlocks;
+    const Ring* holder = directory_[entry].load(std::memory_order_relaxed);
+    if (holder == nullptr || holder == &ring ||
+        holder->block.load(std::memory_order_relaxed) % kDirectoryBlocks != entry) {
+      // Release: a reader that finds the ring here sees it constructed.
+      directory_[entry].store(&ring, std::memory_order_release);
+      return block;
+    }
+  }
 }
 
 Result<ConnectionId> NetStack::Deliver(Protocol proto, uint16_t port,
-                                       std::string payload, bool async) {
+                                       const std::string& payload, bool async) {
   EventGraftPoint* point =
       listeners_[proto][port].load(std::memory_order_acquire);
   if (point == nullptr) {
     return Status::kNotFound;
   }
-  const Result<ConnectionId> id = NewConnection(port, std::move(payload));
-  if (!id.ok()) {
-    return id;
+  const Result<Slot*> opened = NewConnection(point, port, payload);
+  if (!opened.ok()) {
+    return opened.status();
   }
+  Slot* slot = *opened;
+  const ConnectionId id = slot->conn.id;
   counters_.Add(proto == kTcp ? kConnections : kPackets);
   if (async) {
-    point->DispatchAsync({*id});
+    point->DispatchAsync(
+        {id}, [slot] { slot->busy.store(false, std::memory_order_release); });
   } else {
-    const uint64_t args[1] = {*id};
+    const uint64_t args[1] = {id};
     point->Dispatch(args);
+    slot->busy.store(false, std::memory_order_release);
   }
   return id;
 }
 
 Result<ConnectionId> NetStack::DeliverConnection(uint16_t port,
                                                  std::string request) {
-  return Deliver(kTcp, port, std::move(request), /*async=*/false);
+  return Deliver(kTcp, port, request, /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverPacket(uint16_t port, std::string payload) {
-  return Deliver(kUdp, port, std::move(payload), /*async=*/false);
+  return Deliver(kUdp, port, payload, /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverConnectionAsync(uint16_t port,
                                                       std::string request) {
-  return Deliver(kTcp, port, std::move(request), /*async=*/true);
+  return Deliver(kTcp, port, request, /*async=*/true);
 }
 
 Result<ConnectionId> NetStack::DeliverPacketAsync(uint16_t port,
                                                   std::string payload) {
-  return Deliver(kUdp, port, std::move(payload), /*async=*/true);
+  return Deliver(kUdp, port, payload, /*async=*/true);
 }
 
 void NetStack::DrainEvents() {
@@ -209,15 +296,41 @@ void NetStack::DrainEvents() {
   }
 }
 
-Connection* NetStack::FindConnection(ConnectionId id) {
-  // Ids come straight from graft registers. newest_ never passes the
-  // directory (NewConnection refuses first), so one comparison rejects
-  // unpublished ids and ids past the directory alike.
-  if (id == 0 || id > newest_.load(std::memory_order_acquire)) {
+NetStack::Slot* NetStack::FindSlot(ConnectionId id) const {
+  // Ids come straight from graft registers. A slot never filled holds id
+  // 0, and id 0 is never handed out, so 0 is refused first.
+  if (id == 0) {
     return nullptr;
   }
-  return &chunks_[id >> kChunkBits].load(std::memory_order_relaxed)
-              [id & (kChunkSize - 1)];
+  Ring* ring = directory_[(id >> kRingBits) % kDirectoryBlocks].load(
+      std::memory_order_acquire);
+  if (ring == nullptr) {
+    return nullptr;
+  }
+  Slot& slot = ring->slots[id % kRingSlots];
+  return slot.id.load(std::memory_order_acquire) == id ? &slot : nullptr;
+}
+
+Connection* NetStack::FindConnection(ConnectionId id) {
+  Slot* slot = FindSlot(id);
+  return slot != nullptr ? &slot->conn : nullptr;
+}
+
+Result<Connection*> NetStack::OwnConnection(ConnectionId id) const {
+  Slot* slot = FindSlot(id);
+  if (slot == nullptr) {
+    return Status::kNotFound;
+  }
+  // Only a handler running for this connection's own delivery event may use
+  // it. That delivery keeps the slot busy until the handler returns, so a
+  // connection that passes cannot be refilled under the handler.
+  const EventGraftPoint::HandledEvent* event = EventGraftPoint::Handling();
+  if (event == nullptr || event->args.empty() || event->args[0] != id ||
+      event->point != slot->point.load(std::memory_order_relaxed) ||
+      event->account != KernelContext::Current().account) {
+    return Status::kPermissionDenied;
+  }
+  return &slot->conn;
 }
 
 NetStack::Stats NetStack::stats() const {

@@ -10,28 +10,30 @@
 // own transaction. After async delivery, DrainEvents() (or draining the
 // individual point) waits for handlers to finish.
 //
-// Concurrency: looking up a connection or a listener takes no lock and no
-// hash. Connections live in an append-only table of fixed-size chunks
-// indexed by their dense ConnectionId; a fixed directory of atomic chunk
-// pointers never moves, so a lookup is one acquire load of the newest
-// published id, a bounds check and an index. Listeners sit in one
-// port-indexed table per protocol, read lock-free by Deliver*. `mutex_`
-// guards only listening and connection creation, which fills a slot and
-// then release-publishes its id: one acquisition per delivery, never held
-// while a handler runs (handlers call back into net.recv/net.send). Stats
-// are relaxed, sharded counters.
+// Connections are recycled. Each delivering thread fills its own ring of
+// kRingSlots reusable slots, so the stack's memory grows with the number
+// of delivering threads, not with the number of connections. A ring takes
+// ids in blocks of kRingSlots from one stack-wide counter, a fresh block
+// for each lap, so ids stay unique and about as dense as the connections
+// made. A connection stays findable until its delivering thread has made
+// kRingSlots more deliveries; then its slot, string capacity kept, carries
+// a new connection and the old id reads null. A slot whose delivery is
+// still running (a sync dispatch in progress, an async one queued or
+// running) is skipped, never reused; when a whole lap is, delivery fails
+// with kNoMemory. Threads past kMaxRings share one more ring under a lock.
+//
+// Concurrency: delivery takes no stack-wide lock. Claiming a slot touches
+// only the caller's ring, and one atomic add per lap takes an id block.
+// Looking up a connection or a listener takes no lock and no hash: a fixed
+// directory maps an id's block to its ring, and the slot must publish that
+// very id. Listeners sit in one port-indexed table per protocol, read
+// lock-free by Deliver*. `mutex_` guards only listening. Stats are
+// relaxed, sharded counters.
 //
 // A single connection's byte streams are NOT locked: the stack assumes one
 // handler consumes a given connection (true for the one-handler-per-port
 // services the paper builds; multi-handler ports should use sync delivery
 // or disjoint connections).
-//
-// Connections are never freed: callers (the serving benchmarks among them)
-// read Connection::tx after the handler has closed the connection, and a
-// Connection* stays valid for the stack's lifetime. A stack whose directory
-// is full fails delivery with kNoMemory. Any graft can name any published
-// connection id through the net.* calls; ids that were never published
-// (0, past the newest, past the directory) read kNotFound.
 //
 // Grafts interact with connections through three graft-callable host
 // functions the stack registers:
@@ -39,8 +41,12 @@
 //   net.send(conn, src, len)  - append bytes from the arena to the response
 //                               (charged against kNetBandwidth),
 //   net.close(conn)           - close the connection.
-// net.send is undo-logged: an aborted handler's partial response is
-// discarded, so a crashing HTTP handler never leaks half a reply.
+// Each reaches only the connection whose delivery event the calling
+// handler is running for (same point, same argument, the handler's own
+// account); another live id reads kPermissionDenied, and an id never
+// published or already recycled reads kNotFound. net.send is undo-logged:
+// an aborted handler's partial response is discarded, so a crashing HTTP
+// handler never leaks half a reply.
 
 #ifndef VINOLITE_SRC_NET_NET_STACK_H_
 #define VINOLITE_SRC_NET_NET_STACK_H_
@@ -54,6 +60,7 @@
 #include <vector>
 
 #include "src/base/sharded_counter.h"
+#include "src/base/thread_registry.h"
 #include "src/base/worker_pool.h"
 #include "src/graft/event_point.h"
 #include "src/graft/namespace.h"
@@ -95,7 +102,8 @@ class NetStack {
   // and dispatches the port's connection event with the connection id as
   // the argument. Returns the id (connection exists even if no handler
   // consumed it). Fails with kNotFound if nothing listens on the port, and
-  // with kNoMemory once the connection table is full.
+  // with kNoMemory if every slot of the calling thread's ring still has a
+  // delivery running.
   Result<ConnectionId> DeliverConnection(uint16_t port, std::string request);
 
   // Dispatches a UDP packet event; the payload rides in a one-shot
@@ -113,7 +121,9 @@ class NetStack {
   // Waits for every outstanding async event dispatched by this stack.
   void DrainEvents();
 
-  // Lock-free. Null for id 0 and for any id not yet published.
+  // Lock-free. Null for id 0, for any id not yet published, and for an id
+  // whose slot has since been recycled. The connection stays valid until
+  // its delivering thread has made kRingSlots more deliveries.
   [[nodiscard]] Connection* FindConnection(ConnectionId id);
 
   struct Stats {
@@ -123,36 +133,55 @@ class NetStack {
   };
   [[nodiscard]] Stats stats() const;
 
-  // Connection table geometry: kChunkSize connections per chunk, and a
-  // directory of kDirectoryChunks chunk pointers (~67 M connections).
-  static constexpr size_t kChunkBits = 12;
-  static constexpr size_t kChunkSize = size_t{1} << kChunkBits;
-  static constexpr size_t kDirectoryChunks = size_t{1} << 14;
+  // Connection table geometry: a ring of kRingSlots slots per delivering
+  // thread (one id block per lap), rings for up to kMaxRings threads, and
+  // a directory of kDirectoryBlocks ring pointers indexed by block number
+  // modulo its size.
+  static constexpr size_t kRingBits = 12;
+  static constexpr size_t kRingSlots = size_t{1} << kRingBits;
+  static constexpr uint32_t kMaxRings = 256;
+  static constexpr size_t kDirectoryBlocks = size_t{1} << 14;
 
  private:
   enum Protocol : size_t { kTcp, kUdp, kProtocols };
   static constexpr size_t kPorts = size_t{1} << 16;
 
+  struct Slot;
+  struct Ring;
+
   EventGraftPoint* Listen(Protocol proto, uint16_t port);
   Result<ConnectionId> Deliver(Protocol proto, uint16_t port,
-                               std::string payload, bool async);
-  Result<ConnectionId> NewConnection(uint16_t port, std::string payload);
+                               const std::string& payload, bool async);
+  // Fills the calling thread's next free slot and publishes it, marked busy
+  // until its delivery has run.
+  Result<Slot*> NewConnection(const EventGraftPoint* point, uint16_t port,
+                              const std::string& payload);
+  Result<Slot*> Open(Ring& ring, const EventGraftPoint* point, uint16_t port,
+                     const std::string& payload);
+  uint64_t TakeBlock(Ring& ring);
+  [[nodiscard]] Slot* FindSlot(ConnectionId id) const;
+  // The connection `id` if the calling handler's event delivered it.
+  Result<Connection*> OwnConnection(ConnectionId id) const;
 
   TxnManager* txn_manager_;
   const HostCallTable* host_;
   GraftNamespace* ns_;
   WorkerPool* pool_;
 
-  // Guards points_ and the writers of listeners_, chunks_ and newest_.
-  // Never held while dispatching.
+  // Guards points_ and the writers of listeners_. Never held while
+  // dispatching.
   std::mutex mutex_;
   std::vector<std::unique_ptr<EventGraftPoint>> points_;
   // kPorts slots per protocol; a slot is set once, by Listen.
   std::unique_ptr<std::atomic<EventGraftPoint*>[]> listeners_[kProtocols];
-  // kDirectoryChunks slots, each null or a Connection[kChunkSize]; slot i
-  // holds ids [i·kChunkSize, (i+1)·kChunkSize). Id 0 is never handed out.
-  std::unique_ptr<std::atomic<Connection*>[]> chunks_;
-  std::atomic<ConnectionId> newest_{0};  // Ids 1..newest_ are published.
+
+  // The next id block. Block 0 is never handed out, so neither is id 0.
+  std::atomic<uint64_t> next_block_{1};
+  // Entry b % kDirectoryBlocks: the ring that took block b last, or null.
+  std::unique_ptr<std::atomic<Ring*>[]> directory_;
+  ThreadRegistry<Ring, kMaxRings> rings_;
+  std::mutex overflow_mutex_;   // Guards overflow_ and its slots' claims.
+  std::unique_ptr<Ring> overflow_;  // Threads past kMaxRings deliver here.
 
   enum Counter : size_t { kConnections, kPackets, kBytesSent };
   ShardedCounters<3> counters_;

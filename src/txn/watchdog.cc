@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <functional>
+#include <memory>
 #include <vector>
 
 #include "src/base/context.h"
@@ -22,18 +23,6 @@ constexpr size_t kReservedTimers = 8;
 constexpr unsigned kSeqBits = 48;
 constexpr uint64_t kSeqMask = (uint64_t{1} << kSeqBits) - 1;
 
-std::atomic<uint64_t> g_next_serial{1};
-
-// The calling thread's lists, by watchdog serial. A miss looks the list up
-// in the watchdog again, so evicting an entry never registers a second list.
-struct CachedList {
-  uint64_t serial = 0;  // 0 = empty; serials start at 1.
-  uint32_t index = 0;
-};
-constexpr size_t kCachedLists = 4;
-thread_local std::array<CachedList, kCachedLists> t_cached;
-thread_local size_t t_next_evict = 0;
-
 }  // namespace
 
 // One arming thread's timers, in no order. `mutex` is taken by the owner's
@@ -49,21 +38,18 @@ struct alignas(64) Watchdog::TimerList {
     Status reason;
   };
 
-  TimerList(uint32_t slot, std::thread::id registrar)
-      : index(slot), owner(registrar) {
+  explicit TimerList(uint32_t slot) : index(slot) {
     timers.reserve(kReservedTimers);
   }
 
   const uint32_t index;         // Slot in lists_: its tokens' high bits.
-  const std::thread::id owner;  // The registering thread.
   std::mutex mutex;
   uint64_t next_seq = 1;        // Guarded by mutex.
   std::vector<Timer> timers;    // Guarded by mutex.
 };
 
 Watchdog::Watchdog(Micros tick)
-    : serial_(g_next_serial.fetch_add(1, std::memory_order_relaxed)),
-      tick_(tick),
+    : tick_(tick),
       ticker_([this] { TickLoop(); }) {}
 
 Watchdog::~Watchdog() {
@@ -98,10 +84,10 @@ uint64_t Watchdog::ArmFor(uint64_t os_id, Micros budget, Status reason,
 
 void Watchdog::Disarm(uint64_t token) {
   const uint64_t index = token >> kSeqBits;
-  if (index >= list_count_.load(std::memory_order_acquire)) {
+  if (index >= lists_.size()) {
     return;  // Not a token this watchdog issued.
   }
-  TimerList& list = *lists_[index];
+  TimerList& list = lists_[static_cast<uint32_t>(index)];
   std::lock_guard<std::mutex> guard(list.mutex);
   std::vector<TimerList::Timer>& timers = list.timers;
   for (size_t i = 0; i < timers.size(); ++i) {
@@ -119,39 +105,14 @@ uint64_t Watchdog::fires() const {
 }
 
 Watchdog::TimerList& Watchdog::CallerList() {
-  for (const CachedList& cached : t_cached) {
-    if (cached.serial == serial_) {
-      return *lists_[cached.index];
-    }
-  }
-  return RegisterCaller();
+  TimerList* list = lists_.Local(
+      [](uint32_t index) { return std::make_unique<TimerList>(index); });
+  return list != nullptr ? *list : SharedList();
 }
 
-Watchdog::TimerList& Watchdog::RegisterCaller() {
-  // A thread that reuses an exited thread's id inherits its list, which that
-  // thread will never touch again.
-  const std::thread::id self = std::this_thread::get_id();
-  uint32_t index = 0;
-  {
-    std::lock_guard<std::mutex> guard(lists_mutex_);
-    const uint32_t count = list_count_.load(std::memory_order_relaxed);
-    index = count;
-    for (uint32_t i = 0; i < count; ++i) {
-      if (lists_[i]->owner == self) {
-        index = i;
-        break;
-      }
-    }
-    if (index == count && count < kMaxLists) {
-      lists_[count] = std::make_unique<TimerList>(count, self);
-      list_count_.store(count + 1, std::memory_order_release);
-    } else if (index == count) {  // Every list taken: share one.
-      index = static_cast<uint32_t>(std::hash<std::thread::id>{}(self) %
-                                    kMaxLists);
-    }
-  }
-  t_cached[t_next_evict++ % kCachedLists] = CachedList{serial_, index};
-  return *lists_[index];
+Watchdog::TimerList& Watchdog::SharedList() {
+  return lists_[static_cast<uint32_t>(
+      std::hash<std::thread::id>{}(std::this_thread::get_id()) % kMaxLists)];
 }
 
 void Watchdog::TickLoop() {
@@ -159,9 +120,9 @@ void Watchdog::TickLoop() {
   while (!wake_.wait_for(lock, std::chrono::microseconds(tick_),
                          [this] { return stopping_; })) {
     const Micros now = SteadyClock::Instance().NowMicros();
-    const uint32_t count = list_count_.load(std::memory_order_acquire);
+    const uint32_t count = lists_.size();
     for (uint32_t i = 0; i < count; ++i) {
-      FireExpired(*lists_[i], now);
+      FireExpired(lists_[i], now);
     }
   }
 }

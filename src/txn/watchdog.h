@@ -19,16 +19,15 @@
 #ifndef VINOLITE_SRC_TXN_WATCHDOG_H_
 #define VINOLITE_SRC_TXN_WATCHDOG_H_
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <thread>
 
 #include "src/base/clock.h"
 #include "src/base/status.h"
+#include "src/base/thread_registry.h"
 
 namespace vino {
 
@@ -85,24 +84,18 @@ class Watchdog {
   // never correctness.
   static constexpr uint32_t kMaxLists = 256;
 
-  // The calling thread's list: found through a thread-local cache keyed by
-  // serial_, registered on the thread's first arm.
+  // The calling thread's list, registered on the thread's first arm.
   TimerList& CallerList();
-  TimerList& RegisterCaller();
+  // Every list taken: the one the calling thread shares. Out of line, so
+  // that CallerList's hit path needs no frame.
+  [[gnu::noinline]] TimerList& SharedList();
   void FireExpired(TimerList& list, Micros now);
   void TickLoop();
 
-  // Process-unique, never reused: a cache entry for a destroyed watchdog
-  // can never match a new one built at the same address.
-  const uint64_t serial_;
   const Micros tick_;
   std::atomic<uint64_t> fires_{0};
 
-  std::mutex lists_mutex_;  // Serialises registration.
-  // lists_[0, list_count_) are published; a slot is written once, before
-  // the count that covers it.
-  std::atomic<uint32_t> list_count_{0};
-  std::array<std::unique_ptr<TimerList>, kMaxLists> lists_;
+  ThreadRegistry<TimerList, kMaxLists> lists_;
 
   std::mutex stop_mutex_;
   std::condition_variable wake_;

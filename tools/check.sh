@@ -52,7 +52,7 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR17/PR7/PR18 json snapshots (warn-only: shared CI boxes
+#            BENCH_PR17/PR7/PR19 json snapshots (warn-only: shared CI boxes
 #            are too noisy for a hard perf gate; read the table — unless
 #            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
@@ -179,7 +179,12 @@ if [[ "$BENCH" == "1" ]]; then
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR7.json#bench_sfi.after" "build/bench_sfi.smoke.json"
-  echo "== [bench] serving ledger vs BENCH_PR18.json ($GATE_LABEL) =="
+  echo "== [bench] net stack micro vs BENCH_PR19.json ($GATE_LABEL) =="
+  build/bench/bench_net --json="build/bench_net.smoke.json" \
+    --benchmark_min_time=0.05 >/dev/null
+  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
+    "BENCH_PR19.json#bench_net" "build/bench_net.smoke.json"
+  echo "== [bench] serving ledger vs BENCH_PR19.json ($GATE_LABEL) =="
   # A short run of each gated workload; its last line is the result, and
   # each end-to-end metric is held to its own direction and bound from
   # BENCHMARK.json.
@@ -188,7 +193,7 @@ if [[ "$BENCH" == "1" ]]; then
       > "build/ledger.$w.out"
     tail -n 1 "build/ledger.$w.out" > "build/ledger.$w.json"
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} \
-      "BENCH_PR18.json#ledger_smoke.$w" "build/ledger.$w.json"
+      "BENCH_PR19.json#ledger_smoke.$w" "build/ledger.$w.json"
   done
 fi
 
