@@ -79,7 +79,8 @@ enum class Event : uint16_t {
 
   // Policy (graft points, worker pool).
   kGraftEjected,   // tag = Status reason, a = graft trace id.
-  kPoolSaturated,  // a = queue depth, a32 = 1 if submitter blocked (kBlock).
+  kPoolSaturated,  // a = queue depth, a32 = 0 (older spools: 1 if the
+                   // submitter blocked for a slot).
 
   // Per-graft abort-cost attribution (src/graft/invocation.h). Mirrors the
   // (L, G, cost) sample fed to the graft's AbortCostModel, so a spool

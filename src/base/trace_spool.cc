@@ -591,12 +591,11 @@ void SpoolDrainer::DrainOnceLocked() {
   // Adaptive cadence: chase bursts, back off when idle. Multiplicative in
   // both directions so the interval settles within a few drains of a
   // workload shift.
-  if (drained.max_occupancy_permille >= options_.hot_occupancy_permille) {
+  if (drained.max_occupancy_permille >= kHotOccupancyPermille) {
     stats_.interval_us = stats_.interval_us / 2 > options_.min_interval_us
                              ? stats_.interval_us / 2
                              : options_.min_interval_us;
-  } else if (drained.max_occupancy_permille <
-             options_.cold_occupancy_permille) {
+  } else if (drained.max_occupancy_permille < kColdOccupancyPermille) {
     stats_.interval_us = stats_.interval_us * 2 < options_.max_interval_us
                              ? stats_.interval_us * 2
                              : options_.max_interval_us;

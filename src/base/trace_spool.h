@@ -338,12 +338,13 @@ class SpoolDrainer {
 
     // Cadence bounds. The drainer sleeps `interval`, starting at min;
     // after each drain the interval halves (≥ min) when the fullest ring
-    // was ≥ hot‰ pending, doubles (≤ max) when < cold‰.
+    // was ≥ kHotOccupancyPermille pending, doubles (≤ max) when
+    // < kColdOccupancyPermille.
     uint64_t min_interval_us = 2'000;
     uint64_t max_interval_us = 100'000;
-    uint32_t hot_occupancy_permille = 500;
-    uint32_t cold_occupancy_permille = 125;
   };
+  static constexpr uint32_t kHotOccupancyPermille = 500;
+  static constexpr uint32_t kColdOccupancyPermille = 125;
 
   struct Stats {
     uint64_t drains = 0;

@@ -33,35 +33,23 @@ void WorkerPool::RunInline(Task& task) {
 
 void WorkerPool::Submit(Task task) {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
+    std::lock_guard<std::mutex> guard(mutex_);
     ++stats_.submitted;
     if (!stopping_) {
-      if (queue_.size() >= config_.queue_capacity) {
-        // Flight recorder: one record per saturated submit. `a32` = 1 when
-        // the submitter will block for a slot, 0 when it degrades to
-        // running the task inline; `a` = queue depth at the decision.
-        VINO_TRACE(trace::Event::kPoolSaturated, 0,
-                   config_.saturation == SaturationPolicy::kBlock ? 1u : 0u,
-                   queue_.size(), stats_.blocked_submits + 1);
-      }
-      if (queue_.size() >= config_.queue_capacity &&
-          config_.saturation == SaturationPolicy::kBlock) {
-        ++stats_.blocked_submits;
-        slot_free_.wait(lock, [this] {
-          return queue_.size() < config_.queue_capacity || stopping_;
-        });
-      }
-      if (!stopping_ && queue_.size() < config_.queue_capacity) {
+      if (queue_.size() < config_.queue_capacity) {
         queue_.push_back(std::move(task));
         stats_.peak_queue_depth =
             std::max<uint64_t>(stats_.peak_queue_depth, queue_.size());
         work_ready_.notify_one();
         return;
       }
+      // Flight recorder: one record per saturated submit, `a` = queue
+      // depth at the decision.
+      VINO_TRACE(trace::Event::kPoolSaturated, 0, 0, queue_.size(), 0);
     }
   }
-  // Saturated (kInline) or shut down: degrade to synchronous execution on
-  // the submitting thread. The task still runs exactly once.
+  // Saturated or shut down: degrade to synchronous execution on the
+  // submitting thread. The task still runs exactly once.
   RunInline(task);
 }
 
@@ -79,7 +67,6 @@ void WorkerPool::WorkerLoop() {
       ++active_;
       stats_.peak_active_workers =
           std::max<uint64_t>(stats_.peak_active_workers, active_);
-      slot_free_.notify_one();
     }
     task();
     {
@@ -106,7 +93,6 @@ void WorkerPool::Shutdown() {
     }
     stopping_ = true;
     work_ready_.notify_all();
-    slot_free_.notify_all();
   }
   for (std::thread& t : threads_) {
     if (t.joinable()) {

@@ -7,12 +7,10 @@
 // runs on a worker thread inside its own transaction — while capping the
 // number of real threads and the depth of queued work.
 //
-// Saturation policy: a full queue never drops work. The submitter either
-// runs the task inline on its own thread (kInline — degrade to synchronous
-// delivery, the default) or blocks until a slot frees (kBlock — explicit
-// backpressure). Shutdown runs every queued task before workers exit, and
-// tasks submitted after shutdown run inline; in no configuration does a
-// submitted task vanish.
+// Saturation: a full queue never drops work. The submitter runs the task
+// inline on its own thread (degrade to synchronous delivery). Shutdown runs
+// every queued task before workers exit, and tasks submitted after shutdown
+// run inline; in no configuration does a submitted task vanish.
 
 #ifndef VINOLITE_SRC_BASE_WORKER_POOL_H_
 #define VINOLITE_SRC_BASE_WORKER_POOL_H_
@@ -31,16 +29,9 @@ class WorkerPool {
  public:
   using Task = std::function<void()>;
 
-  // What Submit does when the queue is at capacity.
-  enum class SaturationPolicy {
-    kInline,  // Run the task on the submitting thread.
-    kBlock,   // Block the submitter until a queue slot frees.
-  };
-
   struct Config {
     size_t workers = 0;          // 0 → hardware_concurrency (at least 2).
     size_t queue_capacity = 256; // Max queued (not yet executing) tasks.
-    SaturationPolicy saturation = SaturationPolicy::kInline;
   };
 
   explicit WorkerPool(const Config& config);
@@ -51,8 +42,8 @@ class WorkerPool {
   ~WorkerPool();  // Shutdown(): runs all queued tasks, joins workers.
 
   // Submits a task for execution. Never drops: a task always runs exactly
-  // once — on a pool worker, or inline on the calling thread (saturation
-  // with kInline, or after Shutdown).
+  // once — on a pool worker, or inline on the calling thread (saturation,
+  // or after Shutdown).
   void Submit(Task task);
 
   // Waits until the queue is empty and no worker is executing. Tasks that
@@ -70,7 +61,6 @@ class WorkerPool {
     uint64_t submitted = 0;        // Total Submit calls.
     uint64_t executed = 0;         // Tasks completed on pool workers.
     uint64_t inline_runs = 0;      // Tasks run on the submitter's thread.
-    uint64_t blocked_submits = 0;  // Submits that waited for a slot (kBlock).
     uint64_t peak_queue_depth = 0;
     uint64_t peak_active_workers = 0;
   };
@@ -93,7 +83,6 @@ class WorkerPool {
 
   mutable std::mutex mutex_;
   std::condition_variable work_ready_;   // Queue non-empty or stopping.
-  std::condition_variable slot_free_;    // Queue below capacity (kBlock).
   std::condition_variable idle_;         // Queue empty and no active worker.
   std::deque<Task> queue_;
   size_t active_ = 0;                    // Workers currently running a task.

@@ -24,48 +24,6 @@ void GraftNamespace::Unregister(const std::string& name) {
   events_.erase(name);
 }
 
-Result<FunctionGraftPoint*> GraftNamespace::LookupFunction(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> guard(mutex_);
-  const auto it = functions_.find(name);
-  if (it == functions_.end()) {
-    return Status::kNotFound;
-  }
-  return it->second;
-}
-
-Result<EventGraftPoint*> GraftNamespace::LookupEvent(
-    const std::string& name) const {
-  std::shared_lock<std::shared_mutex> guard(mutex_);
-  const auto it = events_.find(name);
-  if (it == events_.end()) {
-    return Status::kNotFound;
-  }
-  return it->second;
-}
-
-Status GraftNamespace::WithFunction(
-    const std::string& name,
-    const std::function<Status(FunctionGraftPoint&)>& fn) const {
-  std::shared_lock<std::shared_mutex> guard(mutex_);
-  const auto it = functions_.find(name);
-  if (it == functions_.end()) {
-    return Status::kNotFound;
-  }
-  return fn(*it->second);
-}
-
-Status GraftNamespace::WithEvent(
-    const std::string& name,
-    const std::function<Status(EventGraftPoint&)>& fn) const {
-  std::shared_lock<std::shared_mutex> guard(mutex_);
-  const auto it = events_.find(name);
-  if (it == events_.end()) {
-    return Status::kNotFound;
-  }
-  return fn(*it->second);
-}
-
 std::vector<GraftNamespace::EntryInfo> GraftNamespace::List() const {
   std::shared_lock<std::shared_mutex> guard(mutex_);
   std::vector<EntryInfo> out;

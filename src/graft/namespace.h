@@ -21,7 +21,6 @@
 #ifndef VINOLITE_SRC_GRAFT_NAMESPACE_H_
 #define VINOLITE_SRC_GRAFT_NAMESPACE_H_
 
-#include <functional>
 #include <shared_mutex>
 #include <string>
 #include <unordered_map>
@@ -50,14 +49,6 @@ class GraftNamespace {
   // before destroying its point cannot pull it out from under a visitor.
   void Unregister(const std::string& name);
 
-  // Raw lookups. The returned pointer's lifetime is the caller's problem:
-  // it is only safe when the caller separately guarantees the point's owner
-  // outlives the use (e.g. single-threaded setup, or the caller owns the
-  // point). Concurrent code should prefer the With* visitors below.
-  [[nodiscard]] Result<FunctionGraftPoint*> LookupFunction(
-      const std::string& name) const;
-  [[nodiscard]] Result<EventGraftPoint*> LookupEvent(const std::string& name) const;
-
   // Lifetime-safe lookup: runs `fn` on the named point while holding the
   // namespace's shared lock, so a concurrent Unregister (which takes the
   // lock exclusive) cannot complete — and the owner cannot legally destroy
@@ -65,11 +56,17 @@ class GraftNamespace {
   // lookup returned a point that was torn down mid-invoke. kNotFound if the
   // name is absent; otherwise whatever `fn` returns. `fn` may install,
   // invoke, or remove grafts (points are internally thread-safe) but must
-  // not call back into registration/teardown paths of this namespace.
-  Status WithFunction(const std::string& name,
-                      const std::function<Status(FunctionGraftPoint&)>& fn) const;
-  Status WithEvent(const std::string& name,
-                   const std::function<Status(EventGraftPoint&)>& fn) const;
+  // not call back into registration/teardown paths of this namespace. The
+  // visitor is a template parameter, so a visit type-erases nothing and
+  // allocates nothing, whatever `fn` captures.
+  template <typename Fn>
+  Status WithFunction(const std::string& name, Fn&& fn) const {
+    return Visit(functions_, name, fn);
+  }
+  template <typename Fn>
+  Status WithEvent(const std::string& name, Fn&& fn) const {
+    return Visit(events_, name, fn);
+  }
 
   // All registered names with a kind tag, for introspection tools.
   struct EntryInfo {
@@ -81,6 +78,17 @@ class GraftNamespace {
   [[nodiscard]] std::vector<EntryInfo> List() const;
 
  private:
+  template <typename Point, typename Fn>
+  Status Visit(const std::unordered_map<std::string, Point*>& points,
+               const std::string& name, Fn& fn) const {
+    std::shared_lock<std::shared_mutex> guard(mutex_);
+    const auto it = points.find(name);
+    if (it == points.end()) {
+      return Status::kNotFound;
+    }
+    return fn(*it->second);
+  }
+
   mutable std::shared_mutex mutex_;
   std::unordered_map<std::string, FunctionGraftPoint*> functions_;
   std::unordered_map<std::string, EventGraftPoint*> events_;

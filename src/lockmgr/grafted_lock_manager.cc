@@ -1,16 +1,8 @@
 #include "src/lockmgr/grafted_lock_manager.h"
 
 #include <algorithm>
-#include <cstddef>
 
 namespace vino {
-
-using lockdetail::AlreadyHolds;
-using lockdetail::CancelLocked;
-using lockdetail::ConflictsWithHolders;
-using lockdetail::LockShardTable;
-using lockdetail::PromoteWaiters;
-using lockdetail::ReleaseLocked;
 
 GraftedLockManager::GraftedLockManager(const std::string& name,
                                        TxnManager* txn_manager,
@@ -19,7 +11,11 @@ GraftedLockManager::GraftedLockManager(const std::string& name,
     : grant_point_(
           name + ".grant",
           [this](std::span<const uint64_t>) -> uint64_t {
-            return DefaultGrant(*deciding_state_, *deciding_request_);
+            // Figure 4: grant iff no conflict with holders. Used directly
+            // when ungrafted and as the fallback after an abort.
+            return ConflictsWithHolders(*deciding_state_, *deciding_request_)
+                       ? 0
+                       : 1;
           },
           [] {
             FunctionGraftPoint::Config config;
@@ -37,12 +33,6 @@ GraftedLockManager::GraftedLockManager(const std::string& name,
             return config;
           }(),
           txn_manager, host, ns) {}
-
-uint64_t GraftedLockManager::DefaultGrant(const LockState& state,
-                                          const LockRequest& request) {
-  // Figure 4's hard-coded policy: grant iff no conflict with holders.
-  return ConflictsWithHolders(state, request) ? 0 : 1;
-}
 
 void GraftedLockManager::Marshal(const LockState& state,
                                  const LockRequest& request,
@@ -78,52 +68,32 @@ void GraftedLockManager::Marshal(const LockState& state,
   args[5] = waiter_count;
 }
 
-uint64_t GraftedLockManager::ConsultGrant(const LockState& state,
-                                          const LockRequest& request) {
+uint64_t GraftedLockManager::Consult(FunctionGraftPoint& point,
+                                     const LockState& state,
+                                     const LockRequest& request) {
   deciding_state_ = &state;
   deciding_request_ = &request;
   uint64_t args[6] = {request.holder, static_cast<uint64_t>(request.mode),
                       0, 0, 0, 0};
-  std::shared_ptr<Graft> graft = grant_point_.current_graft();
+  std::shared_ptr<Graft> graft = point.current_graft();
   if (graft != nullptr && !graft->is_native()) {
     Marshal(state, request, graft, args);
   }
-  const uint64_t decision = grant_point_.Invoke(args);
+  const uint64_t decision = point.Invoke(args);
   deciding_state_ = nullptr;
   deciding_request_ = nullptr;
   return decision;
 }
 
-uint64_t GraftedLockManager::ConsultEnqueue(const LockState& state,
-                                            const LockRequest& request) {
-  deciding_state_ = &state;
-  deciding_request_ = &request;
-  uint64_t args[6] = {request.holder, static_cast<uint64_t>(request.mode),
-                      0, 0, 0, 0};
-  std::shared_ptr<Graft> graft = enqueue_point_.current_graft();
-  if (graft != nullptr && !graft->is_native()) {
-    Marshal(state, request, graft, args);
-  }
-  return enqueue_point_.Invoke(args);
-}
-
 Status GraftedLockManager::GetLock(LockResourceId resource, LockHolderId holder,
                                    LockMode mode) {
-  LockShardTable::Shard& shard = table_.ShardFor(resource);
   const LockRequest request{holder, mode};
 
   // Snapshot the state under the shard mutex, then consult the policy
   // grafts against the snapshot with the mutex dropped.
   LockState snapshot;
-  {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto it = shard.locks.find(resource);
-    if (it != shard.locks.end()) {
-      if (AlreadyHolds(it->second, holder)) {
-        return Status::kAlreadyExists;
-      }
-      snapshot = it->second;
-    }
+  if (Snapshot(resource, holder, &snapshot) == Status::kAlreadyExists) {
+    return Status::kAlreadyExists;
   }
 
   bool graft_says_grant;
@@ -131,76 +101,25 @@ Status GraftedLockManager::GetLock(LockResourceId resource, LockHolderId holder,
   {
     std::lock_guard<std::mutex> consult(consult_mutex_);
     // A grant graft can *deny* requests the default would grant (fair
-    // queueing), but it must not grant conflicting requests: the kernel
-    // re-checks compatibility below — the graft chooses policy, not safety.
-    graft_says_grant = ConsultGrant(snapshot, request) != 0;
+    // queueing), but it cannot grant conflicting requests: Apply re-checks
+    // against the live state — the graft chooses policy, not safety.
+    graft_says_grant = Consult(grant_point_, snapshot, request) != 0;
     if (!graft_says_grant) {
-      queue_index = ConsultEnqueue(snapshot, request);
+      queue_index = Consult(enqueue_point_, snapshot, request);
     }
   }
 
-  std::lock_guard<std::mutex> lock(shard.mu);
-  LockState& state = shard.locks[resource];
-  if (AlreadyHolds(state, holder)) {
-    return Status::kAlreadyExists;
-  }
-  if (graft_says_grant && !ConflictsWithHolders(state, request)) {
-    state.holders.push_back(request);
-    return Status::kOk;
-  }
-  // Queue. If the grant answer was stale-positive (a conflicting holder
-  // arrived while we consulted), there is no graft-chosen index; append.
-  size_t index = graft_says_grant
-                     ? state.waiters.size()
-                     : static_cast<size_t>(queue_index);
-  if (index > state.waiters.size()) {
-    index = state.waiters.size();  // Kernel-side clamp of graft output.
-  }
-  state.waiters.insert(state.waiters.begin() + static_cast<ptrdiff_t>(index),
-                       request);
-  // The lock may have drained while the graft deliberated (or the graft may
-  // deny requests on an idle lock). Promotion only ever runs on release, and
-  // nobody releases an idle lock — so a request queued against empty holders
-  // would wait forever. Re-run kernel promotion in exactly that case; while
-  // holders remain, their release will promote, and the graft's denial
-  // stands until then.
-  if (state.holders.empty()) {
-    PromoteWaiters(state);
-    if (AlreadyHolds(state, holder)) {
-      return Status::kOk;
-    }
-  }
-  return Status::kBusy;
-}
-
-Status GraftedLockManager::ReleaseLock(LockResourceId resource,
-                                       LockHolderId holder) {
-  LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  // Promotion stays kernel policy (safety): FIFO while compatible.
-  return ReleaseLocked(shard.locks, resource, holder);
-}
-
-Status GraftedLockManager::CancelWait(LockResourceId resource,
-                                      LockHolderId holder) {
-  LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return CancelLocked(shard.locks, resource, holder);
-}
-
-bool GraftedLockManager::Holds(LockResourceId resource,
-                               LockHolderId holder) const {
-  const LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.locks.find(resource);
-  return it != shard.locks.end() && AlreadyHolds(it->second, holder);
-}
-
-size_t GraftedLockManager::WaiterCount(LockResourceId resource) const {
-  const LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.locks.find(resource);
-  return it == shard.locks.end() ? 0 : it->second.waiters.size();
+  // A stale-positive grant (a conflicting holder arrived while we
+  // consulted) has no graft-chosen index; it appends.
+  return Apply(
+      resource, request,
+      [graft_says_grant](const LockState&, const LockRequest&) {
+        return graft_says_grant;
+      },
+      [graft_says_grant, queue_index](const LockState& state,
+                                      const LockRequest&) {
+        return graft_says_grant ? state.waiters.size() : queue_index;
+      });
 }
 
 }  // namespace vino

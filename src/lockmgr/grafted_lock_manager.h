@@ -26,10 +26,10 @@
 // other resource in the shard. Instead the requester snapshots the lock
 // state, consults the graft against the snapshot (consultations are
 // serialized by one mutex: both points marshal into the graft's single
-// arena), then revalidates under the shard mutex. The kernel re-checks
-// compatibility after a grant answer and re-runs FIFO promotion after a
-// queue answer, so a stale decision can cost a request its turn but can
-// neither grant a conflicting lock nor strand the wait queue.
+// arena), then applies the answer through the LockTable's one step, which
+// refuses a conflicting grant and promotes an idle lock. So a stale
+// decision can cost a request its turn but can neither grant a conflicting
+// lock nor strand the wait queue.
 
 #ifndef VINOLITE_SRC_LOCKMGR_GRAFTED_LOCK_MANAGER_H_
 #define VINOLITE_SRC_LOCKMGR_GRAFTED_LOCK_MANAGER_H_
@@ -39,7 +39,6 @@
 
 #include "src/graft/function_point.h"
 #include "src/graft/namespace.h"
-#include "src/lockmgr/lock_manager.h"
 #include "src/lockmgr/lock_table.h"
 #include "src/sfi/host.h"
 #include "src/txn/txn_manager.h"
@@ -49,7 +48,7 @@ namespace vino {
 inline constexpr uint64_t kLockHoldersOffset = 0;
 inline constexpr uint64_t kLockWaitersOffset = 8 * 1024;
 
-class GraftedLockManager {
+class GraftedLockManager : private LockTable {
  public:
   // Registers "<name>.grant" and "<name>.enqueue" in the namespace.
   GraftedLockManager(const std::string& name, TxnManager* txn_manager,
@@ -62,30 +61,21 @@ class GraftedLockManager {
   [[nodiscard]] FunctionGraftPoint& enqueue_point() { return enqueue_point_; }
 
   Status GetLock(LockResourceId resource, LockHolderId holder, LockMode mode);
-  Status ReleaseLock(LockResourceId resource, LockHolderId holder);
 
-  // Same contract as SimpleLockManager::CancelWait: atomically withdraw a
-  // queued request (or release it, if the grant raced in), re-promoting the
-  // queue either way.
-  Status CancelWait(LockResourceId resource, LockHolderId holder);
-
-  [[nodiscard]] bool Holds(LockResourceId resource, LockHolderId holder) const;
-  [[nodiscard]] size_t WaiterCount(LockResourceId resource) const;
+  using LockTable::CancelWait;
+  using LockTable::Holds;
+  using LockTable::ReleaseLock;
+  using LockTable::WaiterCount;
 
  private:
   // Marshals the lock state into `graft`'s arena and fills the six args.
   static void Marshal(const LockState& state, const LockRequest& request,
                       const std::shared_ptr<Graft>& graft, uint64_t args[6]);
 
-  // Default decisions (Figure 4 semantics), used directly when ungrafted
-  // and as the fallback the points revert to after an abort.
-  static uint64_t DefaultGrant(const LockState& state, const LockRequest& request);
-
-  // Callers hold consult_mutex_, never the shard mutex.
-  uint64_t ConsultGrant(const LockState& state, const LockRequest& request);
-  uint64_t ConsultEnqueue(const LockState& state, const LockRequest& request);
-
-  lockdetail::LockShardTable table_;
+  // Invokes one policy point on `state`. Callers hold consult_mutex_, never
+  // the shard mutex.
+  uint64_t Consult(FunctionGraftPoint& point, const LockState& state,
+                   const LockRequest& request);
 
   // Serializes policy consultations: both points share the installed
   // graft's single arena, and the default closures read deciding_state_.

@@ -1,197 +1,44 @@
 #include "src/lockmgr/lock_manager.h"
 
 #include <algorithm>
-#include <cstddef>
-#include <mutex>
-
-#include "src/base/trace.h"
+#include <utility>
 
 namespace vino {
-
-using lockdetail::AlreadyHolds;
-using lockdetail::CancelLocked;
-using lockdetail::ConflictsWithHolders;
-using lockdetail::LockShardTable;
-using lockdetail::PromoteWaiters;
-using lockdetail::ReleaseLocked;
-
-namespace {
-
-Status ReleaseSharded(LockShardTable& table, LockResourceId resource,
-                      LockHolderId holder) {
-  LockShardTable::Shard& shard = table.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return ReleaseLocked(shard.locks, resource, holder);
-}
-
-Status CancelSharded(LockShardTable& table, LockResourceId resource,
-                     LockHolderId holder) {
-  LockShardTable::Shard& shard = table.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  return CancelLocked(shard.locks, resource, holder);
-}
-
-bool HoldsSharded(const LockShardTable& table, LockResourceId resource,
-                  LockHolderId holder) {
-  const LockShardTable::Shard& shard = table.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.locks.find(resource);
-  return it != shard.locks.end() && AlreadyHolds(it->second, holder);
-}
-
-size_t WaitersSharded(const LockShardTable& table, LockResourceId resource) {
-  const LockShardTable::Shard& shard = table.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  const auto it = shard.locks.find(resource);
-  return it == shard.locks.end() ? 0 : it->second.waiters.size();
-}
-
-}  // namespace
 
 // --- Figure 4 -------------------------------------------------------------
 
 Status SimpleLockManager::GetLock(LockResourceId resource, LockHolderId holder,
                                   LockMode mode) {
-  LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  LockState& state = shard.locks[resource];
-  if (AlreadyHolds(state, holder)) {
-    return Status::kAlreadyExists;
-  }
-  const LockRequest request{holder, mode};
-  // Hard-coded policy 1: grant iff no conflict with current holders
-  // (ignores waiters — reader priority).
-  if (!ConflictsWithHolders(state, request)) {
-    state.holders.push_back(request);
-    VINO_TRACE(trace::Event::kLockAcquire, static_cast<uint16_t>(mode), 0,
-               resource, holder);
-    return Status::kOk;
-  }
-  // Hard-coded policy 2: append to the waiters list (FIFO).
-  state.waiters.push_back(request);
-  VINO_TRACE(trace::Event::kLockContend, static_cast<uint16_t>(mode),
-             static_cast<uint32_t>(state.waiters.size()), resource, holder);
-  return Status::kBusy;
-}
-
-Status SimpleLockManager::ReleaseLock(LockResourceId resource,
-                                      LockHolderId holder) {
-  return ReleaseSharded(table_, resource, holder);
-}
-
-Status SimpleLockManager::CancelWait(LockResourceId resource,
-                                     LockHolderId holder) {
-  return CancelSharded(table_, resource, holder);
-}
-
-bool SimpleLockManager::Holds(LockResourceId resource,
-                              LockHolderId holder) const {
-  return HoldsSharded(table_, resource, holder);
-}
-
-size_t SimpleLockManager::WaiterCount(LockResourceId resource) const {
-  return WaitersSharded(table_, resource);
+  // Both decisions hard-coded: no indirection at either decision point.
+  return Apply(resource, LockRequest{holder, mode}, GrantIfHoldersAllow{},
+               AppendToQueue{});
 }
 
 // --- Figure 5 -------------------------------------------------------------
 
-PolicyLockManager::PolicyLockManager() {
-  grant_policy_ = [](const LockState& state, const LockRequest& request) {
-    return !ConflictsWithHolders(state, request);
-  };
-  queue_policy_ = [](const LockState& state, const LockRequest&) {
-    return state.waiters.size();  // Append.
-  };
-}
-
 void PolicyLockManager::SetGrantPolicy(GrantPolicy policy) {
-  if (policy) {
-    grant_policy_ = std::move(policy);
-  } else {
-    grant_policy_ = [](const LockState& state, const LockRequest& request) {
-      return !ConflictsWithHolders(state, request);
-    };
-  }
+  grant_policy_ = policy ? std::move(policy) : GrantIfHoldersAllow{};
 }
 
 void PolicyLockManager::SetQueuePolicy(QueuePolicy policy) {
-  if (policy) {
-    queue_policy_ = std::move(policy);
-  } else {
-    queue_policy_ = [](const LockState& state, const LockRequest&) {
-      return state.waiters.size();
-    };
-  }
+  queue_policy_ = policy ? std::move(policy) : AppendToQueue{};
 }
 
 Status PolicyLockManager::GetLock(LockResourceId resource, LockHolderId holder,
                                   LockMode mode) {
-  LockShardTable::Shard& shard = table_.ShardFor(resource);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  LockState& state = shard.locks[resource];
-  if (AlreadyHolds(state, holder)) {
-    return Status::kAlreadyExists;
-  }
-  const LockRequest request{holder, mode};
-  // Decision point 1, behind an indirection.
-  if (grant_policy_(state, request)) {
-    state.holders.push_back(request);
-    VINO_TRACE(trace::Event::kLockAcquire, static_cast<uint16_t>(mode), 0,
-               resource, holder);
-    return Status::kOk;
-  }
-  // Decision point 2, behind an indirection.
-  size_t index = queue_policy_(state, request);
-  if (index > state.waiters.size()) {
-    index = state.waiters.size();  // Defensive clamp of policy output.
-  }
-  state.waiters.insert(state.waiters.begin() + static_cast<ptrdiff_t>(index),
-                       request);
-  VINO_TRACE(trace::Event::kLockContend, static_cast<uint16_t>(mode),
-             static_cast<uint32_t>(state.waiters.size()), resource, holder);
-  // A policy may deny a request on an idle lock, but promotion only runs on
-  // release and nobody releases an idle lock — promote now so the queue
-  // cannot strand (kernel liveness outranks policy).
-  if (state.holders.empty()) {
-    PromoteWaiters(state);
-    if (AlreadyHolds(state, holder)) {
-      return Status::kOk;
-    }
-  }
-  return Status::kBusy;
-}
-
-Status PolicyLockManager::ReleaseLock(LockResourceId resource,
-                                      LockHolderId holder) {
-  return ReleaseSharded(table_, resource, holder);
-}
-
-Status PolicyLockManager::CancelWait(LockResourceId resource,
-                                     LockHolderId holder) {
-  return CancelSharded(table_, resource, holder);
-}
-
-bool PolicyLockManager::Holds(LockResourceId resource,
-                              LockHolderId holder) const {
-  return HoldsSharded(table_, resource, holder);
-}
-
-size_t PolicyLockManager::WaiterCount(LockResourceId resource) const {
-  return WaitersSharded(table_, resource);
+  // Both decision points behind an indirection.
+  return Apply(resource, LockRequest{holder, mode}, grant_policy_,
+               queue_policy_);
 }
 
 bool PolicyLockManager::FairGrantPolicy(const LockState& state,
                                         const LockRequest& request) {
-  // No barging: conflicts with holders *or* any earlier waiter block.
-  if (ConflictsWithHolders(state, request)) {
-    return false;
-  }
-  for (const LockRequest& w : state.waiters) {
-    if (!Compatible(w.mode, request.mode)) {
-      return false;
-    }
-  }
-  return true;
+  // No barging: any incompatible waiter blocks the request, as a holder
+  // does (the table checks those).
+  return std::none_of(state.waiters.begin(), state.waiters.end(),
+                      [&request](const LockRequest& w) {
+                        return !Compatible(w.mode, request.mode);
+                      });
 }
 
 }  // namespace vino

@@ -10,11 +10,9 @@
 // calls typically cost approximately 35 cycles; these add up remarkably
 // quickly." bench_lockmgr prices exactly that difference.
 //
-// Both managers are thread-safe and shard their lock state by resource id
-// (lock_table.h): two requests contend on a mutex only when their resources
-// hash to the same shard. There is no blocking wait inside the manager —
-// a queued requester polls Holds() and, on timeout, withdraws atomically
-// with CancelWait() so its abandoned queue slot cannot strand later grants.
+// Both managers are thread-safe and keep only their two decisions; the
+// sharded table, release, withdrawal and the conflict check are the
+// LockTable's (lock_table.h).
 
 #ifndef VINOLITE_SRC_LOCKMGR_LOCK_MANAGER_H_
 #define VINOLITE_SRC_LOCKMGR_LOCK_MANAGER_H_
@@ -23,53 +21,38 @@
 #include <functional>
 
 #include "src/base/status.h"
-#include "src/lockmgr/lock_manager_types.h"
 #include "src/lockmgr/lock_table.h"
 
 namespace vino {
 
 // --- Figure 4: hard-coded policies --------------------------------------
 
-class SimpleLockManager {
+class SimpleLockManager : private LockTable {
  public:
   // Grants immediately (kOk) or queues the request (kBusy). Re-requesting a
   // held lock is kAlreadyExists.
   Status GetLock(LockResourceId resource, LockHolderId holder, LockMode mode);
 
-  // Releases; promotes compatible waiters in FIFO order. kNotFound if the
-  // holder does not hold the resource.
-  Status ReleaseLock(LockResourceId resource, LockHolderId holder);
-
-  // Withdraws a request that did not get the lock in time. Atomically, in
-  // one shard critical section: if the holder is still queued the entry is
-  // removed; if the grant raced the timeout and the holder already owns the
-  // lock, the grant is released. Either way the queue is re-promoted — a
-  // timed-out waiter at the front must not keep stranding compatible
-  // requests behind it. kNotFound if the holder neither waits nor holds.
-  Status CancelWait(LockResourceId resource, LockHolderId holder);
-
-  [[nodiscard]] bool Holds(LockResourceId resource, LockHolderId holder) const;
-  [[nodiscard]] size_t WaiterCount(LockResourceId resource) const;
-
- private:
-  lockdetail::LockShardTable table_;
+  using LockTable::CancelWait;
+  using LockTable::Holds;
+  using LockTable::ReleaseLock;
+  using LockTable::WaiterCount;
 };
 
 // --- Figure 5: policy-indirected -----------------------------------------
 
-class PolicyLockManager {
+class PolicyLockManager : private LockTable {
  public:
-  // Decision 1: may `request` be granted given the lock's state? The
-  // default reproduces Figure 4 (conflict against holders only — reader
-  // priority, waiters ignored).
+  // Decision 1: may `request` be granted given the lock's state? The table
+  // never grants a request that conflicts with a holder, so a policy can
+  // only deny more. The default reproduces Figure 4 (grant whatever the
+  // holders allow — reader priority, waiters ignored).
   using GrantPolicy = std::function<bool(const LockState&, const LockRequest&)>;
 
   // Decision 2: where in the wait queue does a blocked request go?
   // Returns an insertion index in [0, waiters.size()]. Default: append.
   using QueuePolicy =
       std::function<size_t(const LockState&, const LockRequest&)>;
-
-  PolicyLockManager();
 
   // Policy replacement — the "graft" of this subsystem. Null restores the
   // default. Policies run under the resource's shard mutex, so they must be
@@ -79,13 +62,11 @@ class PolicyLockManager {
   void SetQueuePolicy(QueuePolicy policy);
 
   Status GetLock(LockResourceId resource, LockHolderId holder, LockMode mode);
-  Status ReleaseLock(LockResourceId resource, LockHolderId holder);
 
-  // Same contract as SimpleLockManager::CancelWait.
-  Status CancelWait(LockResourceId resource, LockHolderId holder);
-
-  [[nodiscard]] bool Holds(LockResourceId resource, LockHolderId holder) const;
-  [[nodiscard]] size_t WaiterCount(LockResourceId resource) const;
+  using LockTable::CancelWait;
+  using LockTable::Holds;
+  using LockTable::ReleaseLock;
+  using LockTable::WaiterCount;
 
   // A fair-queueing grant policy (no reader priority: a request conflicts
   // with waiters too), provided both as a useful alternative and as the
@@ -94,9 +75,8 @@ class PolicyLockManager {
                                             const LockRequest& request);
 
  private:
-  GrantPolicy grant_policy_;
-  QueuePolicy queue_policy_;
-  lockdetail::LockShardTable table_;
+  GrantPolicy grant_policy_ = GrantIfHoldersAllow{};
+  QueuePolicy queue_policy_ = AppendToQueue{};
 };
 
 }  // namespace vino

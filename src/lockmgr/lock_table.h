@@ -1,6 +1,7 @@
-// Shared internals of the lock managers: the holder/waiter compatibility
-// helpers and the sharded lock table all three managers (Figure 4, Figure 5,
-// grafted) hang their state off.
+// The lock table under all three lock managers (Figure 4, Figure 5,
+// grafted): the lock vocabulary, the sharded resource->state table, and
+// every step the managers share. A manager keeps only its two policy
+// decisions — grant now, or queue where — and hands them to Apply().
 //
 // PR 9's serving bench showed the single map-plus-mutex design collapsing
 // under multi-installer load: every GetLock on every resource serialized on
@@ -8,56 +9,100 @@
 // touch the same mutex only if their resources hash to the same shard, and
 // a shard's mutex is held only for the map operation itself (the grafted
 // manager consults its policy grafts *outside* the shard lock).
+//
+// There is no blocking wait inside the table — a queued requester polls
+// Holds() and, on timeout, withdraws atomically with CancelWait() so its
+// abandoned queue slot cannot strand later grants.
 
 #ifndef VINOLITE_SRC_LOCKMGR_LOCK_TABLE_H_
 #define VINOLITE_SRC_LOCKMGR_LOCK_TABLE_H_
 
-#include <algorithm>
 #include <array>
+#include <cstddef>
+#include <cstdint>
+#include <deque>
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "src/base/hash.h"
-#include "src/lockmgr/lock_manager_types.h"
+#include "src/base/status.h"
+#include "src/base/trace.h"
 
 namespace vino {
-namespace lockdetail {
 
-[[nodiscard]] inline bool ConflictsWithHolders(const LockState& state,
-                                               const LockRequest& request) {
-  return std::any_of(state.holders.begin(), state.holders.end(),
-                     [&request](const LockRequest& h) {
-                       return h.holder != request.holder &&
-                              !Compatible(h.mode, request.mode);
-                     });
+enum class LockMode : uint8_t { kShared, kExclusive };
+
+using LockHolderId = uint64_t;
+using LockResourceId = uint64_t;
+
+struct LockRequest {
+  LockHolderId holder = 0;
+  LockMode mode = LockMode::kShared;
+};
+
+struct LockState {
+  std::vector<LockRequest> holders;
+  std::deque<LockRequest> waiters;
+};
+
+// True iff `a` and `b` can hold the lock simultaneously.
+[[nodiscard]] constexpr bool Compatible(LockMode a, LockMode b) {
+  return a == LockMode::kShared && b == LockMode::kShared;
 }
 
-[[nodiscard]] inline bool AlreadyHolds(const LockState& state,
-                                       LockHolderId holder) {
-  return std::any_of(
-      state.holders.begin(), state.holders.end(),
-      [holder](const LockRequest& h) { return h.holder == holder; });
-}
+// True iff `request` conflicts with a holder other than its own.
+[[nodiscard]] bool ConflictsWithHolders(const LockState& state,
+                                        const LockRequest& request);
 
-// Shared release/promotion logic. After any holder or waiter leaves, grants
-// waiters in queue order while they remain compatible with the holder set.
-// Promotion is kernel policy, not graft policy: it is what guarantees a
-// drained lock never strands its queue.
-inline void PromoteWaiters(LockState& state) {
-  while (!state.waiters.empty()) {
-    const LockRequest& next = state.waiters.front();
-    if (ConflictsWithHolders(state, next)) {
-      return;
+class LockTable {
+ public:
+  // Figure 4's hard-coded decisions. Grant: whatever the holders allow —
+  // Apply() already refuses a conflict, and waiters are ignored (reader
+  // priority). Queue: append (FIFO).
+  struct GrantIfHoldersAllow {
+    bool operator()(const LockState&, const LockRequest&) const { return true; }
+  };
+  struct AppendToQueue {
+    size_t operator()(const LockState& state, const LockRequest&) const {
+      return state.waiters.size();
     }
-    state.holders.push_back(next);
-    state.waiters.pop_front();
-  }
-}
+  };
 
-// The sharded resource->LockState table. Resource ids are commonly small
-// and sequential, so they go through the splitmix64 finalizer before the
-// shard mask (same reasoning as ShardedCounters).
-struct LockShardTable {
+  // The one grant-or-queue step, under the resource's shard mutex.
+  // kAlreadyExists if the holder already holds. Otherwise `grant(state,
+  // request)` may grant (kOk) a request that conflicts with no current
+  // holder — the kernel, not the policy, owns that check. A request not
+  // granted goes in the wait queue at `queue(state, request)`, clamped to
+  // append, and is kBusy, unless the lock is idle: then FIFO promotion runs
+  // at once, since nobody will release an idle lock, and a promoted request
+  // is kOk. Posts kLockAcquire on a grant and kLockContend on a queue.
+  template <typename Grant, typename Queue>
+  Status Apply(LockResourceId resource, const LockRequest& request,
+               Grant&& grant, Queue&& queue);
+
+  // Releases; promotes compatible waiters in FIFO order. kNotFound if the
+  // holder does not hold the resource (a queued request is not a held
+  // lock — withdraw it with CancelWait).
+  Status ReleaseLock(LockResourceId resource, LockHolderId holder);
+
+  // Withdraws a request that did not get the lock in time. Atomically, in
+  // one shard critical section: if the holder is still queued the entry is
+  // removed; if the grant raced the timeout and the holder already owns the
+  // lock, the grant is released. Either way the queue is re-promoted — a
+  // timed-out waiter at the front must not keep stranding compatible
+  // requests behind it. kNotFound if the holder neither waits nor holds.
+  Status CancelWait(LockResourceId resource, LockHolderId holder);
+
+  [[nodiscard]] bool Holds(LockResourceId resource, LockHolderId holder) const;
+  [[nodiscard]] size_t WaiterCount(LockResourceId resource) const;
+
+  // Copies the resource's state into `out`, for a decision made with no
+  // shard mutex held. kAlreadyExists if `holder` already holds.
+  Status Snapshot(LockResourceId resource, LockHolderId holder,
+                  LockState* out) const;
+
+ private:
   static constexpr size_t kShardCount = 16;  // Power of two.
 
   struct Shard {
@@ -65,75 +110,79 @@ struct LockShardTable {
     std::unordered_map<LockResourceId, LockState> locks;
   };
 
+  // Resource ids are commonly small and sequential, so they go through the
+  // splitmix64 finalizer before the shard mask (as ShardedCounters does).
   [[nodiscard]] Shard& ShardFor(LockResourceId resource) {
-    return shards[MixU64(resource) & (kShardCount - 1)];
+    return shards_[MixU64(resource) & (kShardCount - 1)];
   }
   [[nodiscard]] const Shard& ShardFor(LockResourceId resource) const {
-    return shards[MixU64(resource) & (kShardCount - 1)];
+    return shards_[MixU64(resource) & (kShardCount - 1)];
   }
 
-  std::array<Shard, kShardCount> shards;
+  [[nodiscard]] static bool HeldBy(const LockState& state, LockHolderId holder);
+
+  // Grants waiters in queue order while they remain compatible with the
+  // holder set. Promotion is kernel policy, not graft policy: it is what
+  // guarantees a drained lock never strands its queue.
+  static void Promote(LockState& state);
+
+  // Apply()'s queue tail: insert at `index`, post, promote an idle lock.
+  static Status Enqueue(LockState& state, const LockRequest& request,
+                        LockResourceId resource, size_t index);
+
+  // ReleaseLock and CancelWait (which also looks in the wait queue).
+  Status Withdraw(LockResourceId resource, LockHolderId holder,
+                  bool waiting_too);
+
+  std::array<Shard, kShardCount> shards_;
 };
 
-// Releases `holder`'s grant on the resource, promoting waiters and erasing
-// the map entry once empty. kNotFound if the holder does not hold (a queued
-// but ungranted request is not a held lock and is left untouched — withdraw
-// it with CancelLocked instead).
-inline Status ReleaseLocked(std::unordered_map<LockResourceId, LockState>& locks,
-                            LockResourceId resource, LockHolderId holder) {
-  const auto it = locks.find(resource);
-  if (it == locks.end()) {
-    return Status::kNotFound;
-  }
-  LockState& state = it->second;
-  const auto h = std::find_if(
-      state.holders.begin(), state.holders.end(),
-      [holder](const LockRequest& r) { return r.holder == holder; });
-  if (h == state.holders.end()) {
-    return Status::kNotFound;
-  }
-  state.holders.erase(h);
-  PromoteWaiters(state);
-  if (state.holders.empty() && state.waiters.empty()) {
-    locks.erase(it);
-  }
-  return Status::kOk;
-}
-
-// Withdraws `holder`'s request: removes it from the wait queue, or — if the
-// grant raced the withdrawal and the holder already owns the lock — releases
-// the grant. Either way the queue is re-promoted: a withdrawn waiter at the
-// front must not keep blocking compatible requests behind it. kNotFound if
-// the holder neither waits nor holds.
-inline Status CancelLocked(std::unordered_map<LockResourceId, LockState>& locks,
-                           LockResourceId resource, LockHolderId holder) {
-  const auto it = locks.find(resource);
-  if (it == locks.end()) {
-    return Status::kNotFound;
-  }
-  LockState& state = it->second;
-  const auto w = std::find_if(
-      state.waiters.begin(), state.waiters.end(),
-      [holder](const LockRequest& r) { return r.holder == holder; });
-  if (w != state.waiters.end()) {
-    state.waiters.erase(w);
-  } else {
-    const auto h = std::find_if(
-        state.holders.begin(), state.holders.end(),
-        [holder](const LockRequest& r) { return r.holder == holder; });
-    if (h == state.holders.end()) {
-      return Status::kNotFound;
+template <typename Grant, typename Queue>
+Status LockTable::Apply(LockResourceId resource, const LockRequest& request,
+                        Grant&& grant, Queue&& queue) {
+  Shard& shard = ShardFor(resource);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  LockState& state = shard.locks[resource];
+  // One pass over the holders finds both a duplicate and a conflict.
+  bool conflicts = false;
+  for (const LockRequest& h : state.holders) {
+    if (h.holder == request.holder) {
+      return Status::kAlreadyExists;
     }
-    state.holders.erase(h);
+    conflicts = conflicts || !Compatible(h.mode, request.mode);
   }
-  PromoteWaiters(state);
-  if (state.holders.empty() && state.waiters.empty()) {
-    locks.erase(it);
+  const LockState& view = state;
+  if (!conflicts && grant(view, request)) {
+    state.holders.push_back(request);
+    VINO_TRACE(trace::Event::kLockAcquire, static_cast<uint16_t>(request.mode),
+               0, resource, request.holder);
+    return Status::kOk;
   }
-  return Status::kOk;
+  return Enqueue(state, request, resource,
+                 static_cast<size_t>(queue(view, request)));
 }
 
-}  // namespace lockdetail
+inline Status LockTable::Enqueue(LockState& state, const LockRequest& request,
+                                 LockResourceId resource, size_t index) {
+  if (index >= state.waiters.size()) {
+    state.waiters.push_back(request);  // Append, or a clamped answer.
+  } else {
+    state.waiters.insert(state.waiters.begin() + static_cast<ptrdiff_t>(index),
+                         request);
+  }
+  VINO_TRACE(trace::Event::kLockContend, static_cast<uint16_t>(request.mode),
+             static_cast<uint32_t>(state.waiters.size()), resource,
+             request.holder);
+  if (!state.holders.empty()) {
+    return Status::kBusy;  // A holder's release will promote.
+  }
+  // A policy may deny a request on an idle lock, or the lock drained while
+  // a graft deliberated. Promotion only runs on release and nobody releases
+  // an idle lock, so promote now: kernel liveness outranks policy.
+  Promote(state);
+  return HeldBy(state, request.holder) ? Status::kOk : Status::kBusy;
+}
+
 }  // namespace vino
 
 #endif  // VINOLITE_SRC_LOCKMGR_LOCK_TABLE_H_

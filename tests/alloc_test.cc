@@ -19,6 +19,7 @@
 #include "src/base/trace.h"
 #include "src/base/trace_spool.h"
 #include "src/graft/function_point.h"
+#include "src/graft/namespace.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
 #include "src/txn/accessor.h"
@@ -157,6 +158,37 @@ TEST_F(AllocTest, WatchdogArmedSafePathIsAllocationFree) {
   EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
   EXPECT_EQ(dog.fires(), 0u);
+}
+
+TEST_F(AllocTest, ByNameVisitWithThreeReferenceCaptureIsAllocationFree) {
+  // The ledger's request loop: a by-name visit whose visitor captures three
+  // references, one more than std::function's inline buffer holds.
+  GraftNamespace ns;
+  const std::string name = "tenant.7.policy";
+  FunctionGraftPoint point(
+      name, [](std::span<const uint64_t>) -> uint64_t { return 7; },
+      FunctionGraftPoint::Config{}, &txn_, &host_, &ns);
+  const uint64_t args[2] = {1, 2};
+  uint64_t result = 0;
+  uint64_t visits = 0;
+  const auto visit = [&] {
+    return ns.WithFunction(
+        name, [&args, &result, &visits](FunctionGraftPoint& p) {
+          result = p.Invoke(args);
+          ++visits;
+          return Status::kOk;
+        });
+  };
+  for (int i = 0; i < 8; ++i) {
+    (void)visit();  // Warm the stats shard.
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(visit(), Status::kOk);
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  EXPECT_EQ(result, 7u);
+  EXPECT_EQ(visits, 10'008u);
 }
 
 TEST_F(AllocTest, SmallCaptureUndoClosureStaysInline) {

@@ -229,9 +229,12 @@ TEST_F(FileSystemTest, ReadaheadPointInNamespace) {
   OpenFile* f = MakeAndOpen("n", 4096);
   const std::string name =
       "openfile." + std::to_string(f->open_id()) + ".compute-ra";
-  EXPECT_TRUE(ns_.LookupFunction(name).ok());
+  const auto visit = [this, &name] {
+    return ns_.WithFunction(name, [](FunctionGraftPoint&) { return Status::kOk; });
+  };
+  EXPECT_EQ(visit(), Status::kOk);
   ASSERT_EQ(fs_.Close(f), Status::kOk);
-  EXPECT_FALSE(ns_.LookupFunction(name).ok());
+  EXPECT_EQ(visit(), Status::kNotFound);
 }
 
 // The paper's §4.1.2 graft: reads the application's hint buffer and asks

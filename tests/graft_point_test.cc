@@ -321,10 +321,17 @@ TEST_F(GraftPointTest, NamespaceLookup) {
   FunctionGraftPoint point(
       "openfile.7.compute-ra", [](std::span<const uint64_t>) -> uint64_t { return 0; },
       DefaultConfig(), &txn_, &host_, &ns_);
-  Result<FunctionGraftPoint*> found = ns_.LookupFunction("openfile.7.compute-ra");
-  ASSERT_TRUE(found.ok());
-  EXPECT_EQ(found.value(), &point);
-  EXPECT_FALSE(ns_.LookupFunction("no.such.point").ok());
+  const FunctionGraftPoint* found = nullptr;
+  ASSERT_EQ(ns_.WithFunction("openfile.7.compute-ra",
+                             [&found](FunctionGraftPoint& p) {
+                               found = &p;
+                               return Status::kOk;
+                             }),
+            Status::kOk);
+  EXPECT_EQ(found, &point);
+  EXPECT_EQ(ns_.WithFunction("no.such.point",
+                             [](FunctionGraftPoint&) { return Status::kOk; }),
+            Status::kNotFound);
 
   const auto entries = ns_.List();
   ASSERT_EQ(entries.size(), 1u);
@@ -451,9 +458,14 @@ TEST_F(EventPointTest, AsyncWorkersChargeThreadResource) {
 TEST_F(EventPointTest, EventNamespaceLookup) {
   EventGraftPoint point("net.udp.2049.packet", EventGraftPoint::Config{}, &txn_,
                         &host_, &ns_);
-  ASSERT_TRUE(ns_.LookupEvent("net.udp.2049.packet").ok());
-  EXPECT_FALSE(ns_.LookupEvent("net.udp.2049.packet2").ok());
-  EXPECT_FALSE(ns_.LookupFunction("net.udp.2049.packet").ok());
+  const auto visit_event = [this](const std::string& name) {
+    return ns_.WithEvent(name, [](EventGraftPoint&) { return Status::kOk; });
+  };
+  ASSERT_EQ(visit_event("net.udp.2049.packet"), Status::kOk);
+  EXPECT_EQ(visit_event("net.udp.2049.packet2"), Status::kNotFound);
+  EXPECT_EQ(ns_.WithFunction("net.udp.2049.packet",
+                             [](FunctionGraftPoint&) { return Status::kOk; }),
+            Status::kNotFound);
 }
 
 }  // namespace

@@ -3,11 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <thread>
 #include <vector>
 
+#include "src/base/trace.h"
 #include "src/graft/namespace.h"
 #include "src/lockmgr/grafted_lock_manager.h"
 #include "src/sfi/assembler.h"
@@ -87,8 +89,11 @@ TEST_F(GraftedLockMgrTest, DefaultsMatchFigure4) {
 }
 
 TEST_F(GraftedLockMgrTest, PointsAppearInNamespace) {
-  EXPECT_TRUE(ns_.LookupFunction("lockmgr.test.grant").ok());
-  EXPECT_TRUE(ns_.LookupFunction("lockmgr.test.enqueue").ok());
+  const auto visit = [this](const std::string& name) {
+    return ns_.WithFunction(name, [](FunctionGraftPoint&) { return Status::kOk; });
+  };
+  EXPECT_EQ(visit("lockmgr.test.grant"), Status::kOk);
+  EXPECT_EQ(visit("lockmgr.test.enqueue"), Status::kOk);
 }
 
 TEST_F(GraftedLockMgrTest, FairGrantGraftPreventsBarging) {
@@ -159,16 +164,35 @@ TEST_F(GraftedLockMgrTest, DenyOnIdleLockCannotStrandTheQueue) {
   EXPECT_EQ(mgr_.WaiterCount(1), 0u);
 }
 
-TEST_F(GraftedLockMgrTest, CancelWaitWithdrawsAndPromotes) {
-  ASSERT_EQ(mgr_.GetLock(1, 100, LockMode::kShared), Status::kOk);
-  ASSERT_EQ(mgr_.GetLock(1, 200, LockMode::kExclusive), Status::kBusy);
-  ASSERT_EQ(mgr_.GetLock(1, 201, LockMode::kExclusive), Status::kBusy);
-  ASSERT_EQ(mgr_.ReleaseLock(1, 100), Status::kOk);
-  ASSERT_TRUE(mgr_.Holds(1, 200));
-  // 200 times out and withdraws; 201 must be promoted, not stranded.
-  ASSERT_EQ(mgr_.CancelWait(1, 200), Status::kOk);
-  EXPECT_TRUE(mgr_.Holds(1, 201));
-  EXPECT_EQ(mgr_.WaiterCount(1), 0u);
+TEST_F(GraftedLockMgrTest, PostsLockRecordsLikeTheOtherManagers) {
+  // Fuzz triage blames a leaked lock on the lock manager only when the
+  // spool holds a kLockAcquire or kLockContend record with its resource id.
+  const bool was_tracing = trace::Enabled();
+  trace::SetEnabled(true);
+  struct Collector : trace::TraceSink {
+    std::vector<trace::Record> got;
+    void OnRecord(const trace::TaggedRecord& r) override {
+      got.push_back(r.record);
+    }
+  } sink;
+  trace::DrainCursor cursor;
+  (void)cursor.DrainInto(sink);  // Skip what earlier tests posted.
+  sink.got.clear();
+
+  constexpr LockResourceId kResource = 0x10C4;
+  ASSERT_EQ(mgr_.GetLock(kResource, 100, LockMode::kExclusive), Status::kOk);
+  ASSERT_EQ(mgr_.GetLock(kResource, 200, LockMode::kExclusive), Status::kBusy);
+  (void)cursor.DrainInto(sink);
+  trace::SetEnabled(was_tracing);
+
+  const auto count = [&sink](trace::Event event) {
+    return std::count_if(
+        sink.got.begin(), sink.got.end(), [event](const trace::Record& r) {
+          return r.event == static_cast<uint16_t>(event) && r.a == kResource;
+        });
+  };
+  EXPECT_EQ(count(trace::Event::kLockAcquire), 1);  // 100's grant.
+  EXPECT_EQ(count(trace::Event::kLockContend), 1);  // 200's queueing.
 }
 
 TEST_F(GraftedLockMgrTest, ConcurrentRequestsWithGrantGraftStayConsistent) {

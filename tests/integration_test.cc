@@ -88,7 +88,9 @@ TEST_F(IntegrationTest, TextAssemblyToInstalledGraftViaNamespace) {
   ASSERT_TRUE(graft.ok());
 
   const std::string point_name = (*open)->readahead_point().name();
-  ASSERT_TRUE(ns_.LookupFunction(point_name).ok());
+  ASSERT_EQ(ns_.WithFunction(point_name,
+                             [](FunctionGraftPoint&) { return Status::kOk; }),
+            Status::kOk);
   ASSERT_EQ(loader_.InstallFunction(point_name, *graft), Status::kOk);
 
   // Any read now prefetches block 7.

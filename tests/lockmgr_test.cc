@@ -1,12 +1,15 @@
-// Lock manager case-study tests (Figures 4 and 5): both implementations
-// must agree under the default policies; the indirected manager must honour
-// replaced policies.
+// Lock manager case-study tests (Figures 4 and 5, and the grafted
+// manager): all three must agree under the default policies; the indirected
+// manager must honour replaced policies, but never past the lock table's
+// conflict check.
 
 #include <gtest/gtest.h>
 
 #include <thread>
 #include <vector>
 
+#include "src/graft/namespace.h"
+#include "src/lockmgr/grafted_lock_manager.h"
 #include "src/lockmgr/lock_manager.h"
 
 namespace vino {
@@ -19,13 +22,27 @@ TEST(LockModeTest, Compatibility) {
   EXPECT_FALSE(Compatible(LockMode::kExclusive, LockMode::kExclusive));
 }
 
+// The grafted manager with the kernel pieces it needs, default-constructible
+// for the typed suite. The pieces are a base so they are built first.
+struct GraftedLockManagerPieces {
+  TxnManager txn;
+  HostCallTable host;
+  GraftNamespace ns;
+};
+class TestGraftedLockManager : private GraftedLockManagerPieces,
+                               public GraftedLockManager {
+ public:
+  TestGraftedLockManager() : GraftedLockManager("lockmgr.typed", &txn, &host, &ns) {}
+};
+
 template <typename Manager>
 class LockManagerTest : public ::testing::Test {
  protected:
   Manager mgr_;
 };
 
-using Managers = ::testing::Types<SimpleLockManager, PolicyLockManager>;
+using Managers = ::testing::Types<SimpleLockManager, PolicyLockManager,
+                                  TestGraftedLockManager>;
 TYPED_TEST_SUITE(LockManagerTest, Managers);
 
 TYPED_TEST(LockManagerTest, SharedReadersCoexist) {
@@ -122,6 +139,18 @@ TEST(PolicyTest, MalformedQueuePolicyOutputClamped) {
   ASSERT_EQ(mgr.GetLock(1, 100, LockMode::kExclusive), Status::kOk);
   EXPECT_EQ(mgr.GetLock(1, 200, LockMode::kExclusive), Status::kBusy);
   EXPECT_EQ(mgr.WaiterCount(1), 1u);  // Clamped to append, not a crash.
+}
+
+TEST(PolicyTest, GrantPolicyCannotGrantConflictingRequests) {
+  // A grant policy may deny what the holders allow, but the table refuses a
+  // grant that conflicts with a holder whatever the policy answers (as for
+  // GraftedLockMgrTest.GraftCannotGrantConflictingRequests).
+  PolicyLockManager mgr;
+  mgr.SetGrantPolicy([](const LockState&, const LockRequest&) { return true; });
+  ASSERT_EQ(mgr.GetLock(1, 100, LockMode::kShared), Status::kOk);
+  EXPECT_EQ(mgr.GetLock(1, 200, LockMode::kExclusive), Status::kBusy);
+  EXPECT_FALSE(mgr.Holds(1, 200));
+  EXPECT_EQ(mgr.WaiterCount(1), 1u);
 }
 
 TEST(PolicyTest, NullRestoresDefault) {

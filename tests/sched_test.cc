@@ -151,9 +151,12 @@ TEST_F(SchedTest, ProcessListTracksLiveThreads) {
 TEST_F(SchedTest, DelegatePointRegisteredInNamespace) {
   KernelThread* a = sched_.CreateThread("a", 1);
   const std::string name = "thread." + std::to_string(a->id()) + ".schedule-delegate";
-  EXPECT_TRUE(ns_.LookupFunction(name).ok());
+  const auto visit = [this, &name] {
+    return ns_.WithFunction(name, [](FunctionGraftPoint&) { return Status::kOk; });
+  };
+  EXPECT_EQ(visit(), Status::kOk);
   ASSERT_EQ(sched_.Exit(a->id()), Status::kOk);
-  EXPECT_FALSE(ns_.LookupFunction(name).ok());
+  EXPECT_EQ(visit(), Status::kNotFound);
 }
 
 TEST_F(SchedTest, NativeDelegateGraftWorks) {

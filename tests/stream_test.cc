@@ -169,9 +169,12 @@ TEST_F(StreamTest, AbortingStreamGraftDegradesToIdentityNotGarbage) {
 
 TEST_F(StreamTest, StreamPointInNamespaceAndClosedWithFile) {
   const std::string name = open_->stream_point().name();
-  EXPECT_TRUE(ns_.LookupFunction(name).ok());
+  const auto visit = [this, &name] {
+    return ns_.WithFunction(name, [](FunctionGraftPoint&) { return Status::kOk; });
+  };
+  EXPECT_EQ(visit(), Status::kOk);
   ASSERT_EQ(fs_.Close(open_), Status::kOk);
-  EXPECT_FALSE(ns_.LookupFunction(name).ok());
+  EXPECT_EQ(visit(), Status::kNotFound);
   open_ = nullptr;
 }
 

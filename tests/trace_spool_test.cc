@@ -311,7 +311,8 @@ TEST_F(TraceSpoolTest, DrainerCadenceAdaptsToOccupancy) {
   }
   drainer->DrainNow();
   EXPECT_EQ(drainer->stats().interval_us, 40'000'000u);
-  EXPECT_GE(drainer->stats().last_occupancy_permille, 500u);
+  EXPECT_GE(drainer->stats().last_occupancy_permille,
+            spool::SpoolDrainer::kHotOccupancyPermille);
   drainer->Stop();
 }
 

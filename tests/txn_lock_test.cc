@@ -99,8 +99,12 @@ TEST_F(TxnLockTest, NestedAbortReleasesOnlyItsOwnLocks) {
 
 TEST_F(TxnLockTest, ContentionHandoffWithoutTimeout) {
   // Uncontended-to-contended handoff: holder releases promptly; waiter gets
-  // the lock without any abort machinery.
-  TxnLock lock("l", FastTimeout());
+  // the lock without any abort machinery. "Promptly" is measured against a
+  // timeout no scheduling stall of the 1 ms holder reaches; the cases that
+  // need the timeout to fire keep FastTimeout().
+  TxnLock::Options options = FastTimeout();
+  options.contention_timeout = 1'000'000;  // 1 s.
+  TxnLock lock("l", options);
   ASSERT_EQ(lock.Acquire(), Status::kOk);
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {

@@ -41,7 +41,6 @@ TEST(WorkerPoolTest, SaturationRunsInlineAndNeverDrops) {
   WorkerPool::Config config;
   config.workers = 1;
   config.queue_capacity = 2;
-  config.saturation = WorkerPool::SaturationPolicy::kInline;
   WorkerPool pool(config);
 
   std::atomic<bool> release{false};
@@ -69,29 +68,6 @@ TEST(WorkerPoolTest, SaturationRunsInlineAndNeverDrops) {
   EXPECT_GT(s.inline_runs, 0u);
   EXPECT_EQ(s.executed + s.inline_runs, 11u);
   EXPECT_LE(s.peak_queue_depth, 2u);
-}
-
-TEST(WorkerPoolTest, BlockPolicyAppliesBackpressureWithoutLoss) {
-  WorkerPool::Config config;
-  config.workers = 2;
-  config.queue_capacity = 4;
-  config.saturation = WorkerPool::SaturationPolicy::kBlock;
-  WorkerPool pool(config);
-
-  std::atomic<int> runs{0};
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([&runs] {
-      runs.fetch_add(1);
-      std::this_thread::sleep_for(std::chrono::microseconds(50));
-    });
-  }
-  pool.Drain();
-  const auto s = pool.stats();
-  EXPECT_EQ(runs.load(), 200);
-  EXPECT_EQ(s.executed, 200u);       // kBlock never falls back inline.
-  EXPECT_EQ(s.inline_runs, 0u);
-  EXPECT_GT(s.blocked_submits, 0u);  // ...but submitters did wait.
-  EXPECT_LE(s.peak_queue_depth, 4u);
 }
 
 TEST(WorkerPoolTest, ShutdownRunsQueuedTasksThenGoesInline) {

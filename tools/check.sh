@@ -52,8 +52,9 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR17/PR7/PR19 json snapshots (warn-only: shared CI boxes
-#            are too noisy for a hard perf gate; read the table — unless
+#            BENCH_PR20 (wrapper, txn, sfi, lockmgr) and BENCH_PR19 (net,
+#            ledger) json snapshots (warn-only: shared CI boxes are too
+#            noisy for a hard perf gate; read the table — unless
 #            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
 
@@ -167,18 +168,21 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  echo "== [bench] wrapper/txn micros vs BENCH_PR17.json ($GATE_LABEL) =="
-  for b in bench_wrapper bench_txn; do
+  # BENCH_PR20.json holds the wrapper, txn and sfi micros and the lock
+  # manager's parent measured on the box that measured the lock manager, so
+  # a delta here is code, not a different box.
+  echo "== [bench] wrapper/txn/sfi micros vs BENCH_PR20.json ($GATE_LABEL) =="
+  for b in bench_wrapper bench_txn bench_sfi; do
     build/bench/"$b" --json="build/$b.smoke.json" \
       --benchmark_min_time=0.05 >/dev/null
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-      "BENCH_PR17.json#$b" "build/$b.smoke.json"
+      "BENCH_PR20.json#$b" "build/$b.smoke.json"
   done
-  echo "== [bench] sfi tier micros vs BENCH_PR7.json ($GATE_LABEL) =="
-  build/bench/bench_sfi --json="build/bench_sfi.smoke.json" \
-    --benchmark_min_time=0.05 >/dev/null
+  echo "== [bench] lock manager micro vs BENCH_PR20.json ($GATE_LABEL) =="
+  build/bench/bench_lockmgr --benchmark_out=build/bench_lockmgr.smoke.json \
+    --benchmark_out_format=json --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR7.json#bench_sfi.after" "build/bench_sfi.smoke.json"
+    "BENCH_PR20.json#bench_lockmgr" "build/bench_lockmgr.smoke.json"
   echo "== [bench] net stack micro vs BENCH_PR19.json ($GATE_LABEL) =="
   build/bench/bench_net --json="build/bench_net.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
