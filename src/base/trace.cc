@@ -128,9 +128,10 @@ Ring& RingForCurrentThread() {
   return *ring;
 }
 
-void Post(Event event, uint16_t tag, uint32_t a32, uint64_t a, uint64_t b) {
+void Post(uint64_t time_ns, Event event, uint16_t tag, uint32_t a32,
+          uint64_t a, uint64_t b) {
   Record record;
-  record.time_ns = NowNs();
+  record.time_ns = time_ns;
   record.event = static_cast<uint16_t>(event);
   record.tag = tag;
   record.a32 = a32;

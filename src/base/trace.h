@@ -3,8 +3,8 @@
 // Flat counters (ShardedCounters, per-graft invocation/abort totals) say
 // *how often* the safe path aborted; they cannot say *why* or *what it
 // cost*. The flight recorder keeps the last few thousand lifecycle events
-// per thread — graft invocations with their path tag, transaction
-// begin/commit/abort with locks-held and undo-length, lock contention and
+// per thread — graft invocations with their path tag, duration and the
+// locks their transaction held, abort-cost samples, lock contention and
 // time-outs, watchdog fires, resource denials, graft ejections, worker-pool
 // saturation — so an abort or ejection can be reconstructed after the fact
 // (the paper's Table 2 path decomposition and §4.5 abort-cost model both
@@ -49,17 +49,21 @@ namespace trace {
 enum class Event : uint16_t {
   kNone = 0,
 
-  // Graft invocation wrapper (src/graft/invocation.h).
-  kInvokeBegin,    // tag = packed PathTag + exec tier (see PackInvokeTag;
-                   // kNull for ungrafted), a = graft trace id.
-  kInvokeEnd,      // tag = packed final PathTag + exec tier,
-                   // a = graft trace id, b = duration ns.
-
-  // Transactions (src/txn/txn_manager.cc).
-  kTxnBegin,       // a = txn id, a32 = depth.
-  kTxnCommit,      // a = txn id, a32 = locks held, b = undo length.
-  kTxnAbort,       // tag = Status reason, a = txn id,
-                   // a32 = locks held (L), b = undo length (G).
+  // Graft invocation wrapper (src/graft/invocation.h) and the ungrafted
+  // path (src/graft/function_point.cc). kInvokeEnd is an invocation's one
+  // record. Nothing posts kInvokeBegin or the three kTxn* events (only
+  // spool format 1 holds them); they keep their values so that no later
+  // event is renumbered.
+  kInvokeBegin,
+  kInvokeEnd,      // time_ns = invocation *start*, b = duration ns,
+                   // tag = packed final PathTag + exec tier (see
+                   // PackInvokeTag; kNull for ungrafted), a32 = locks held
+                   // when the transaction ended (L), a = graft trace id
+                   // (0 when ungrafted). A grafted end record stands for
+                   // one transaction: its path says committed or aborted.
+  kTxnBegin,
+  kTxnCommit,
+  kTxnAbort,
 
   // Locks (src/txn/txn_lock.cc, src/lockmgr/lock_manager.cc).
   // The `a` field of kLockAcquire/kLockContend and kGraftEjected below is
@@ -112,7 +116,7 @@ enum class PathTag : uint16_t {
 
 [[nodiscard]] std::string_view PathTagName(PathTag tag);
 
-// kInvokeBegin/End tag layout: PathTag in the low byte, execution tier in
+// kInvokeEnd tag layout: PathTag in the low byte, execution tier in
 // the high byte, biased by one so that 0 still means "no tier information"
 // — native grafts, null-path invocations, and every pre-tier spool file
 // decode identically to before the tiers existed. Program grafts carry
@@ -233,17 +237,27 @@ class Ring {
 // The one allocation a traced thread ever performs for tracing.
 [[nodiscard]] Ring& RingForCurrentThread();
 
-// Posts one record to the calling thread's ring, stamping the clock.
-// Call sites guard with Enabled() so the disabled cost stays one
-// load+branch and no clock read.
-void Post(Event event, uint16_t tag, uint32_t a32, uint64_t a, uint64_t b);
-
 // The recorder's clock: coarse calibrated-TSC nanoseconds (steady-clock
 // fallback off x86 — see base/clock.h). For call sites that also measure
 // durations fed to a LatencyHistogram; only read when tracing is enabled.
-// An enabled-mode invocation reads this four times (invoke begin/end, txn
-// begin/commit), which is why it is the cheap clock and inline.
+// A traced committed graft invocation reads it three times (start, commit
+// start, end) and an ungrafted one twice, which is why it is the cheap
+// clock and inline.
 [[nodiscard]] inline uint64_t NowNs() { return CoarseNowNs(); }
+
+// Posts one record stamped `time_ns` to the calling thread's ring: for a
+// call site that has already read the clock at this boundary. A thread's
+// stream is in post order, which is not time order when stamps are
+// earlier reads (kInvokeEnd carries its invocation's start).
+void Post(uint64_t time_ns, Event event, uint16_t tag, uint32_t a32,
+          uint64_t a, uint64_t b);
+
+// Posts one record stamped now. Call sites guard with Enabled() so the
+// disabled cost stays one load+branch and no clock read.
+inline void Post(Event event, uint16_t tag, uint32_t a32, uint64_t a,
+                 uint64_t b) {
+  Post(NowNs(), event, tag, a32, a, b);
+}
 
 // ---------------------------------------------------------------------------
 // Reading: the incremental drain.

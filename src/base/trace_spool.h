@@ -39,9 +39,16 @@
 // A batch with kBatchFlagClose set is the writer's trailer: the spool was
 // closed cleanly and a follower may stop waiting for more.
 //
+// Versions. The version names what the records mean, not only their
+// layout. Version 2: an invocation posts one kInvokeEnd record (stamped at
+// its start, with its duration and the locks its transaction held), and no
+// kInvokeBegin or kTxn* records. Version 1 posted all four per grafted
+// invocation; a reader refuses it (kSpoolCorrupt, like any unknown
+// version) rather than count its invocations and transactions twice.
+//
 // Rotation (format-compatible extension): a writer opened with
 // OpenRotating() splits the stream into size-capped segment files
-// `<base>.s<n>.bin`, each a self-contained v1 spool (own FileHeader). A
+// `<base>.s<n>.bin`, each a self-contained spool (own FileHeader). A
 // segment that was rotated away ends with a zero-record kBatchFlagRotate
 // trailer — "the stream continues in the next segment". batch_seq and
 // lost_total are properties of the *stream*, not the segment, so they run
@@ -71,7 +78,7 @@ namespace spool {
 
 // "VINOSPL1" read as a little-endian u64.
 inline constexpr uint64_t kFileMagic = 0x314C50534F4E4956ull;
-inline constexpr uint32_t kFormatVersion = 1;
+inline constexpr uint32_t kFormatVersion = 2;
 // "BTCH" read as a little-endian u32.
 inline constexpr uint32_t kBatchMagic = 0x48435442u;
 inline constexpr uint32_t kBatchFlagClose = 1u << 0;

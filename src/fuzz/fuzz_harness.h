@@ -101,7 +101,9 @@ struct TriageInput {
 //   * kMissedEjection → kTierBackend if the tiers disagreed, else the
 //     ejection machinery's txn layer (no kGraftEjected record for the
 //     graft's trace id confirms the eject never posted);
-//   * kTxnImbalance → kTxn (kTxnBegin/kTxnCommit/kTxnAbort records);
+//   * kTxnImbalance → kTxn (read from TxnManager::stats(); no record
+//     marks a transaction's begin, and a kInvokeEnd stands for one ended
+//     transaction);
 //   * kLockNotDrained → kLockMgr when the replay shows a kLockContend or
 //     kLockAcquire record for the leaked resource id, else kUnknown;
 //   * kLostEvents → kTxn (handlers are counted at txn boundaries);

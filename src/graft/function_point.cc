@@ -66,15 +66,11 @@ uint64_t FunctionGraftPoint::Invoke(std::span<const uint64_t> args) {
   std::shared_ptr<Graft> graft = graft_.load(std::memory_order_acquire);
   if (graft == nullptr) {
     // The VINO path: indirection plus (cheap) verification, no transaction.
-    // Flight recorder: begin/end pair tagged kNull so the timeline shows
-    // ungrafted traffic too (trace id 0 = "no graft").
+    // Flight recorder: one end record tagged kNull, stamped at the start
+    // read, so the timeline shows ungrafted traffic too (trace id 0 = "no
+    // graft"); two clock reads.
     const bool traced = trace::Enabled();
-    uint64_t start_ns = 0;
-    if (traced) {
-      start_ns = trace::NowNs();
-      trace::Post(trace::Event::kInvokeBegin,
-                  static_cast<uint16_t>(trace::PathTag::kNull), 0, 0, 0);
-    }
+    const uint64_t start_ns = traced ? trace::NowNs() : 0;
     const uint64_t result = default_fn_(args);
     if (config_.validator && !config_.validator(result, args)) {
       // A default implementation failing its own validator is a kernel bug;
@@ -82,7 +78,7 @@ uint64_t FunctionGraftPoint::Invoke(std::span<const uint64_t> args) {
       VINO_LOG_ERROR << "graft point '" << name_ << "': default failed validation";
     }
     if (traced) {
-      trace::Post(trace::Event::kInvokeEnd,
+      trace::Post(start_ns, trace::Event::kInvokeEnd,
                   static_cast<uint16_t>(trace::PathTag::kNull), 0, 0,
                   trace::NowNs() - start_ns);
     }

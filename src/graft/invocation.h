@@ -38,7 +38,6 @@
 
 #include "src/base/clock.h"
 #include "src/base/context.h"
-#include "src/base/histogram.h"
 #include "src/base/status.h"
 #include "src/base/trace.h"
 #include "src/graft/graft.h"
@@ -93,17 +92,6 @@ struct GraftExecContext {
   // any result. Borrowed to keep the hot path free of std::function copies.
   const std::function<bool(uint64_t, std::span<const uint64_t>)>* validator =
       nullptr;
-
-  // Optional borrowed histogram receiving the whole invocation's duration
-  // (all paths) when tracing is enabled. Graft points lend none; graftstat's
-  // self-test lends its own as the reference its reduced report must equal.
-  LatencyHistogram* latency = nullptr;
-
-  // Optional borrowed per-tier histograms, indexed by tier_plus1 (0 =
-  // native / no tier, 1 = Tier 0, 2 = Tier 1). Unlike deriving tiers from
-  // a ring snapshot, these are exact under wrap-around, which is what lets
-  // graftstat assert sum(per-tier counts) == invocations live.
-  LatencyHistogram* tier_latency[kExecTierCount + 1] = {};
 };
 
 struct InvocationOutcome {
@@ -148,20 +136,15 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
                      : static_cast<uint16_t>(ExecTier::kTier0)) +
                 1);
 
-  // Flight recorder (src/base/trace.h): one relaxed load when disabled;
-  // begin/end records bracketing the safe path when enabled. `traced` is
-  // sampled once so begin and end records always pair up.
+  // Flight recorder (src/base/trace.h): one relaxed load when disabled.
+  // Enabled, an invocation reads the clock three times — at start, where
+  // its transaction starts to end (commit or abort), and at end — and every
+  // consumer of a boundary shares that boundary's read: the one kInvokeEnd
+  // record, the abort-cost sample and its record, and the transaction
+  // manager's commit and abort histograms. `traced` is sampled once so a
+  // start read always gets its end record.
   const bool traced = trace::Enabled();
-  uint64_t invoke_start_ns = 0;
-  if (traced) {
-    invoke_start_ns = trace::NowNs();
-    trace::Post(trace::Event::kInvokeBegin,
-                trace::PackInvokeTag(graft->is_native()
-                                         ? trace::PathTag::kUnsafe
-                                         : trace::PathTag::kSafe,
-                                     tier_plus1),
-                0, graft->trace_id(), 0);
-  }
+  const uint64_t start_ns = traced ? trace::NowNs() : 0;
 
   // The wrapper (paper §3.1): begin a transaction, swap in the graft's
   // resource account, run, commit. One KernelContext lookup serves the
@@ -211,98 +194,74 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
     }
   }
 
-  if (!IsOk(failure)) {
-    // Abort: replay undo, release locks. The caller applies its removal
-    // policy (forcible removal / handler removal) and falls back.
-    // Abort-cost attribution (§4.5): L and G are read *before* Abort
-    // consumes them, and the abort itself is timed, so this graft's
-    // a + b·L + c·G model accumulates one sample per abort — traced or not,
-    // because that model is the drift detector's only input. Aborts are the
-    // rare path; its two clock reads cost nothing that matters.
-    const uint64_t held_locks = scope.txn()->lock_count();
-    const uint64_t undo_len = scope.txn()->undo().size();
-    const uint64_t abort_start_ns = trace::NowNs();
+  if (IsOk(failure)) {
+    // Results checking happens inside the transaction window, as in the
+    // paper's safe path.
+    outcome.result_valid =
+        exec.validator == nullptr || !*exec.validator ||
+        (*exec.validator)(outcome.value, args);
+  }
+
+  // End the transaction: commit, or on failure abort (replay undo, release
+  // locks); the caller applies its removal policy and falls back.
+  // Abort-cost attribution (§4.5): L and G are read before the end consumes
+  // them, and the end is timed, so this graft's a + b·L + c·G model gains
+  // one sample per abort — traced or not, because that model is the drift
+  // detector's only input. A commit can still turn into an abort (an
+  // asynchronous lock time-out beat us to it), so untraced, a commit is
+  // timed only when it starts with an abort already pending; a clean one
+  // reads no clock.
+  const bool timed =
+      traced || !IsOk(failure) || TxnManager::AbortPending(kctx);
+  uint64_t locks = 0;
+  uint64_t undo = 0;
+  uint64_t end_start_ns = 0;
+  if (timed) {
+    locks = scope.txn()->lock_count();
+    undo = scope.txn()->undo().size();
+    end_start_ns = trace::NowNs();
+  }
+  Status status = failure;
+  if (IsOk(failure)) {
+    status = scope.Commit();
+  } else {
     scope.Abort(failure);
-    const uint64_t now_ns = trace::NowNs();
+  }
+  const uint64_t end_ns = timed ? trace::NowNs() : 0;
+  const bool committed = IsOk(status);
+  if (!committed) {
     graft->CountAbort();
-    graft->RecordAbortCost(held_locks, undo_len, now_ns - abort_start_ns);
-    outcome.status = failure;
-    if (traced) {
+    outcome.status = status;
+    if (timed) {
+      graft->RecordAbortCost(locks, undo, end_ns - end_start_ns);
+    }
+  }
+
+  if (traced) {
+    if (committed) {
+      txn_manager.RecordCommitLatency(end_ns - end_start_ns);
+    } else {
+      txn_manager.RecordAbortLatency(end_ns - end_start_ns);
+    }
+    const trace::PathTag path =
+        !committed            ? trace::PathTag::kAbort
+        : graft->is_native()  ? trace::PathTag::kUnsafe
+                              : trace::PathTag::kSafe;
+    trace::Post(start_ns, trace::Event::kInvokeEnd,
+                trace::PackInvokeTag(path, tier_plus1),
+                static_cast<uint32_t>(locks), graft->trace_id(),
+                end_ns - start_ns);
+    if (!committed) {
       // Mirror the sample into the trace stream so a spool replay
       // (graftstat --spool) re-fits the same per-graft a + b·L + c·G
       // model without the live process. G rides in the 16-bit tag,
       // saturating — an undo log past 65535 records is not a graft this
       // model describes anyway.
-      trace::Post(trace::Event::kAbortCost,
-                  static_cast<uint16_t>(undo_len > 0xFFFF ? 0xFFFF : undo_len),
-                  static_cast<uint32_t>(held_locks), graft->trace_id(),
-                  now_ns - abort_start_ns);
-      if (exec.latency != nullptr) {
-        exec.latency->Record(now_ns - invoke_start_ns);
-      }
-      if (exec.tier_latency[tier_plus1] != nullptr) {
-        exec.tier_latency[tier_plus1]->Record(now_ns - invoke_start_ns);
-      }
-      trace::Post(trace::Event::kInvokeEnd,
-                  trace::PackInvokeTag(trace::PathTag::kAbort, tier_plus1),
-                  static_cast<uint32_t>(held_locks), graft->trace_id(),
-                  now_ns - invoke_start_ns);
+      trace::Post(end_ns, trace::Event::kAbortCost,
+                  static_cast<uint16_t>(undo > 0xFFFF ? 0xFFFF : undo),
+                  static_cast<uint32_t>(locks), graft->trace_id(),
+                  end_ns - end_start_ns);
     }
-    return outcome;
-  }
-
-  // Results checking happens inside the transaction window, as in the
-  // paper's safe path.
-  outcome.result_valid =
-      exec.validator == nullptr || !*exec.validator ||
-      (*exec.validator)(outcome.value, args);
-
-  // A commit can still turn into an abort (an asynchronous lock time-out
-  // beat us to it). L and G are captured up front while the transaction is
-  // intact so that path keeps its per-graft abort-cost sample — Commit
-  // consumes the transaction either way. Untraced, a clean commit reads no
-  // clock: only a commit that starts with an abort already pending is
-  // sampled for the drift detector.
-  const bool sampled = traced || TxnManager::AbortPending(kctx);
-  uint64_t pre_locks = 0;
-  uint64_t pre_undo = 0;
-  uint64_t commit_start_ns = 0;
-  if (sampled) {
-    pre_locks = scope.txn()->lock_count();
-    pre_undo = scope.txn()->undo().size();
-    commit_start_ns = trace::NowNs();
-  }
-  const Status commit_status = scope.Commit();
-  const uint64_t now_ns = sampled ? trace::NowNs() : 0;
-  if (!IsOk(commit_status)) {
-    graft->CountAbort();
-    outcome.status = commit_status;
-    if (sampled) {
-      graft->RecordAbortCost(pre_locks, pre_undo, now_ns - commit_start_ns);
-    }
-  }
-  if (traced) {
-    if (!IsOk(commit_status)) {
-      trace::Post(trace::Event::kAbortCost,
-                  static_cast<uint16_t>(pre_undo > 0xFFFF ? 0xFFFF : pre_undo),
-                  static_cast<uint32_t>(pre_locks), graft->trace_id(),
-                  now_ns - commit_start_ns);
-    }
-    if (exec.latency != nullptr) {
-      exec.latency->Record(now_ns - invoke_start_ns);
-    }
-    if (exec.tier_latency[tier_plus1] != nullptr) {
-      exec.tier_latency[tier_plus1]->Record(now_ns - invoke_start_ns);
-    }
-    trace::Post(trace::Event::kInvokeEnd,
-                trace::PackInvokeTag(!IsOk(commit_status)
-                                         ? trace::PathTag::kAbort
-                                         : (graft->is_native()
-                                                ? trace::PathTag::kUnsafe
-                                                : trace::PathTag::kSafe),
-                                     tier_plus1),
-                !IsOk(commit_status) ? static_cast<uint32_t>(pre_locks) : 0,
-                graft->trace_id(), now_ns - invoke_start_ns);
   }
   return outcome;
 }

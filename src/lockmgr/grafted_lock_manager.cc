@@ -1,8 +1,31 @@
 #include "src/lockmgr/grafted_lock_manager.h"
 
 #include <algorithm>
+#include <limits>
+#include <utility>
 
 namespace vino {
+namespace {
+
+// The decision the calling thread is consulting a policy point about. It is
+// set only around that thread's own Consult and restored after, the way
+// EventGraftPoint keeps t_handling, so no other thread can read it. A
+// default closure reached any other way (a by-name invoke through the
+// namespace, or one nested in another manager's consult) finds no decision
+// of its own manager's, and answers a constant instead.
+struct Decision {
+  const GraftedLockManager* manager;
+  const LockState* state;
+  const LockRequest* request;
+};
+thread_local const Decision* t_deciding = nullptr;
+
+const Decision* DecisionOf(const GraftedLockManager* manager) {
+  return t_deciding != nullptr && t_deciding->manager == manager ? t_deciding
+                                                                 : nullptr;
+}
+
+}  // namespace
 
 GraftedLockManager::GraftedLockManager(const std::string& name,
                                        TxnManager* txn_manager,
@@ -12,10 +35,14 @@ GraftedLockManager::GraftedLockManager(const std::string& name,
           name + ".grant",
           [this](std::span<const uint64_t>) -> uint64_t {
             // Figure 4: grant iff no conflict with holders. Used directly
-            // when ungrafted and as the fallback after an abort.
-            return ConflictsWithHolders(*deciding_state_, *deciding_request_)
-                       ? 0
-                       : 1;
+            // when ungrafted and as the fallback after an abort. With no
+            // decision to read: deny.
+            const Decision* decision = DecisionOf(this);
+            return decision != nullptr &&
+                           !ConflictsWithHolders(*decision->state,
+                                                 *decision->request)
+                       ? 1
+                       : 0;
           },
           [] {
             FunctionGraftPoint::Config config;
@@ -26,7 +53,12 @@ GraftedLockManager::GraftedLockManager(const std::string& name,
       enqueue_point_(
           name + ".enqueue",
           [this](std::span<const uint64_t>) -> uint64_t {
-            return deciding_state_->waiters.size();  // Figure 4: append.
+            // Figure 4: append. With no decision to read, an index past
+            // any queue, which Apply clamps to append.
+            const Decision* decision = DecisionOf(this);
+            return decision != nullptr
+                       ? decision->state->waiters.size()
+                       : std::numeric_limits<uint64_t>::max();
           },
           [] {
             FunctionGraftPoint::Config config;
@@ -71,18 +103,17 @@ void GraftedLockManager::Marshal(const LockState& state,
 uint64_t GraftedLockManager::Consult(FunctionGraftPoint& point,
                                      const LockState& state,
                                      const LockRequest& request) {
-  deciding_state_ = &state;
-  deciding_request_ = &request;
+  const Decision decision{this, &state, &request};
+  const Decision* const outer = std::exchange(t_deciding, &decision);
   uint64_t args[6] = {request.holder, static_cast<uint64_t>(request.mode),
                       0, 0, 0, 0};
   std::shared_ptr<Graft> graft = point.current_graft();
   if (graft != nullptr && !graft->is_native()) {
     Marshal(state, request, graft, args);
   }
-  const uint64_t decision = point.Invoke(args);
-  deciding_state_ = nullptr;
-  deciding_request_ = nullptr;
-  return decision;
+  const uint64_t answer = point.Invoke(args);
+  t_deciding = outer;
+  return answer;
 }
 
 Status GraftedLockManager::GetLock(LockResourceId resource, LockHolderId holder,

@@ -19,6 +19,8 @@
 // grant point   -> returns nonzero to grant, zero to queue.
 // enqueue point -> returns the insertion index into the wait queue;
 //                  the kernel clamps out-of-range answers to append.
+// Invoked by name outside a GetLock, the ungrafted defaults have no request
+// to decide and answer deny (0) and append (UINT64_MAX).
 //
 // Concurrency (PR 9): lock state is sharded by resource id, and a policy
 // graft is never consulted while a shard mutex is held — a graft can burn
@@ -72,18 +74,17 @@ class GraftedLockManager : private LockTable {
   static void Marshal(const LockState& state, const LockRequest& request,
                       const std::shared_ptr<Graft>& graft, uint64_t args[6]);
 
-  // Invokes one policy point on `state`. Callers hold consult_mutex_, never
+  // Invokes one policy point on `state`, which the point's default closure
+  // reads for the length of the invoke. Callers hold consult_mutex_, never
   // the shard mutex.
   uint64_t Consult(FunctionGraftPoint& point, const LockState& state,
                    const LockRequest& request);
 
   // Serializes policy consultations: both points share the installed
-  // graft's single arena, and the default closures read deciding_state_.
+  // graft's single arena. The state under decision reaches the points'
+  // default closures through the consulting thread's own slot (the .cc's
+  // t_deciding), so a by-name invoke from any thread reads nothing shared.
   std::mutex consult_mutex_;
-  // Stashes the state under decision so the points' default closures can
-  // reach it without re-marshalling. Guarded by consult_mutex_.
-  const LockState* deciding_state_ = nullptr;
-  const LockRequest* deciding_request_ = nullptr;
 
   FunctionGraftPoint grant_point_;
   FunctionGraftPoint enqueue_point_;

@@ -3,7 +3,6 @@
 #include <cassert>
 
 #include "src/base/log.h"
-#include "src/base/trace.h"
 #include "src/txn/txn_lock.h"
 
 namespace vino {
@@ -94,26 +93,11 @@ Transaction* TxnManager::Begin(KernelContext& ctx) {
   }
   ctx.txn = txn;
   counters_.Add(kBegins);
-  VINO_TRACE(trace::Event::kTxnBegin, 0, txn->depth(), id, 0);
   return txn;
 }
 
 Status TxnManager::Commit(KernelContext& ctx, Transaction* txn) {
   assert(ctx.txn == txn && "Commit must target the innermost transaction");
-
-  // Flight recorder: L/G/id are consumed by the commit (merged, cleared, or
-  // recycled), so capture them up front; the path is timed end-to-end.
-  const bool traced = trace::Enabled();
-  uint64_t commit_start_ns = 0;
-  uint64_t traced_id = 0;
-  uint32_t traced_locks = 0;
-  uint64_t traced_undo = 0;
-  if (traced) {
-    commit_start_ns = trace::NowNs();
-    traced_id = txn->id();
-    traced_locks = static_cast<uint32_t>(txn->locks_.size());
-    traced_undo = txn->undo_.size();
-  }
 
   // An asynchronously requested abort (e.g. a waiter timed out on one of our
   // locks) turns the commit into an abort: the requester has judged this
@@ -158,11 +142,6 @@ Status TxnManager::Commit(KernelContext& ctx, Transaction* txn) {
   ctx.txn = parent;
   counters_.Add(kCommits);
   SlabPush(ctx, txn);
-  if (traced) {
-    commit_latency_.Record(trace::NowNs() - commit_start_ns);
-    trace::Post(trace::Event::kTxnCommit, 0, traced_locks, traced_id,
-                traced_undo);
-  }
   return Status::kOk;
 }
 
@@ -170,22 +149,6 @@ void TxnManager::Abort(KernelContext& ctx, Transaction* txn, Status reason) {
   assert(ctx.txn == txn && "Abort must target the innermost transaction");
 
   VINO_LOG_DEBUG << "txn " << txn->id() << " abort: " << StatusName(reason);
-
-  // Flight recorder: L and G before the undo replay destroys them, wall
-  // time across the whole replay+release. The a + b·L + c·G fit is per
-  // graft: the invocation wrapper attributes each sample to the aborting
-  // graft's model.
-  const bool traced = trace::Enabled();
-  uint64_t abort_start_ns = 0;
-  uint64_t traced_id = 0;
-  uint32_t traced_locks = 0;
-  uint64_t traced_undo = 0;
-  if (traced) {
-    abort_start_ns = trace::NowNs();
-    traced_id = txn->id();
-    traced_locks = static_cast<uint32_t>(txn->locks_.size());
-    traced_undo = txn->undo_.size();
-  }
 
   // Undo first, then release locks: the undo operations may touch the very
   // state those locks protect.
@@ -205,11 +168,6 @@ void TxnManager::Abort(KernelContext& ctx, Transaction* txn, Status reason) {
     counters_.Add(kTimeoutAborts);
   }
   SlabPush(ctx, txn);
-  if (traced) {
-    abort_latency_.Record(trace::NowNs() - abort_start_ns);
-    trace::Post(trace::Event::kTxnAbort, static_cast<uint16_t>(reason),
-                traced_locks, traced_id, traced_undo);
-  }
 }
 
 void TxnManager::ReleaseLocks(Transaction* txn) {

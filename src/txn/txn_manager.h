@@ -101,14 +101,19 @@ class TxnManager {
 
   [[nodiscard]] bool eject_degraded() const { return eject_degraded_; }
 
-  // --- Flight-recorder exports (populated while tracing is enabled) -----
+  // --- Flight-recorder exports ------------------------------------------
   // Durations of the commit and abort paths, log-bucketed for p50/p95/p99.
+  // The manager neither reads the clock nor posts trace records: the graft
+  // invocation wrapper, which opens every kernel transaction, records here
+  // from its own boundary clock reads while tracing is enabled.
   [[nodiscard]] const LatencyHistogram& commit_latency() const {
     return commit_latency_;
   }
   [[nodiscard]] const LatencyHistogram& abort_latency() const {
     return abort_latency_;
   }
+  void RecordCommitLatency(uint64_t ns) { commit_latency_.Record(ns); }
+  void RecordAbortLatency(uint64_t ns) { abort_latency_.Record(ns); }
 
  private:
   void ReleaseLocks(Transaction* txn);
@@ -136,7 +141,7 @@ class TxnManager {
   ShardedCounters<7> counters_;
 
   // Flight-recorder data; written only when trace::Enabled() (the disabled
-  // hot path never reads the clock or touches these lines).
+  // hot path never touches these lines).
   LatencyHistogram commit_latency_;
   LatencyHistogram abort_latency_;
 };

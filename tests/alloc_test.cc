@@ -19,6 +19,7 @@
 #include "src/base/trace.h"
 #include "src/base/trace_spool.h"
 #include "src/graft/function_point.h"
+#include "src/graft/invocation.h"
 #include "src/graft/namespace.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
@@ -258,8 +259,9 @@ TEST_F(AllocTest, TracingEnabledSafePathIsAllocationFree) {
 }
 
 TEST_F(AllocTest, TracingEnabledAbortPathIsAllocationFree) {
-  // The traced abort path adds clock reads, the abort-cost model, the abort
-  // latency histogram, and a kTxnAbort record — none of which may allocate.
+  // The transaction layer's abort path with tracing on. The manager posts
+  // no record and reads no clock (the invocation wrapper times it), so a
+  // warmed abort stays allocation-free.
   trace::SetEnabled(true);
   uint64_t slot = 0;
   for (int i = 0; i < 8; ++i) {
@@ -272,6 +274,33 @@ TEST_F(AllocTest, TracingEnabledAbortPathIsAllocationFree) {
     Transaction* txn = txn_.Begin();
     TxnSet(&slot, uint64_t{1});
     txn_.Abort(txn, Status::kTxnAborted);
+    ASSERT_EQ(slot, 0u);
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  trace::SetEnabled(false);
+}
+
+TEST_F(AllocTest, TracingEnabledWrapperAbortPathIsAllocationFree) {
+  // A traced abort through the invocation wrapper: three clock reads, the
+  // graft's abort-cost sample, the manager's abort histogram, and the
+  // kInvokeEnd and kAbortCost records — none of which may allocate.
+  trace::SetEnabled(true);
+  uint64_t slot = 0;
+  const auto graft = std::make_shared<Graft>(
+      "undo-then-abort",
+      [&slot](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+        TxnSet(&slot, uint64_t{1});
+        return Status::kTxnAborted;
+      },
+      kRoot);
+  const GraftExecContext exec(&host_);
+  for (int i = 0; i < 8; ++i) {
+    (void)RunGraftInvocation(txn_, graft, {}, exec);
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    ASSERT_EQ(RunGraftInvocation(txn_, graft, {}, exec).status,
+              Status::kTxnAborted);
     ASSERT_EQ(slot, 0u);
   }
   EXPECT_EQ(AllocCount() - before, 0u);

@@ -1,20 +1,23 @@
 // FunctionGraftPoint and EventGraftPoint tests: the invocation wrapper,
-// abort-and-fallback behaviour, forcible removal, result validation, and
-// event handler ordering.
+// abort-and-fallback behaviour, forcible removal, result validation, the
+// one trace record an invocation posts, and event handler ordering.
 
 #include <gtest/gtest.h>
 
-#include <memory>
+#include <algorithm>
 #include <atomic>
+#include <memory>
 #include <thread>
 #include <vector>
 
+#include "src/base/trace.h"
 #include "src/graft/event_point.h"
 #include "src/graft/function_point.h"
 #include "src/graft/namespace.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
 #include "src/txn/accessor.h"
+#include "src/txn/txn_lock.h"
 #include "src/txn/txn_manager.h"
 
 namespace vino {
@@ -337,6 +340,149 @@ TEST_F(GraftPointTest, NamespaceLookup) {
   ASSERT_EQ(entries.size(), 1u);
   EXPECT_EQ(entries[0].name, "openfile.7.compute-ra");
   EXPECT_FALSE(entries[0].is_event);
+}
+
+// --- Flight recorder: one record per invocation ---------------------------
+
+// Turns the flight recorder on for one test and hands back the records the
+// test posts: a cursor drained once up front skips everything older.
+class RecordedTrace {
+ public:
+  RecordedTrace() : was_enabled_(trace::Enabled()) {
+    trace::SetEnabled(true);
+    (void)cursor_.DrainInto(sink_);
+    sink_.got.clear();
+  }
+  ~RecordedTrace() { trace::SetEnabled(was_enabled_); }
+
+  std::vector<trace::Record> Take() {
+    (void)cursor_.DrainInto(sink_);
+    std::vector<trace::Record> records;
+    for (const trace::TaggedRecord& tagged : sink_.got) {
+      records.push_back(tagged.record);
+    }
+    sink_.got.clear();
+    return records;
+  }
+
+ private:
+  struct Sink : trace::TraceSink {
+    std::vector<trace::TaggedRecord> got;
+    void OnRecord(const trace::TaggedRecord& r) override { got.push_back(r); }
+  };
+  const bool was_enabled_;
+  trace::DrainCursor cursor_;
+  Sink sink_;
+};
+
+size_t CountEvents(const std::vector<trace::Record>& records,
+                   trace::Event event) {
+  return static_cast<size_t>(
+      std::count_if(records.begin(), records.end(), [event](const auto& r) {
+        return static_cast<trace::Event>(r.event) == event;
+      }));
+}
+
+TEST_F(GraftPointTest, TracedCommitPostsOneEndRecordStampedAtStart) {
+  FunctionGraftPoint point(
+      "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
+      DefaultConfig(), &txn_, &host_, &ns_);
+  const std::shared_ptr<Graft> graft = ConstGraft(42);
+  ASSERT_EQ(point.Replace(graft), Status::kOk);
+
+  RecordedTrace recorded;
+  EXPECT_EQ(point.Invoke({}), 42u);
+  const uint64_t after_ns = trace::NowNs();
+  const std::vector<trace::Record> records = recorded.Take();
+
+  ASSERT_EQ(records.size(), 1u);
+  const trace::Record& end = records[0];
+  EXPECT_EQ(static_cast<trace::Event>(end.event), trace::Event::kInvokeEnd);
+  EXPECT_EQ(trace::InvokePathTag(end.tag), trace::PathTag::kSafe);
+  const ExecTier tier = graft->program().compiled != nullptr
+                            ? ExecTier::kTier1
+                            : ExecTier::kTier0;
+  EXPECT_EQ(trace::InvokeTierPlus1(end.tag),
+            static_cast<uint16_t>(tier) + 1);
+  EXPECT_EQ(end.a, graft->trace_id());
+  EXPECT_EQ(end.a32, 0u);  // No locks held at commit.
+  EXPECT_GT(end.b, 0u);
+  // Stamped at the start: start + duration is not after the call returned.
+  EXPECT_LE(end.time_ns + end.b, after_ns);
+  // The wrapper timed the commit for the transaction manager.
+  EXPECT_EQ(txn_.commit_latency().Count(), 1u);
+  EXPECT_EQ(txn_.abort_latency().Count(), 0u);
+}
+
+TEST_F(GraftPointTest, TracedAbortPostsEndCostAndEjectionButNoTxnRecords) {
+  TxnLock lock("obj.lock");
+  FunctionGraftPoint point(
+      "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
+      DefaultConfig(), &txn_, &host_, &ns_);
+  uint64_t slot = 0;
+  const auto graft = std::make_shared<Graft>(
+      "lock-then-abort",
+      [&lock, &slot](std::span<const uint64_t>,
+                     MemoryImage*) -> Result<uint64_t> {
+        EXPECT_EQ(lock.Acquire(), Status::kOk);  // L = 1.
+        TxnSet(&slot, uint64_t{1});              // G = 1.
+        return Status::kTxnAborted;
+      },
+      kRoot);
+  ASSERT_EQ(point.Replace(graft), Status::kOk);
+
+  RecordedTrace recorded;
+  EXPECT_EQ(point.Invoke({}), 7u);  // Aborted, removed, default ran.
+  EXPECT_FALSE(point.grafted());
+  EXPECT_EQ(slot, 0u);
+  const std::vector<trace::Record> records = recorded.Take();
+
+  for (const trace::Event gone :
+       {trace::Event::kInvokeBegin, trace::Event::kTxnBegin,
+        trace::Event::kTxnCommit, trace::Event::kTxnAbort}) {
+    EXPECT_EQ(CountEvents(records, gone), 0u) << trace::EventName(gone);
+  }
+  ASSERT_EQ(CountEvents(records, trace::Event::kInvokeEnd), 1u);
+  ASSERT_EQ(CountEvents(records, trace::Event::kAbortCost), 1u);
+  ASSERT_EQ(CountEvents(records, trace::Event::kGraftEjected), 1u);
+  for (const trace::Record& r : records) {
+    switch (static_cast<trace::Event>(r.event)) {
+      case trace::Event::kInvokeEnd:
+        EXPECT_EQ(trace::InvokePathTag(r.tag), trace::PathTag::kAbort);
+        EXPECT_EQ(trace::InvokeTierPlus1(r.tag), 0u);  // Native.
+        EXPECT_EQ(r.a32, 1u);
+        EXPECT_EQ(r.a, graft->trace_id());
+        break;
+      case trace::Event::kAbortCost:
+        EXPECT_EQ(r.a32, 1u);
+        EXPECT_EQ(r.tag, 1u);
+        EXPECT_EQ(r.a, graft->trace_id());
+        break;
+      case trace::Event::kGraftEjected:
+        EXPECT_EQ(r.a, graft->trace_id());
+        break;
+      default:
+        break;
+    }
+  }
+  EXPECT_EQ(txn_.abort_latency().Count(), 1u);
+  EXPECT_EQ(txn_.commit_latency().Count(), 0u);
+}
+
+TEST_F(GraftPointTest, TracedUngraftedInvocationPostsOneNullEndRecord) {
+  FunctionGraftPoint point(
+      "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
+      DefaultConfig(), &txn_, &host_, &ns_);
+  RecordedTrace recorded;
+  EXPECT_EQ(point.Invoke({}), 7u);
+  const std::vector<trace::Record> records = recorded.Take();
+
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(static_cast<trace::Event>(records[0].event),
+            trace::Event::kInvokeEnd);
+  EXPECT_EQ(records[0].tag, trace::PackInvokeTag(trace::PathTag::kNull, 0));
+  EXPECT_EQ(records[0].a, 0u);  // No graft.
+  EXPECT_EQ(records[0].a32, 0u);
 }
 
 // --- Event graft points --------------------------------------------------

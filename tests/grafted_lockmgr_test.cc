@@ -6,6 +6,8 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <limits>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -71,6 +73,19 @@ class GraftedLockMgrTest : public ::testing::Test {
     return Load(a);
   }
 
+  // Invokes a policy point the way any kernel code can: by name.
+  uint64_t InvokeByName(const std::string& name) {
+    uint64_t answer = 42;
+    const uint64_t args[6] = {7, 1, 0, 0, 0, 0};
+    EXPECT_EQ(ns_.WithFunction(name,
+                               [&answer, &args](FunctionGraftPoint& point) {
+                                 answer = point.Invoke(args);
+                                 return Status::kOk;
+                               }),
+              Status::kOk);
+    return answer;
+  }
+
   TxnManager txn_;
   HostCallTable host_;
   GraftNamespace ns_;
@@ -94,6 +109,45 @@ TEST_F(GraftedLockMgrTest, PointsAppearInNamespace) {
   };
   EXPECT_EQ(visit("lockmgr.test.grant"), Status::kOk);
   EXPECT_EQ(visit("lockmgr.test.enqueue"), Status::kOk);
+}
+
+// By-name invokes reach the policy points outside any GetLock, so their
+// default closures have no decision to read. They answer constants: deny
+// for grant, and for enqueue an index past any queue, which Apply clamps
+// to append. The manager keeps granting afterwards.
+TEST_F(GraftedLockMgrTest, ByNameInvokeOfUngraftedPointsAnswersConstants) {
+  EXPECT_EQ(InvokeByName("lockmgr.test.grant"), 0u);
+  EXPECT_EQ(InvokeByName("lockmgr.test.enqueue"),
+            std::numeric_limits<uint64_t>::max());
+
+  ASSERT_EQ(mgr_.GetLock(1, 100, LockMode::kExclusive), Status::kOk);
+  ASSERT_EQ(mgr_.GetLock(1, 200, LockMode::kExclusive), Status::kBusy);
+  ASSERT_EQ(mgr_.ReleaseLock(1, 100), Status::kOk);
+  EXPECT_TRUE(mgr_.Holds(1, 200));
+}
+
+// One thread invokes the points by name while another consults them
+// through GetLock: neither reads the other's decision (TSan runs this).
+TEST_F(GraftedLockMgrTest, ByNameInvokesRacingGetLockStayConsistent) {
+  std::atomic<bool> done{false};
+  std::thread by_name([this, &done] {
+    while (!done.load(std::memory_order_relaxed)) {
+      ASSERT_EQ(InvokeByName("lockmgr.test.grant"), 0u);
+      ASSERT_EQ(InvokeByName("lockmgr.test.enqueue"),
+                std::numeric_limits<uint64_t>::max());
+    }
+  });
+  for (int i = 0; i < 2'000; ++i) {
+    const LockResourceId resource = static_cast<LockResourceId>(i % 4);
+    ASSERT_EQ(mgr_.GetLock(resource, 100, LockMode::kExclusive), Status::kOk);
+    ASSERT_EQ(mgr_.GetLock(resource, 200, LockMode::kShared), Status::kBusy);
+    ASSERT_EQ(mgr_.WaiterCount(resource), 1u);
+    ASSERT_EQ(mgr_.ReleaseLock(resource, 100), Status::kOk);
+    ASSERT_TRUE(mgr_.Holds(resource, 200));
+    ASSERT_EQ(mgr_.ReleaseLock(resource, 200), Status::kOk);
+  }
+  done.store(true, std::memory_order_relaxed);
+  by_name.join();
 }
 
 TEST_F(GraftedLockMgrTest, FairGrantGraftPreventsBarging) {

@@ -181,7 +181,7 @@ TEST(KernelTest, ConfiguredSpoolDrainsTracesAcrossKernelLifetime) {
   spool::ReadStats stats;
   ASSERT_EQ(spool::ReadSpoolChain(path, records, &stats), Status::kOk);
   EXPECT_TRUE(stats.closed);
-  // The 50 invocations (begin/end + txn begin/commit each) all made it out.
+  // The 50 invocations (one end record each) all made it out.
   uint64_t invoke_ends = 0;
   for (const auto& r : records) {
     if (static_cast<trace::Event>(r.record.event) == trace::Event::kInvokeEnd) {

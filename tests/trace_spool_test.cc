@@ -115,6 +115,34 @@ TEST_F(TraceSpoolTest, BadFileHeaderIsCleanError) {
   EXPECT_TRUE(records.empty());
 }
 
+// Version 2 is one kInvokeEnd per invocation; version 1 also posted begin
+// and transaction records, so a reader that took a v1 spool would count
+// every invocation and transaction twice. It refuses one instead.
+TEST_F(TraceSpoolTest, WriterStampsVersionTwoAndReaderRefusesVersionOne) {
+  spool::SpoolWriter writer;
+  ASSERT_EQ(writer.Open(path_), Status::kOk);
+  writer.OnRecord(MakeRecord(0));
+  ASSERT_EQ(writer.Close(), Status::kOk);
+
+  std::FILE* f = std::fopen(path_.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  spool::FileHeader header;
+  ASSERT_EQ(std::fread(&header, sizeof(header), 1, f), 1u);
+  EXPECT_EQ(header.version, 2u);
+  EXPECT_EQ(spool::kFormatVersion, 2u);
+  std::vector<trace::TaggedRecord> records;
+  ASSERT_EQ(spool::ReadSpoolChain(path_, records), Status::kOk);
+  EXPECT_EQ(records.size(), 1u);
+
+  header.version = 1;
+  ASSERT_EQ(std::fseek(f, 0, SEEK_SET), 0);
+  ASSERT_EQ(std::fwrite(&header, sizeof(header), 1, f), 1u);
+  std::fclose(f);
+  records.clear();
+  EXPECT_EQ(spool::ReadSpoolChain(path_, records), Status::kSpoolCorrupt);
+  EXPECT_TRUE(records.empty());
+}
+
 TEST_F(TraceSpoolTest, MissingFileIsCleanError) {
   std::vector<trace::TaggedRecord> records;
   EXPECT_EQ(spool::ReadSpoolChain(path_ + ".nope", records), Status::kNotFound);

@@ -11,9 +11,10 @@
 //     batch fits a ring several times over, so nothing wraps). Before it
 //     prints, it checks the reduced report against the kernel's own
 //     counters: per-graft invocations, aborts, degraded flag, tier runs and
-//     abort-cost fit; the invocation and per-tier latency histograms; the
-//     transaction manager's begins, commits and aborts; and zero drain
-//     loss. Any mismatch exits 1 and names the first one. --spool-out also
+//     abort-cost fit; the transaction manager's begins, commits and aborts;
+//     and zero drain loss. Any mismatch exits 1 and names the first one.
+//     (The reduction of latencies is unit-tested on a hand-built stream in
+//     tests/replay_report_test.cc.) --spool-out also
 //     spools the run to FILE on the same cadence. Without it, VINO_SPOOL
 //     (a directory) derives a per-process spool exactly as a kernel would.
 //     VINO_SPOOL_SEGMENT_BYTES and VINO_SPOOL_SEGMENTS make either spool a
@@ -70,7 +71,6 @@
 #include <sys/inotify.h>
 #endif
 
-#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -94,6 +94,7 @@
 #include "src/txn/accessor.h"
 #include "src/txn/txn_lock.h"
 #include "src/txn/txn_manager.h"
+#include "tools/replay_report.h"
 
 namespace {
 
@@ -102,13 +103,14 @@ using vino::Graft;
 using vino::GraftIdentity;
 using vino::LatencyHistogram;
 using vino::MemoryImage;
+using vino::ReplayReport;
 using vino::Status;
 using vino::TxnLock;
 using vino::TxnManager;
 using vino::kExecTierCount;
 
 // ---------------------------------------------------------------------------
-// The one reducer: every mode folds trace records into a ReplayReport.
+// Every mode folds trace records into one ReplayReport (tools/replay_report.h).
 
 // Latency attribution slot names: index 0 is native (or a pre-tier spool),
 // 1..kExecTierCount are the sandbox execution tiers.
@@ -117,118 +119,6 @@ std::string_view TierLabel(size_t tier_plus1) {
                          : vino::ExecTierName(
                                static_cast<vino::ExecTier>(tier_plus1 - 1));
 }
-
-class ReplayReport : public vino::trace::TraceSink {
- public:
-  struct GraftAgg {
-    std::string name;      // Known only to the self-test, which loaded it.
-    uint64_t kernels = 1;  // Kernel streams folded into this row.
-    uint64_t invocations = 0;
-    uint64_t aborts = 0;
-    // Runs by execution tier, indexed like the kInvokeBegin tag's high
-    // byte: tier + 1, with 0 for a native graft (or a spool that predates
-    // tier tagging).
-    uint64_t runs[kExecTierCount + 1] = {};
-    bool degraded = false;  // A kGraftDegraded event named this graft.
-    AbortCostModel model;
-  };
-
-  void OnRecord(const vino::trace::TaggedRecord& tagged) override {
-    using vino::trace::Event;
-    const vino::trace::Record& r = tagged.record;
-    const Event event = static_cast<Event>(r.event);
-    ++records;
-    ++event_counts[vino::trace::EventName(event)];
-    switch (event) {
-      case Event::kInvokeBegin: {
-        GraftAgg& agg = grafts[r.a];
-        ++agg.invocations;
-        ++agg.runs[Slot(r.tag)];
-        break;
-      }
-      case Event::kInvokeEnd:
-        invoke_latency.Record(r.b);
-        tier_latency[Slot(r.tag)].Record(r.b);
-        // Only the low byte is the path; the high byte carries the tier.
-        if (vino::trace::InvokePathTag(r.tag) ==
-            vino::trace::PathTag::kAbort) {
-          ++grafts[r.a].aborts;
-        }
-        break;
-      case Event::kAbortCost:
-        // The mirrored per-graft sample: a32 = L, tag = G, b = cost ns.
-        grafts[r.a].model.Record(r.a32, r.tag, r.b);
-        break;
-      case Event::kGraftDegraded:
-        grafts[r.a].degraded = true;
-        break;
-      case Event::kTxnBegin:
-        ++txn_begins;
-        break;
-      case Event::kTxnCommit:
-        ++txn_commits;
-        break;
-      case Event::kTxnAbort:
-        ++txn_aborts;
-        break;
-      default:
-        break;
-    }
-  }
-
-  // Folds another kernel's report into this one: the fleet union.
-  void Merge(const ReplayReport& other) {
-    for (const auto& [trace_id, theirs] : other.grafts) {
-      const auto [it, fresh] = grafts.try_emplace(trace_id);
-      GraftAgg& agg = it->second;
-      agg.kernels = fresh ? theirs.kernels : agg.kernels + theirs.kernels;
-      agg.invocations += theirs.invocations;
-      agg.aborts += theirs.aborts;
-      for (size_t t = 0; t <= kExecTierCount; ++t) {
-        agg.runs[t] += theirs.runs[t];
-      }
-      agg.degraded = agg.degraded || theirs.degraded;
-      agg.model.Merge(theirs.model);
-    }
-    for (const auto& [name, count] : other.event_counts) {
-      event_counts[name] += count;
-    }
-    records += other.records;
-    txn_begins += other.txn_begins;
-    txn_commits += other.txn_commits;
-    txn_aborts += other.txn_aborts;
-    invoke_latency.Merge(other.invoke_latency);
-    for (size_t t = 0; t <= kExecTierCount; ++t) {
-      tier_latency[t].Merge(other.tier_latency[t]);
-    }
-  }
-
-  // "abort_cost_global" in every mode: one fit over every graft's samples.
-  [[nodiscard]] AbortCostModel::Fitted GlobalFit() const {
-    AbortCostModel all;
-    for (const auto& [trace_id, agg] : grafts) {
-      all.Merge(agg.model);
-    }
-    return all.Fit();
-  }
-
-  std::map<uint64_t, GraftAgg> grafts;  // Keyed by graft trace id.
-  std::map<std::string_view, uint64_t> event_counts;
-  uint64_t records = 0;
-  uint64_t txn_begins = 0;
-  uint64_t txn_commits = 0;
-  uint64_t txn_aborts = 0;
-  LatencyHistogram invoke_latency;
-  // Split by execution tier, indexed like GraftAgg::runs; the counts sum to
-  // invoke_latency's.
-  LatencyHistogram tier_latency[kExecTierCount + 1];
-
- private:
-  static size_t Slot(uint16_t tag) {
-    const uint16_t tier_plus1 = vino::trace::InvokeTierPlus1(tag);
-    return tier_plus1 <= kExecTierCount ? tier_plus1 : 0;
-  }
-};
 
 // ---------------------------------------------------------------------------
 // The one JSON writer and the one text writer, with their shared pieces.
@@ -759,15 +649,6 @@ bool SameFit(const AbortCostModel::Fitted& a, const AbortCostModel::Fitted& b) {
          a.mean_cost_ns == b.mean_cost_ns;
 }
 
-bool SameHistogram(const LatencyHistogram& a, const LatencyHistogram& b) {
-  uint64_t ab[vino::kHistogramBuckets];
-  uint64_t bb[vino::kHistogramBuckets];
-  a.ReadBuckets(ab);
-  b.ReadBuckets(bb);
-  return std::equal(std::begin(ab), std::end(ab), std::begin(bb)) &&
-         a.SumNs() == b.SumNs();
-}
-
 // The self-test's independent reference: the report reduced from the trace
 // stream must equal what the kernel counted directly. Without it, live and
 // replay would both be reduced from the same records and a recorder bug
@@ -775,8 +656,7 @@ bool SameHistogram(const LatencyHistogram& a, const LatencyHistogram& b) {
 std::string CheckAgainstCounters(
     const ReplayReport& report,
     const std::vector<std::shared_ptr<Graft>>& grafts,
-    const vino::GraftExecContext& exec, const vino::TxnStats& txn,
-    uint64_t lost_total) {
+    const vino::TxnStats& txn, uint64_t lost_total) {
   if (lost_total != 0) {
     return std::to_string(lost_total) + " records lost to ring wrap";
   }
@@ -807,14 +687,6 @@ std::string CheckAgainstCounters(
   }
   if (ran != report.grafts.size()) {
     return "the report holds grafts the kernel never ran";
-  }
-  if (!SameHistogram(report.invoke_latency, *exec.latency)) {
-    return "invocation latency histogram";
-  }
-  for (size_t t = 0; t <= kExecTierCount; ++t) {
-    if (!SameHistogram(report.tier_latency[t], *exec.tier_latency[t])) {
-      return std::string(TierLabel(t)) + " latency histogram";
-    }
   }
   if (report.txn_begins != txn.begins || report.txn_commits != txn.commits ||
       report.txn_aborts != txn.aborts) {
@@ -884,18 +756,11 @@ int RunSelfTest(uint64_t invocations, const std::string& spool_out,
         GraftIdentity{1000, false}));
   }
 
-  // The kernel's own latency histograms, recorded at the invocation
-  // wrapper's latency sites: the reference the reduced ones must equal.
-  LatencyHistogram invoke_latency;
-  LatencyHistogram tier_latency[kExecTierCount + 1];
-  vino::GraftExecContext exec(nullptr);
-  exec.latency = &invoke_latency;
-  for (size_t t = 0; t <= kExecTierCount; ++t) {
-    exec.tier_latency[t] = &tier_latency[t];
-  }
+  const vino::GraftExecContext exec(nullptr);
 
   // The reducer drains the rings itself, every 128 invocations (a single
-  // ring, ~8 records per invocation: nothing wraps), and so does the spool.
+  // ring, at most three records per invocation: nothing wraps), and so does
+  // the spool.
   ReplayReport report;
   vino::trace::DrainCursor cursor;
   uint64_t lost_total = 0;
@@ -928,7 +793,7 @@ int RunSelfTest(uint64_t invocations, const std::string& spool_out,
 
   const vino::TxnStats txn = txn_manager.stats();
   const std::string mismatch =
-      CheckAgainstCounters(report, grafts, exec, txn, lost_total);
+      CheckAgainstCounters(report, grafts, txn, lost_total);
   if (!mismatch.empty()) {
     std::fprintf(stderr,
                  "graftstat: self-test: the trace stream disagrees with the "
