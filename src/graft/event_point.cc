@@ -1,6 +1,7 @@
 #include "src/graft/event_point.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <thread>
 #include <utility>
@@ -86,14 +87,21 @@ size_t EventGraftPoint::handler_count() const {
   return handlers_.size();
 }
 
-std::vector<std::shared_ptr<Graft>> EventGraftPoint::SnapshotHandlers() const {
+std::span<const std::shared_ptr<Graft>> EventGraftPoint::CopyHandlers(
+    std::span<std::shared_ptr<Graft>> few,
+    std::vector<std::shared_ptr<Graft>>& many) const {
   std::lock_guard<std::mutex> guard(mutex_);
-  std::vector<std::shared_ptr<Graft>> out;
-  out.reserve(handlers_.size());
-  for (const Handler& h : handlers_) {
-    out.push_back(h.graft);
+  if (handlers_.size() <= few.size()) {
+    for (size_t i = 0; i < handlers_.size(); ++i) {
+      few[i] = handlers_[i].graft;
+    }
+    return few.first(handlers_.size());
   }
-  return out;
+  many.reserve(handlers_.size());
+  for (const Handler& h : handlers_) {
+    many.push_back(h.graft);
+  }
+  return many;
 }
 
 bool EventGraftPoint::RunHandler(const std::shared_ptr<Graft>& graft,
@@ -146,8 +154,9 @@ EventGraftPoint::DispatchOutcome EventGraftPoint::Dispatch(
     std::span<const uint64_t> args) {
   DispatchOutcome outcome;
   counters_.Add(kEvents);
-  const auto handlers = SnapshotHandlers();
-  for (const auto& graft : handlers) {
+  std::array<std::shared_ptr<Graft>, kInlineHandlers> few;
+  std::vector<std::shared_ptr<Graft>> many;
+  for (const auto& graft : CopyHandlers(few, many)) {
     ++outcome.handlers_run;
     if (!RunAndCount(graft, args)) {
       ++outcome.handler_aborts;
@@ -158,7 +167,8 @@ EventGraftPoint::DispatchOutcome EventGraftPoint::Dispatch(
 
 void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args,
                                     std::function<void()> done) {
-  const auto handlers = SnapshotHandlers();
+  std::vector<std::shared_ptr<Graft>> many;
+  const auto handlers = CopyHandlers({}, many);
   counters_.Add(kEvents);
   if (handlers.empty()) {
     if (done) {

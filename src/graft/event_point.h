@@ -163,7 +163,14 @@ class EventGraftPoint {
   bool RunAndCount(const std::shared_ptr<Graft>& graft,
                    std::span<const uint64_t> args);
 
-  [[nodiscard]] std::vector<std::shared_ptr<Graft>> SnapshotHandlers() const;
+  // Copies the handlers, in order, under `mutex_`: into `few` if they fit,
+  // else into `many`. Returns the copy. Sync Dispatch passes an inline
+  // array of kInlineHandlers, so a point with that many handlers or fewer
+  // dispatches without allocating.
+  static constexpr size_t kInlineHandlers = 4;
+  [[nodiscard]] std::span<const std::shared_ptr<Graft>> CopyHandlers(
+      std::span<std::shared_ptr<Graft>> few,
+      std::vector<std::shared_ptr<Graft>>& many) const;
 
   [[nodiscard]] WorkerPool& pool() const {
     return config_.pool != nullptr ? *config_.pool : WorkerPool::Default();

@@ -35,12 +35,21 @@ bool LockTable::HeldBy(const LockState& state, LockHolderId holder) {
       [holder](const LockRequest& h) { return h.holder == holder; });
 }
 
+bool LockTable::Queued(const LockState& state, LockHolderId holder) {
+  return std::any_of(
+      state.waiters.begin(), state.waiters.end(),
+      [holder](const LockRequest& w) { return w.holder == holder; });
+}
+
 void LockTable::Promote(LockState& state) {
-  while (!state.waiters.empty() &&
-         !ConflictsWithHolders(state, state.waiters.front())) {
-    state.holders.push_back(state.waiters.front());
-    state.waiters.pop_front();
+  size_t granted = 0;
+  while (granted < state.waiters.size() &&
+         !ConflictsWithHolders(state, state.waiters[granted])) {
+    state.holders.push_back(state.waiters[granted]);
+    ++granted;
   }
+  state.waiters.erase(state.waiters.begin(),
+                      state.waiters.begin() + static_cast<ptrdiff_t>(granted));
 }
 
 Status LockTable::ReleaseLock(LockResourceId resource, LockHolderId holder) {
@@ -65,7 +74,9 @@ Status LockTable::Withdraw(LockResourceId resource, LockHolderId holder,
     return Status::kNotFound;
   }
   Promote(state);
-  if (state.holders.empty() && state.waiters.empty()) {
+  // An idle entry is kept for reuse while its shard is small.
+  if (state.holders.empty() && state.waiters.empty() &&
+      shard.locks.size() > kIdleEntriesPerShard) {
     shard.locks.erase(it);
   }
   return Status::kOk;

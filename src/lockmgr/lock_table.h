@@ -13,6 +13,14 @@
 // There is no blocking wait inside the table — a queued requester polls
 // Holds() and, on timeout, withdraws atomically with CancelWait() so its
 // abandoned queue slot cannot strand later grants.
+//
+// An uncontended GetLock+ReleaseLock on a resource used before allocates
+// nothing. The wait queue is a vector, which allocates only when a first
+// waiter arrives. A drained (idle) entry stays in its shard, holder capacity
+// kept, for the next request on that resource. It is erased only while its
+// shard holds more than kIdleEntriesPerShard entries, so a shard holds at
+// most max(live entries, kIdleEntriesPerShard) + 1. An idle entry answers
+// every query exactly as an absent one does.
 
 #ifndef VINOLITE_SRC_LOCKMGR_LOCK_TABLE_H_
 #define VINOLITE_SRC_LOCKMGR_LOCK_TABLE_H_
@@ -20,7 +28,6 @@
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <deque>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -43,7 +50,7 @@ struct LockRequest {
 
 struct LockState {
   std::vector<LockRequest> holders;
-  std::deque<LockRequest> waiters;
+  std::vector<LockRequest> waiters;  // A few entries; the front is next.
 };
 
 // True iff `a` and `b` can hold the lock simultaneously.
@@ -57,6 +64,10 @@ struct LockState {
 
 class LockTable {
  public:
+  static constexpr size_t kShardCount = 16;  // Power of two.
+  // Idle entries a shard keeps for reuse (see the header comment).
+  static constexpr size_t kIdleEntriesPerShard = 64;
+
   // Figure 4's hard-coded decisions. Grant: whatever the holders allow —
   // Apply() already refuses a conflict, and waiters are ignored (reader
   // priority). Queue: append (FIFO).
@@ -70,7 +81,8 @@ class LockTable {
   };
 
   // The one grant-or-queue step, under the resource's shard mutex.
-  // kAlreadyExists if the holder already holds. Otherwise `grant(state,
+  // kAlreadyExists if the holder already holds, and kBusy, with nothing
+  // granted or queued, if it already waits. Otherwise `grant(state,
   // request)` may grant (kOk) a request that conflicts with no current
   // holder — the kernel, not the policy, owns that check. A request not
   // granted goes in the wait queue at `queue(state, request)`, clamped to
@@ -103,8 +115,6 @@ class LockTable {
                   LockState* out) const;
 
  private:
-  static constexpr size_t kShardCount = 16;  // Power of two.
-
   struct Shard {
     mutable std::mutex mu;
     std::unordered_map<LockResourceId, LockState> locks;
@@ -120,6 +130,7 @@ class LockTable {
   }
 
   [[nodiscard]] static bool HeldBy(const LockState& state, LockHolderId holder);
+  [[nodiscard]] static bool Queued(const LockState& state, LockHolderId holder);
 
   // Grants waiters in queue order while they remain compatible with the
   // holder set. Promotion is kernel policy, not graft policy: it is what
@@ -150,6 +161,12 @@ Status LockTable::Apply(LockResourceId resource, const LockRequest& request,
       return Status::kAlreadyExists;
     }
     conflicts = conflicts || !Compatible(h.mode, request.mode);
+  }
+  // A queued holder asking again keeps its one queue entry: a second copy
+  // would outlive its CancelWait and be promoted after it withdrew. An
+  // uncontended lock has no waiters, so it pays no scan.
+  if (!state.waiters.empty() && Queued(state, request.holder)) {
+    return Status::kBusy;
   }
   const LockState& view = state;
   if (!conflicts && grant(view, request)) {

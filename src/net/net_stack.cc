@@ -175,7 +175,7 @@ EventGraftPoint* NetStack::ListenUdp(uint16_t port) { return Listen(kUdp, port);
 
 Result<NetStack::Slot*> NetStack::NewConnection(const EventGraftPoint* point,
                                                 uint16_t port,
-                                                const std::string& payload) {
+                                                std::string_view payload) {
   if (Ring* ring = rings_.Local([](uint32_t) { return std::make_unique<Ring>(); })) {
     return Open(*ring, point, port, payload);
   }
@@ -187,7 +187,7 @@ Result<NetStack::Slot*> NetStack::NewConnection(const EventGraftPoint* point,
 }
 
 Result<NetStack::Slot*> NetStack::Open(Ring& ring, const EventGraftPoint* point,
-                                       uint16_t port, const std::string& payload) {
+                                       uint16_t port, std::string_view payload) {
   // Pass over slots whose delivery still runs; a whole lap of them is full.
   uint64_t cursor = ring.cursor;
   for (size_t skipped = 0;
@@ -237,7 +237,7 @@ uint64_t NetStack::TakeBlock(Ring& ring) {
 }
 
 Result<ConnectionId> NetStack::Deliver(Protocol proto, uint16_t port,
-                                       const std::string& payload, bool async) {
+                                       std::string_view payload, bool async) {
   EventGraftPoint* point =
       listeners_[proto][port].load(std::memory_order_acquire);
   if (point == nullptr) {
@@ -262,21 +262,22 @@ Result<ConnectionId> NetStack::Deliver(Protocol proto, uint16_t port,
 }
 
 Result<ConnectionId> NetStack::DeliverConnection(uint16_t port,
-                                                 std::string request) {
+                                                 std::string_view request) {
   return Deliver(kTcp, port, request, /*async=*/false);
 }
 
-Result<ConnectionId> NetStack::DeliverPacket(uint16_t port, std::string payload) {
+Result<ConnectionId> NetStack::DeliverPacket(uint16_t port,
+                                             std::string_view payload) {
   return Deliver(kUdp, port, payload, /*async=*/false);
 }
 
 Result<ConnectionId> NetStack::DeliverConnectionAsync(uint16_t port,
-                                                      std::string request) {
+                                                      std::string_view request) {
   return Deliver(kTcp, port, request, /*async=*/true);
 }
 
 Result<ConnectionId> NetStack::DeliverPacketAsync(uint16_t port,
-                                                  std::string payload) {
+                                                  std::string_view payload) {
   return Deliver(kUdp, port, payload, /*async=*/true);
 }
 

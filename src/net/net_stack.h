@@ -57,6 +57,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "src/base/sharded_counter.h"
@@ -100,23 +101,28 @@ class NetStack {
 
   // Synthetic traffic injection. Creates a connection carrying `request`
   // and dispatches the port's connection event with the connection id as
-  // the argument. Returns the id (connection exists even if no handler
-  // consumed it). Fails with kNotFound if nothing listens on the port, and
-  // with kNoMemory if every slot of the calling thread's ring still has a
-  // delivery running.
-  Result<ConnectionId> DeliverConnection(uint16_t port, std::string request);
+  // the argument. The request is taken as a view and copied into the
+  // slot's kept buffer, so a request no longer than the slot's earlier
+  // ones allocates nothing. Returns the id (connection exists even if no
+  // handler consumed it). Fails with kNotFound if nothing listens on the
+  // port, and with kNoMemory if every slot of the calling thread's ring
+  // still has a delivery running.
+  Result<ConnectionId> DeliverConnection(uint16_t port,
+                                         std::string_view request);
 
-  // Dispatches a UDP packet event; the payload rides in a one-shot
-  // connection-like object.
-  Result<ConnectionId> DeliverPacket(uint16_t port, std::string payload);
+  // Dispatches a UDP packet event; the payload (taken as a view, like the
+  // request above) rides in a one-shot connection-like object.
+  Result<ConnectionId> DeliverPacket(uint16_t port, std::string_view payload);
 
   // Asynchronous variants: the event is dispatched onto the worker pool
-  // and the call returns immediately with the connection id. The response
+  // and the call returns immediately with the connection id. The view is
+  // copied before the call returns, as above. The response
   // (Connection::tx) is complete only after DrainEvents() — or after
   // draining the port's point.
   Result<ConnectionId> DeliverConnectionAsync(uint16_t port,
-                                              std::string request);
-  Result<ConnectionId> DeliverPacketAsync(uint16_t port, std::string payload);
+                                              std::string_view request);
+  Result<ConnectionId> DeliverPacketAsync(uint16_t port,
+                                          std::string_view payload);
 
   // Waits for every outstanding async event dispatched by this stack.
   void DrainEvents();
@@ -151,13 +157,13 @@ class NetStack {
 
   EventGraftPoint* Listen(Protocol proto, uint16_t port);
   Result<ConnectionId> Deliver(Protocol proto, uint16_t port,
-                               const std::string& payload, bool async);
+                               std::string_view payload, bool async);
   // Fills the calling thread's next free slot and publishes it, marked busy
   // until its delivery has run.
   Result<Slot*> NewConnection(const EventGraftPoint* point, uint16_t port,
-                              const std::string& payload);
+                              std::string_view payload);
   Result<Slot*> Open(Ring& ring, const EventGraftPoint* point, uint16_t port,
-                     const std::string& payload);
+                     std::string_view payload);
   uint64_t TakeBlock(Ring& ring);
   [[nodiscard]] Slot* FindSlot(ConnectionId id) const;
   // The connection `id` if the calling handler's event delivered it.

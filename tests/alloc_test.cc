@@ -1,7 +1,9 @@
 // Hot-path memory discipline: the steady-state safe path performs ZERO heap
 // allocations. Guards the PR-2 invocation-path work (transaction recycling,
 // lean undo log, unified wrapper) against regression by counting every
-// global operator new between two markers.
+// global operator new between two markers. The lock table and the net
+// stack's delivery are held to the same rule, alone and in the serving
+// ledger's request shape.
 //
 // The hook lives in this dedicated test binary so the count is meaningful:
 // within a measured window the only running code is the path under test.
@@ -21,6 +23,9 @@
 #include "src/graft/function_point.h"
 #include "src/graft/invocation.h"
 #include "src/graft/namespace.h"
+#include "src/lockmgr/grafted_lock_manager.h"
+#include "src/lockmgr/lock_manager.h"
+#include "src/net/net_stack.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
 #include "src/txn/accessor.h"
@@ -31,12 +36,21 @@
 namespace {
 
 std::atomic<uint64_t> g_news{0};
+std::atomic<uint64_t> g_deletes{0};
+
+void CountedFree(void* p) noexcept {
+  if (p != nullptr) {
+    g_deletes.fetch_add(1, std::memory_order_relaxed);
+  }
+  std::free(p);
+}
 
 }  // namespace
 
 // Replacement global allocation functions: count, then defer to malloc/free.
 // (Sized/aligned/nothrow variants funnel here in libstdc++; counting the two
-// base news is enough for a regression tripwire.)
+// base news is enough for a regression tripwire. Deletes are counted too, so
+// news minus deletes is the number of blocks still live.)
 void* operator new(std::size_t size) {
   g_news.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size ? size : 1)) {
@@ -53,10 +67,10 @@ void* operator new[](std::size_t size) {
   throw std::bad_alloc();
 }
 
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { CountedFree(p); }
+void operator delete[](void* p) noexcept { CountedFree(p); }
+void operator delete(void* p, std::size_t) noexcept { CountedFree(p); }
+void operator delete[](void* p, std::size_t) noexcept { CountedFree(p); }
 
 namespace vino {
 namespace {
@@ -64,6 +78,11 @@ namespace {
 constexpr GraftIdentity kRoot{0, true};
 
 uint64_t AllocCount() { return g_news.load(std::memory_order_relaxed); }
+
+int64_t LiveBlocks() {
+  return static_cast<int64_t>(g_news.load(std::memory_order_relaxed)) -
+         static_cast<int64_t>(g_deletes.load(std::memory_order_relaxed));
+}
 
 class AllocTest : public ::testing::Test {
  protected:
@@ -408,6 +427,178 @@ TEST_F(AllocTest, TracingEnabledProgramGraftSafePathIsAllocationFree) {
   EXPECT_EQ(AllocCount() - before, 0u);
   EXPECT_TRUE(point.grafted()) << "graft must not have been removed";
   trace::SetEnabled(false);
+}
+
+// --- The lock table ------------------------------------------------------
+
+// Allocations made by 10,000 uncontended GetLock+ReleaseLock pairs on one
+// warm resource, each by a new holder.
+template <typename Manager>
+uint64_t UncontendedGetReleaseAllocations(Manager& mgr) {
+  LockHolderId holder = 1;
+  const auto pair = [&mgr, &holder] {
+    EXPECT_EQ(mgr.GetLock(7, holder, LockMode::kExclusive), Status::kOk);
+    EXPECT_EQ(mgr.ReleaseLock(7, holder), Status::kOk);
+    ++holder;
+  };
+  for (int i = 0; i < 8; ++i) {
+    pair();  // Warm the resource's entry (and the trace ring, if on).
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    pair();
+  }
+  return AllocCount() - before;
+}
+
+TEST_F(AllocTest, UncontendedGetReleaseIsAllocationFree) {
+  // A drained entry stays in its shard, holder capacity kept, and an empty
+  // wait queue owns no memory: the pair allocates nothing on all three
+  // managers (the grafted one ungrafted, consulting its default closures).
+  SimpleLockManager simple;
+  PolicyLockManager policy;
+  GraftNamespace ns;
+  GraftedLockManager grafted("lockmgr.alloc", &txn_, &host_, &ns);
+  EXPECT_EQ(UncontendedGetReleaseAllocations(simple), 0u);
+  EXPECT_EQ(UncontendedGetReleaseAllocations(policy), 0u);
+  EXPECT_EQ(UncontendedGetReleaseAllocations(grafted), 0u);
+}
+
+TEST_F(AllocTest, IdleLockEntriesAreBounded) {
+  // One get+release on each of 100,000 resources leaves every entry idle.
+  // A shard keeps at most kIdleEntriesPerShard of them, each holding two
+  // blocks (its map node and its holder vector), plus its bucket array.
+  SimpleLockManager mgr;
+  ASSERT_EQ(mgr.GetLock(0, 1, LockMode::kShared), Status::kOk);  // Trace ring.
+  ASSERT_EQ(mgr.ReleaseLock(0, 1), Status::kOk);
+  const int64_t before = LiveBlocks();
+  for (LockResourceId r = 0; r < 100'000; ++r) {
+    ASSERT_EQ(mgr.GetLock(r, 1, LockMode::kExclusive), Status::kOk);
+    ASSERT_EQ(mgr.ReleaseLock(r, 1), Status::kOk);
+  }
+  constexpr int64_t kBound = static_cast<int64_t>(
+      LockTable::kShardCount * (2 * LockTable::kIdleEntriesPerShard + 1));
+  EXPECT_LE(LiveBlocks() - before, kBound);
+  // Every entry, kept or erased, answers as an absent one.
+  for (LockResourceId r = 0; r < 100'000; r += 997) {
+    ASSERT_FALSE(mgr.Holds(r, 1));
+    ASSERT_EQ(mgr.WaiterCount(r), 0u);
+  }
+}
+
+TEST_F(AllocTest, DrainedQueueEntryIsReusedAllocationFree) {
+  // A resource that had a queue: its entry drains, goes idle, and then
+  // serves uncontended pairs with no allocation, and its queue still
+  // promotes in FIFO order.
+  SimpleLockManager mgr;
+  const auto contend = [&mgr] {
+    ASSERT_EQ(mgr.GetLock(7, 1, LockMode::kExclusive), Status::kOk);
+    ASSERT_EQ(mgr.GetLock(7, 2, LockMode::kExclusive), Status::kBusy);
+    ASSERT_EQ(mgr.GetLock(7, 3, LockMode::kExclusive), Status::kBusy);
+    ASSERT_EQ(mgr.WaiterCount(7), 2u);
+    ASSERT_EQ(mgr.ReleaseLock(7, 1), Status::kOk);
+    EXPECT_TRUE(mgr.Holds(7, 2));  // First in, first promoted.
+    EXPECT_FALSE(mgr.Holds(7, 3));
+    ASSERT_EQ(mgr.ReleaseLock(7, 2), Status::kOk);
+    EXPECT_TRUE(mgr.Holds(7, 3));
+    ASSERT_EQ(mgr.ReleaseLock(7, 3), Status::kOk);
+    EXPECT_EQ(mgr.WaiterCount(7), 0u);
+  };
+  contend();
+  const uint64_t before = AllocCount();
+  for (LockHolderId holder = 100; holder < 10'100; ++holder) {
+    ASSERT_EQ(mgr.GetLock(7, holder, LockMode::kExclusive), Status::kOk);
+    ASSERT_EQ(mgr.ReleaseLock(7, holder), Status::kOk);
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  contend();
+}
+
+// --- A whole serving request ----------------------------------------------
+
+// The echo handler: recv the request into the arena, send it back, close.
+std::shared_ptr<Graft> EchoHandler(const HostCallTable& host) {
+  constexpr int64_t kArena = 65536;  // Default arena, 4 KB kernel region.
+  Asm a("echo");
+  a.Mov(R6, R0);
+  a.LoadImm(R1, kArena);
+  a.LoadImm(R2, 1024);
+  a.Call(host.IdOf("net.recv").value());
+  a.Mov(R2, R0);
+  a.Mov(R0, R6);
+  a.LoadImm(R1, kArena);
+  a.Call(host.IdOf("net.send").value());
+  a.Mov(R0, R6);
+  a.Call(host.IdOf("net.close").value());
+  a.LoadImm(R0, 1);
+  a.Halt();
+  Result<Program> inst = Instrument(*a.Finish());
+  EXPECT_TRUE(inst.ok());
+  auto graft = std::make_shared<Graft>("echo", *inst, kRoot, 4096);
+  graft->account().SetLimit(ResourceType::kNetBandwidth, uint64_t{1} << 40);
+  return graft;
+}
+
+TEST_F(AllocTest, ServingRequestIsAllocationFree) {
+  // The serving ledger's request: a by-name invoke of a grafted point that
+  // arms the watchdog, a lock, an HTTP-style delivery whose handler
+  // replies through net.send, the reply's lookup, and the release.
+  Watchdog dog;
+  GraftNamespace ns;
+  NetStack net(&txn_, &host_, &ns);
+  SimpleLockManager locks;
+  FunctionGraftPoint::Config config;
+  config.watchdog = &dog;
+  config.wall_budget = 1'000'000;  // 1 s: never fires.
+  const std::string name = "tenant.7.policy";
+  FunctionGraftPoint point(
+      name, [](std::span<const uint64_t>) -> uint64_t { return 7; }, config,
+      &txn_, &host_, &ns);
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+                "null-native",
+                [](std::span<const uint64_t>, MemoryImage*) -> Result<uint64_t> {
+                  return 0ull;
+                },
+                kRoot)),
+            Status::kOk);
+  constexpr uint16_t kPort = 2007;
+  ASSERT_EQ(net.ListenTcp(kPort)->AddHandler(EchoHandler(host_), 0),
+            Status::kOk);
+  static constexpr char kRequest[] = "GET / HTTP/1.0\r\n\r\n";  // The ledger's.
+
+  const uint64_t args[2] = {1, 7};
+  uint64_t failures = 0;
+  LockHolderId holder = 0;
+  const auto request = [&] {
+    uint64_t result = 1;
+    const Status looked = ns.WithFunction(name, [&](FunctionGraftPoint& p) {
+      result = p.Invoke(args);
+      return Status::kOk;
+    });
+    ++holder;
+    const LockResourceId resource = holder % 16;
+    const Status got = locks.GetLock(resource, holder, LockMode::kShared);
+    const Result<ConnectionId> conn = net.DeliverConnection(kPort, kRequest);
+    const Connection* reply = conn.ok() ? net.FindConnection(*conn) : nullptr;
+    const Status released = locks.ReleaseLock(resource, holder);
+    if (looked != Status::kOk || result != 0 || got != Status::kOk ||
+        reply == nullptr || reply->tx != kRequest || released != Status::kOk) {
+      ++failures;
+    }
+  };
+  // Warm a whole lap of the connection ring: each slot's request and reply
+  // buffers grow on the slot's first use and are kept after it.
+  for (size_t i = 0; i < NetStack::kRingSlots + 64; ++i) {
+    request();
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    request();
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  EXPECT_EQ(failures, 0u);
+  EXPECT_TRUE(point.grafted());
+  EXPECT_EQ(dog.fires(), 0u);
 }
 
 }  // namespace

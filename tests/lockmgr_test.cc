@@ -213,6 +213,75 @@ TYPED_TEST(LockManagerTest, CancelWaitOfUnknownHolderFails) {
   EXPECT_EQ(this->mgr_.CancelWait(1, 999), Status::kNotFound);
 }
 
+TYPED_TEST(LockManagerTest, QueuedHolderAskingAgainIsNotQueuedTwice) {
+  // A second copy of a queued request used to outlive the requester's
+  // CancelWait and be promoted by the next release: a requester that had
+  // withdrawn then held the lock, and nobody would release it.
+  ASSERT_EQ(this->mgr_.GetLock(7, 1, LockMode::kExclusive), Status::kOk);
+  ASSERT_EQ(this->mgr_.GetLock(7, 2, LockMode::kExclusive), Status::kBusy);
+  EXPECT_EQ(this->mgr_.GetLock(7, 2, LockMode::kExclusive), Status::kBusy);
+  EXPECT_EQ(this->mgr_.WaiterCount(7), 1u);
+  ASSERT_EQ(this->mgr_.CancelWait(7, 2), Status::kOk);
+  ASSERT_EQ(this->mgr_.ReleaseLock(7, 1), Status::kOk);
+  EXPECT_FALSE(this->mgr_.Holds(7, 2));
+  EXPECT_EQ(this->mgr_.WaiterCount(7), 0u);
+  EXPECT_EQ(this->mgr_.GetLock(7, 3, LockMode::kExclusive), Status::kOk);
+}
+
+TYPED_TEST(LockManagerTest, QueuedHolderIsNotGrantedASecondMode) {
+  // Reader priority would grant a queued writer's shared re-request past
+  // its own queue entry; the release would then promote the entry, and the
+  // holder would hold twice and release once.
+  ASSERT_EQ(this->mgr_.GetLock(7, 1, LockMode::kShared), Status::kOk);
+  ASSERT_EQ(this->mgr_.GetLock(7, 2, LockMode::kExclusive), Status::kBusy);
+  EXPECT_EQ(this->mgr_.GetLock(7, 2, LockMode::kShared), Status::kBusy);
+  EXPECT_FALSE(this->mgr_.Holds(7, 2));
+  EXPECT_EQ(this->mgr_.WaiterCount(7), 1u);
+  ASSERT_EQ(this->mgr_.ReleaseLock(7, 1), Status::kOk);
+  ASSERT_TRUE(this->mgr_.Holds(7, 2));
+  ASSERT_EQ(this->mgr_.ReleaseLock(7, 2), Status::kOk);
+  EXPECT_FALSE(this->mgr_.Holds(7, 2));
+  EXPECT_EQ(this->mgr_.GetLock(7, 3, LockMode::kExclusive), Status::kOk);
+}
+
+TYPED_TEST(LockManagerTest, IdleEntryAnswersLikeAnAbsentOne) {
+  // Resource 1 drains and its entry stays in the table for reuse; resource
+  // 2 was never used. Every query reads the same on both.
+  ASSERT_EQ(this->mgr_.GetLock(1, 100, LockMode::kExclusive), Status::kOk);
+  ASSERT_EQ(this->mgr_.GetLock(1, 200, LockMode::kShared), Status::kBusy);
+  ASSERT_EQ(this->mgr_.ReleaseLock(1, 100), Status::kOk);
+  ASSERT_EQ(this->mgr_.ReleaseLock(1, 200), Status::kOk);
+  for (const LockResourceId resource : {LockResourceId{1}, LockResourceId{2}}) {
+    for (const LockHolderId holder : {LockHolderId{100}, LockHolderId{200}}) {
+      EXPECT_FALSE(this->mgr_.Holds(resource, holder)) << resource;
+      EXPECT_EQ(this->mgr_.ReleaseLock(resource, holder), Status::kNotFound)
+          << resource;
+      EXPECT_EQ(this->mgr_.CancelWait(resource, holder), Status::kNotFound)
+          << resource;
+    }
+    EXPECT_EQ(this->mgr_.WaiterCount(resource), 0u) << resource;
+  }
+  EXPECT_EQ(this->mgr_.GetLock(1, 200, LockMode::kExclusive), Status::kOk);
+  EXPECT_EQ(this->mgr_.GetLock(1, 100, LockMode::kShared), Status::kBusy);
+}
+
+TEST(LockTableTest, IdleEntrySnapshotsAnEmptyState) {
+  LockTable table;
+  const LockRequest request{100, LockMode::kExclusive};
+  ASSERT_EQ(table.Apply(1, request, LockTable::GrantIfHoldersAllow{},
+                        LockTable::AppendToQueue{}),
+            Status::kOk);
+  LockState held;
+  EXPECT_EQ(table.Snapshot(1, 100, &held), Status::kAlreadyExists);
+  ASSERT_EQ(table.ReleaseLock(1, 100), Status::kOk);
+  for (const LockResourceId resource : {LockResourceId{1}, LockResourceId{2}}) {
+    LockState out;
+    EXPECT_EQ(table.Snapshot(resource, 100, &out), Status::kOk) << resource;
+    EXPECT_TRUE(out.holders.empty()) << resource;
+    EXPECT_TRUE(out.waiters.empty()) << resource;
+  }
+}
+
 TEST(PolicyTest, DenyOnIdleLockCannotStrandTheQueue) {
   // A pathological policy denies everything. With no holders there is no
   // future release to promote the queue, so GetLock itself must promote —

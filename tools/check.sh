@@ -52,10 +52,10 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR20 (wrapper, txn, sfi, lockmgr), BENCH_PR21 (wrapper
-#            with the flight recorder on, ledger) and BENCH_PR19 (net)
-#            json snapshots (warn-only: shared CI boxes are too noisy for
-#            a hard perf gate; read the table — unless
+#            BENCH_PR20 (wrapper, txn, sfi), BENCH_PR21 (wrapper with the
+#            flight recorder on), BENCH_PR22 (lockmgr, ledger) and
+#            BENCH_PR19 (net) json snapshots (warn-only: shared CI boxes
+#            are too noisy for a hard perf gate; read the table — unless
 #            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
 #            regression a hard failure).
 
@@ -169,9 +169,9 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  # BENCH_PR20.json holds the wrapper, txn and sfi micros and the lock
-  # manager's parent measured on the box that measured the lock manager, so
-  # a delta here is code, not a different box.
+  # BENCH_PR20.json holds the wrapper, txn and sfi micros measured on the
+  # box that measured the lock manager, so a delta here is code, not a
+  # different box.
   echo "== [bench] wrapper/txn/sfi micros vs BENCH_PR20.json ($GATE_LABEL) =="
   for b in bench_wrapper bench_txn bench_sfi; do
     build/bench/"$b" --json="build/$b.smoke.json" \
@@ -189,17 +189,19 @@ if [[ "$BENCH" == "1" ]]; then
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR21.json#bench_wrapper_traced" \
     "build/bench_wrapper_traced.smoke.json"
-  echo "== [bench] lock manager micro vs BENCH_PR20.json ($GATE_LABEL) =="
+  # The allocation-free lock table (BENCH_PR22.json holds the change and,
+  # as bench_lockmgr_parent, the parent on the same box).
+  echo "== [bench] lock manager micro vs BENCH_PR22.json ($GATE_LABEL) =="
   build/bench/bench_lockmgr --benchmark_out=build/bench_lockmgr.smoke.json \
     --benchmark_out_format=json --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR20.json#bench_lockmgr" "build/bench_lockmgr.smoke.json"
+    "BENCH_PR22.json#bench_lockmgr" "build/bench_lockmgr.smoke.json"
   echo "== [bench] net stack micro vs BENCH_PR19.json ($GATE_LABEL) =="
   build/bench/bench_net --json="build/bench_net.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR19.json#bench_net" "build/bench_net.smoke.json"
-  echo "== [bench] serving ledger vs BENCH_PR21.json ($GATE_LABEL) =="
+  echo "== [bench] serving ledger vs BENCH_PR22.json ($GATE_LABEL) =="
   # A short run of each gated workload; its last line is the result, and
   # each end-to-end metric is held to its own direction and bound from
   # BENCHMARK.json.
@@ -208,7 +210,7 @@ if [[ "$BENCH" == "1" ]]; then
       > "build/ledger.$w.out"
     tail -n 1 "build/ledger.$w.out" > "build/ledger.$w.json"
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} \
-      "BENCH_PR21.json#ledger_smoke.$w" "build/ledger.$w.json"
+      "BENCH_PR22.json#ledger_smoke.$w" "build/ledger.$w.json"
   done
 fi
 
