@@ -115,7 +115,8 @@ int Main() {
               (void)locks[static_cast<size_t>(i)]->Acquire();
             }
             for (int i = 0; i < undo_count; ++i) {
-              txn->undo().PushRestoreU64(&slots[static_cast<size_t>(i) % 4096]);
+              uint64_t* slot = &slots[static_cast<size_t>(i) % 4096];
+              txn->undo().Push([slot, old_value = *slot] { *slot = old_value; });
             }
             kernel.txn().Abort(txn, Status::kTxnAborted);
           },

@@ -1,7 +1,7 @@
 // §3.1/§4.6 transaction micro-costs, as google-benchmark micros:
 //  * transaction begin+commit and begin+abort (the tables' fixed overhead),
 //  * nested begin+commit,
-//  * undo-record push (inline vs. closure),
+//  * undo-entry push,
 //  * TxnSet accessor vs. a plain store,
 //  * TxnLock acquire/release vs. a plain std::mutex — the paper's "each use
 //    of a transaction lock instead of a conventional kernel mutex lock adds
@@ -48,12 +48,13 @@ void BM_NestedBeginCommit(benchmark::State& state) {
 }
 BENCHMARK(BM_NestedBeginCommit);
 
-void BM_UndoPushInline(benchmark::State& state) {
+void BM_UndoPush(benchmark::State& state) {
+  // One word restore, the entry TxnSet pushes.
   TxnManager manager;
   static uint64_t slot = 0;
   Transaction* txn = manager.Begin();
   for (auto _ : state) {
-    txn->undo().PushRestoreU64(&slot);
+    txn->undo().Push([p = &slot, old_value = slot] { *p = old_value; });
     if (txn->undo().size() >= 4096) {
       state.PauseTiming();
       manager.Abort(txn, Status::kTxnAborted);
@@ -63,25 +64,7 @@ void BM_UndoPushInline(benchmark::State& state) {
   }
   manager.Abort(txn, Status::kTxnAborted);
 }
-BENCHMARK(BM_UndoPushInline);
-
-void BM_UndoPushClosure(benchmark::State& state) {
-  TxnManager manager;
-  static uint64_t slot = 0;
-  Transaction* txn = manager.Begin();
-  for (auto _ : state) {
-    const uint64_t old_value = slot;
-    txn->undo().PushClosure([old_value] { slot = old_value; });
-    if (txn->undo().size() >= 4096) {
-      state.PauseTiming();
-      manager.Abort(txn, Status::kTxnAborted);
-      txn = manager.Begin();
-      state.ResumeTiming();
-    }
-  }
-  manager.Abort(txn, Status::kTxnAborted);
-}
-BENCHMARK(BM_UndoPushClosure);
+BENCHMARK(BM_UndoPush);
 
 void BM_PlainStore(benchmark::State& state) {
   static uint64_t slot = 0;

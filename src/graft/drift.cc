@@ -1,13 +1,6 @@
 #include "src/graft/drift.h"
 
-#include <cstdlib>
-
 namespace vino {
-
-bool DriftEjectFromEnv() {
-  const char* eject = std::getenv("VINO_DRIFT_EJECT");
-  return eject != nullptr && eject[0] == '1';
-}
 
 DriftVerdict DriftDetector::Record(const AbortCostModel& model) {
   DriftVerdict verdict;

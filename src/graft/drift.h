@@ -50,10 +50,6 @@ inline constexpr double kDriftCostRatio = 2.0;
 inline constexpr uint64_t kDriftMinExcessNs = 2'000;
 inline constexpr uint32_t kDriftStrikeWindows = 2;
 
-// VINO_DRIFT_EJECT=1 in the environment: the default of
-// VinoKernelConfig::eject_degraded for new kernels.
-[[nodiscard]] bool DriftEjectFromEnv();
-
 // What one Record() decided (mostly: nothing yet — windows are tumbling).
 // Fields other than `evaluated` are meaningful only on an evaluated window.
 struct DriftVerdict {

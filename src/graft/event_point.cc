@@ -191,7 +191,6 @@ void EventGraftPoint::DispatchAsync(std::vector<uint64_t> args,
     {
       std::lock_guard<std::mutex> guard(drain_mutex_);
       ++in_flight_;
-      peak_in_flight_ = std::max(peak_in_flight_, in_flight_);
     }
     // Registered in in_flight_ BEFORE submission: a Drain() that starts
     // now already waits for this task. The pool may run the task inline on
@@ -225,11 +224,6 @@ EventGraftPoint::Stats EventGraftPoint::stats() const {
   s.async_pool_runs = counters_.Read(kAsyncPoolRuns);
   s.async_inline_runs = counters_.Read(kAsyncInlineRuns);
   return s;
-}
-
-uint64_t EventGraftPoint::peak_in_flight() const {
-  std::lock_guard<std::mutex> guard(drain_mutex_);
-  return peak_in_flight_;
 }
 
 const EventGraftPoint::HandledEvent* EventGraftPoint::Handling() {

@@ -133,9 +133,6 @@ class EventGraftPoint {
   };
   [[nodiscard]] Stats stats() const;
 
-  // Peak simultaneously in-flight async tasks from this point.
-  [[nodiscard]] uint64_t peak_in_flight() const;
-
   // The event whose handler the calling thread is running: its point, its
   // arguments and the handler graft's account. Null outside a handler; a
   // nested dispatch shows its own event until it returns. Host calls read
@@ -189,10 +186,9 @@ class EventGraftPoint {
   std::vector<Handler> handlers_;  // Sorted by order.
 
   // Drain-safe async lifecycle: in-flight pool tasks from this point.
-  mutable std::mutex drain_mutex_;
+  std::mutex drain_mutex_;
   std::condition_variable drained_;
   uint64_t in_flight_ = 0;
-  uint64_t peak_in_flight_ = 0;
 
   // Statistics, sharded to keep concurrent dispatchers/pool workers off a
   // shared mutex or cache line (the PR-1 invariants documented above are

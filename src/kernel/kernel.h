@@ -24,7 +24,6 @@
 #include "src/base/clock.h"
 #include "src/base/trace_spool.h"
 #include "src/base/worker_pool.h"
-#include "src/graft/drift.h"
 #include "src/fs/buffer_cache.h"
 #include "src/fs/disk.h"
 #include "src/fs/file_system.h"
@@ -73,8 +72,8 @@ struct VinoKernelConfig {
   // Abort-cost drift (DESIGN.md "Fleet observability"): detection always
   // runs and posts kGraftDegraded events. With eject_degraded, this
   // kernel's graft points also remove degraded grafts; other kernels in
-  // the process are unaffected. VINO_DRIFT_EJECT=1 sets the default.
-  bool eject_degraded = DriftEjectFromEnv();
+  // the process are unaffected.
+  bool eject_degraded = false;
 };
 
 class VinoKernel {

@@ -27,16 +27,7 @@ void TxnSet(T* slot, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   Transaction* txn = TxnManager::Current();
   if (txn != nullptr) {
-    if constexpr (sizeof(T) <= sizeof(uint64_t) && std::is_integral_v<T>) {
-      // Allocation-free fast path for word-sized integers.
-      txn->undo().Push(
-          [](uint64_t p, uint64_t old_value, uint64_t, uint64_t) {
-            *reinterpret_cast<T*>(p) = static_cast<T>(old_value);
-          },
-          reinterpret_cast<uint64_t>(slot), static_cast<uint64_t>(*slot));
-    } else {
-      txn->undo().PushClosure([slot, old_value = *slot] { *slot = old_value; });
-    }
+    txn->undo().Push([slot, old_value = *slot] { *slot = old_value; });
   }
   *slot = value;
 }
@@ -47,7 +38,7 @@ template <typename Mutate, typename Undo>
 auto TxnMutate(Mutate&& mutate, Undo&& undo) {
   Transaction* txn = TxnManager::Current();
   if (txn != nullptr) {
-    txn->undo().PushClosure(std::forward<Undo>(undo));
+    txn->undo().Push(std::forward<Undo>(undo));
   }
   return std::forward<Mutate>(mutate)();
 }
@@ -59,7 +50,7 @@ template <typename Undo>
 void TxnOnAbort(Undo&& undo) {
   Transaction* txn = TxnManager::Current();
   if (txn != nullptr) {
-    txn->undo().PushClosure(std::forward<Undo>(undo));
+    txn->undo().Push(std::forward<Undo>(undo));
   }
 }
 

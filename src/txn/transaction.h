@@ -10,19 +10,21 @@
 // manner, any graft can abort without aborting its calling graft." A nested
 // commit merges its undo stack and its locks into the parent.
 //
-// Thread model: a transaction is *executed* by exactly one thread (the one
-// that began it), but other threads may asynchronously request an abort
-// (lock time-out, resource policing). The request is an atomic flag; the
-// owning thread observes it at a preemption point (the sfi Vm polls every N
-// instructions; accessor functions and TxnLock waits poll too) and performs
-// the actual abort.
+// Thread model: a transaction is touched by exactly one thread, the one
+// that began it. Other threads ask for an abort (lock time-out, resource
+// policing, the watchdog) by posting to the owning thread's
+// KernelContext::pending_abort. The owning thread checks that post at a
+// preemption point (the sfi Vm polls every N instructions; TxnLock waits
+// poll too) through TxnManager::AbortPending, which raises this
+// transaction's abort flag (RequestAbort) when the post applies, and then
+// performs the actual abort.
 
 #ifndef VINOLITE_SRC_TXN_TRANSACTION_H_
 #define VINOLITE_SRC_TXN_TRANSACTION_H_
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/base/status.h"
@@ -52,14 +54,18 @@ class Transaction {
   // motivating case (§6): deletes of kernel objects must be delayed until
   // the transaction's fate is known, since an aborted graft's deletes have
   // to be as if they never happened. A nested commit hands its deferred
-  // actions to the parent; an abort discards them unrun.
-  void DeferUntilCommit(std::function<void()> action) {
-    commit_actions_.push_back(std::move(action));
+  // actions to the parent; an abort discards them unrun. Actions are
+  // UndoClosures, so a warm transaction defers a small capture without
+  // allocating.
+  template <typename F>
+  void DeferUntilCommit(F&& action) {
+    commit_actions_.emplace_back().Emplace(std::forward<F>(action));
   }
   [[nodiscard]] size_t deferred_count() const { return commit_actions_.size(); }
 
-  // --- Asynchronous abort requests -----------------------------------
-  // Sets the abort flag; the owning thread aborts at its next poll.
+  // --- Abort requests -------------------------------------------------
+  // Sets the abort flag; the owning thread aborts at its next poll. Only
+  // the owning thread calls it (other threads post to its KernelContext).
   void RequestAbort(Status reason);
 
   [[nodiscard]] bool abort_requested() const {
@@ -109,7 +115,7 @@ class Transaction {
   TxnState state_ = TxnState::kActive;
   UndoLog undo_;
   std::vector<TxnLock*> locks_;  // Held until commit/abort (2PL).
-  std::vector<std::function<void()>> commit_actions_;  // Deferred deletes.
+  std::vector<UndoClosure> commit_actions_;  // Deferred deletes, in order.
 
   std::atomic<bool> abort_requested_{false};
   std::atomic<int32_t> abort_reason_{static_cast<int32_t>(Status::kTxnAborted)};

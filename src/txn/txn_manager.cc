@@ -132,9 +132,7 @@ Status TxnManager::Commit(KernelContext& ctx, Transaction* txn) {
     for (auto& action : txn->commit_actions_) {
       action();
     }
-    for (auto it = txn->locks_.rbegin(); it != txn->locks_.rend(); ++it) {
-      (*it)->ReleaseOwnedBy(txn);
-    }
+    ReleaseLocks(txn);
     txn->undo_.Clear();
   }
 

@@ -1,43 +1,41 @@
 #include "src/txn/undo_log.h"
 
+#include <iterator>
+#include <memory>
+
 namespace vino {
 
 void UndoLog::ReplayAndClear() {
   // LIFO: the most recent modification is undone first, so earlier undos see
-  // the state they recorded against. The record vector carries the global
-  // sequence; closure entries dereference the side store by index.
-  for (auto it = records_.rbegin(); it != records_.rend(); ++it) {
-    if (it->fn != nullptr) {
-      it->fn(it->args[0], it->args[1], it->args[2], it->args[3]);
-    } else {
-      UndoClosure& closure = closures_[it->args[0]];
-      if (closure) {
-        closure();
-      }
-    }
+  // the state they recorded against.
+  for (auto it = entries_.rbegin(); it != entries_.rend(); ++it) {
+    (*it)();
   }
   Clear();
 }
 
 void UndoLog::MergeInto(UndoLog& parent) {
-  parent.records_.reserve(parent.records_.size() + records_.size());
-  for (const Record& r : records_) {
-    Record rebased = r;
-    if (rebased.fn == nullptr) {
-      // Closure indices shift by however many closures the parent already
-      // holds; the records keep their relative order, which is all LIFO
-      // replay needs.
-      rebased.args[0] += parent.closures_.size();
-    }
-    parent.records_.push_back(rebased);
+  // The child's entries are all newer than the parent's, so appending keeps
+  // the stack in order. insert() grows the parent geometrically: a parent
+  // that absorbs many small nested commits reallocates O(log n) times. The
+  // moved-from entries own nothing.
+  parent.entries_.insert(parent.entries_.end(),
+                         std::make_move_iterator(entries_.begin()),
+                         std::make_move_iterator(entries_.end()));
+  parent.owns_ = parent.owns_ || owns_;
+  owns_ = false;
+  entries_.clear();
+}
+
+void UndoLog::Grow() {
+  entries_.reserve(entries_.empty() ? kInitialCapacity : 2 * entries_.size());
+}
+
+void UndoLog::DestroyEntries() {
+  for (UndoClosure& entry : entries_) {
+    std::destroy_at(&entry);
   }
-  // Bulk-append after rebasing: every rebased index lands past the
-  // parent's pre-merge closure count in one go.
-  parent.closures_.reserve(parent.closures_.size() + closures_.size());
-  for (UndoClosure& c : closures_) {
-    parent.closures_.push_back(std::move(c));
-  }
-  Clear();
+  owns_ = false;
 }
 
 }  // namespace vino

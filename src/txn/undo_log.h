@@ -6,17 +6,14 @@
 //  transaction aborts, the transaction manager invokes each undo operation
 //  on the undo call stack."
 //
-// Storage is split for the hot path: the main store is a vector of flat POD
-// records (a function pointer plus four inline words — no std::function, no
-// destructor), and rare captured-state undos live in a side vector of
-// closures referenced by index from a record. Pushing an inline record is a
-// 40-byte trivially-copyable append; a recycled transaction's vectors keep
-// their capacity, so steady-state pushes never allocate. Captured-state
-// closures get the same treatment: UndoClosure stores captures of up to 32
-// bytes inline (pointer + a few words — every accessor in the tree today),
-// so a warmed PushClosure is allocation-free too; only oversized or
-// throwing-move captures fall back to the heap. Replay is LIFO across both
-// stores (the record vector carries the global sequence). The log is
+// One entry type: every undo operation is an UndoClosure, a move-only
+// callable that keeps captures of up to 32 bytes inline (an object pointer
+// plus up to three words of prior state — every accessor in the tree). A
+// push constructs the closure in place at the end of one vector, and a
+// recycled transaction keeps the vector's capacity, so a warm push never
+// allocates. Only oversized or throwing-move captures fall back to the
+// heap. Replay runs newest-first. A log whose captures need no destructor
+// (every kernel undo) is cleared without visiting its entries. The log is
 // transient — there is no redo, no durability (paper: of ACID "we need only
 // provide the first three").
 
@@ -24,7 +21,7 @@
 #define VINOLITE_SRC_TXN_UNDO_LOG_H_
 
 #include <cstddef>
-#include <cstdint>
+#include <memory>
 #include <new>
 #include <type_traits>
 #include <utility>
@@ -33,21 +30,46 @@
 namespace vino {
 
 // Move-only type-erased void() callable with small-buffer storage. A
-// deliberately minimal std::function replacement for the undo side store:
-// no copy, no target introspection, no allocator — just enough surface for
-// "capture a few words, run once on abort".
+// deliberately minimal std::function replacement for undo operations and
+// deferred actions: no copy, no target introspection, no allocator — just
+// enough surface for "capture a few words, run once".
 class UndoClosure {
  public:
   // Inline capture budget. 32 bytes = four words: object pointer plus up to
   // three words of prior state, which covers every in-tree accessor undo.
   static constexpr size_t kInlineBytes = 32;
 
-  UndoClosure() = default;
+  // Leaves the buffer unwritten: an empty closure's bytes are never read.
+  UndoClosure() {}  // NOLINT(modernize-use-equals-default)
 
   template <typename F,
             typename = std::enable_if_t<
                 !std::is_same_v<std::decay_t<F>, UndoClosure>>>
   UndoClosure(F&& f) {  // NOLINT(google-explicit-constructor)
+    Emplace(std::forward<F>(f));
+  }
+
+  UndoClosure(UndoClosure&& other) noexcept { Take(other); }
+
+  UndoClosure& operator=(UndoClosure&& other) noexcept {
+    if (this != &other) {
+      Destroy();
+      Take(other);
+    }
+    return *this;
+  }
+
+  UndoClosure(const UndoClosure&) = delete;
+  UndoClosure& operator=(const UndoClosure&) = delete;
+
+  ~UndoClosure() { Destroy(); }
+
+  // Makes this empty closure hold `f`. A container appends an empty entry
+  // and fills it in place: the capture is then written straight into the
+  // entry, where constructing from `f` would copy it out of a temporary
+  // whose fields were just stored one by one (a store-forwarding stall).
+  template <typename F>
+  void Emplace(F&& f) {
     using Fn = std::decay_t<F>;
     if constexpr (kInlineEligible<Fn>) {
       ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
@@ -58,33 +80,7 @@ class UndoClosure {
     }
   }
 
-  UndoClosure(UndoClosure&& other) noexcept : ops_(other.ops_) {
-    if (ops_ != nullptr) {
-      ops_->relocate(storage_, other.storage_);
-      other.ops_ = nullptr;
-    }
-  }
-
-  UndoClosure& operator=(UndoClosure&& other) noexcept {
-    if (this != &other) {
-      Destroy();
-      ops_ = other.ops_;
-      if (ops_ != nullptr) {
-        ops_->relocate(storage_, other.storage_);
-        other.ops_ = nullptr;
-      }
-    }
-    return *this;
-  }
-
-  UndoClosure(const UndoClosure&) = delete;
-  UndoClosure& operator=(const UndoClosure&) = delete;
-
-  ~UndoClosure() { Destroy(); }
-
   void operator()() { ops_->invoke(storage_); }
-
-  [[nodiscard]] explicit operator bool() const { return ops_ != nullptr; }
 
   // True when the target lives in the inline buffer (no heap). Exposed so
   // tests can assert the small-capture guarantee.
@@ -92,20 +88,28 @@ class UndoClosure {
     return ops_ != nullptr && ops_->inline_storage;
   }
 
+  // True when a closure holding an Fn has work to do when it is destroyed:
+  // a heap target, or an inline one with a destructor.
+  template <typename Fn>
+  static constexpr bool NeedsDestroy() {
+    return !(kInlineEligible<Fn> && std::is_trivially_destructible_v<Fn>);
+  }
+
  private:
   struct Ops {
     void (*invoke)(void* storage);
-    // Move-construct into dst from src and end src's lifetime. noexcept by
+    // Move-constructs into dst from src and ends src's lifetime. noexcept by
     // construction: inline targets require nothrow move, heap targets just
     // relocate a pointer.
     void (*relocate)(void* dst, void* src);
+    // Null when the target needs no destructor call.
     void (*destroy)(void* storage);
     bool inline_storage;
   };
 
   template <typename Fn>
   static constexpr bool kInlineEligible =
-      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(std::max_align_t) &&
+      sizeof(Fn) <= kInlineBytes && alignof(Fn) <= alignof(void*) &&
       std::is_nothrow_move_constructible_v<Fn>;
 
   template <typename Fn>
@@ -121,7 +125,9 @@ class UndoClosure {
         ::new (dst) Fn(std::move(*from));
         from->~Fn();
       },
-      [](void* s) { Target<Fn>(s)->~Fn(); },
+      std::is_trivially_destructible_v<Fn>
+          ? nullptr
+          : +[](void* s) { Target<Fn>(s)->~Fn(); },
       true,
   };
 
@@ -135,49 +141,43 @@ class UndoClosure {
       false,
   };
 
-  void Destroy() {
+  void Take(UndoClosure& other) {
+    ops_ = other.ops_;
     if (ops_ != nullptr) {
-      ops_->destroy(storage_);
-      ops_ = nullptr;
+      ops_->relocate(storage_, other.storage_);
+      other.ops_ = nullptr;
     }
   }
 
+  void Destroy() {
+    if (ops_ != nullptr && ops_->destroy != nullptr) {
+      ops_->destroy(storage_);
+    }
+    ops_ = nullptr;
+  }
+
   const Ops* ops_ = nullptr;
-  alignas(std::max_align_t) unsigned char storage_[kInlineBytes];
+  alignas(void*) unsigned char storage_[kInlineBytes];
 };
 
 class UndoLog {
  public:
-  using InlineFn = void (*)(uint64_t, uint64_t, uint64_t, uint64_t);
-
   UndoLog() = default;
   UndoLog(const UndoLog&) = delete;
   UndoLog& operator=(const UndoLog&) = delete;
-  UndoLog(UndoLog&&) = default;
-  UndoLog& operator=(UndoLog&&) = default;
+  ~UndoLog() { Clear(); }
 
-  // Pushes an allocation-free undo record (no allocation once the record
-  // vector has warmed past kInitialCapacity).
-  void Push(InlineFn fn, uint64_t a = 0, uint64_t b = 0, uint64_t c = 0,
-            uint64_t d = 0) {
-    MaybeReserve();
-    records_.push_back(Record{fn, {a, b, c, d}});
-  }
-
-  // Escape hatch for undos that need captured state. The record slot keeps
-  // the closure's side-vector index so replay/merge preserve sequence.
-  // Captures of up to UndoClosure::kInlineBytes stay in the side vector's
-  // own storage — no heap allocation once the vectors are warm.
+  // Pushes one undo operation. A warm log allocates nothing unless the
+  // capture exceeds UndoClosure::kInlineBytes.
   template <typename F>
-  void PushClosure(F&& closure) {
-    MaybeReserve();
-    records_.push_back(Record{nullptr, {closures_.size(), 0, 0, 0}});
-    closures_.push_back(UndoClosure(std::forward<F>(closure)));
-  }
-
-  // Convenience: restore a trivially-copyable 64-bit slot to its prior value.
-  void PushRestoreU64(uint64_t* slot) {
-    Push(&RestoreU64Thunk, reinterpret_cast<uint64_t>(slot), *slot);
+  void Push(F&& undo) {
+    if (entries_.size() == entries_.capacity()) [[unlikely]] {
+      Grow();
+    }
+    if constexpr (UndoClosure::NeedsDestroy<std::decay_t<F>>()) {
+      owns_ = true;
+    }
+    entries_.emplace_back().Emplace(std::forward<F>(undo));
   }
 
   // Runs every undo operation most-recent-first and empties the log.
@@ -187,44 +187,37 @@ class UndoLog {
   // log: a nested commit merges its undo stack with its parent's (§3.1).
   void MergeInto(UndoLog& parent);
 
+  // Destroys every entry unrun.
   void Clear() {
-    records_.clear();
-    closures_.clear();
+    if (owns_) {
+      DestroyEntries();
+    }
+    entries_.clear();
   }
-  [[nodiscard]] size_t size() const { return records_.size(); }
-  [[nodiscard]] bool empty() const { return records_.empty(); }
-  [[nodiscard]] size_t closure_count() const { return closures_.size(); }
+  [[nodiscard]] size_t size() const { return entries_.size(); }
+  [[nodiscard]] bool empty() const { return entries_.empty(); }
 
  private:
-  // Flat POD record. fn == nullptr marks a closure entry whose side-vector
-  // index rides in args[0].
-  struct Record {
-    InlineFn fn;
-    uint64_t args[4];
+  // The vector's allocator leaves its elements' destruction to the log,
+  // which destroys them in Clear only when one has work to do (owns_). So
+  // replaying a log of word captures walks it once, not twice: a second
+  // pass of destructor checks made a 1,024-entry replay ~1.5x as slow.
+  template <typename T>
+  struct KeepAllocator : std::allocator<T> {
+    template <typename U>
+    void destroy(U*) noexcept {}
   };
-  // The layout contract the hot path depends on: if someone re-grows the
-  // record (say, by sneaking a std::function back in), fail the build.
-  static_assert(sizeof(Record) <= 48, "undo record must stay lean");
-  static_assert(std::is_trivially_copyable_v<Record>,
-                "undo record must not own resources");
 
-  // First push on a cold log reserves a small block so the common
-  // few-records transaction grows the vector exactly once; recycled
-  // transactions keep the capacity and never come back here.
+  // The common few-entry transaction grows the vector once, to
+  // kInitialCapacity; a recycled transaction keeps the capacity. Growth is
+  // out of line so the push inlined into every accessor stays small.
   static constexpr size_t kInitialCapacity = 16;
-  void MaybeReserve() {
-    if (records_.capacity() == 0) {
-      records_.reserve(kInitialCapacity);
-    }
-  }
+  void Grow();
 
-  static void RestoreU64Thunk(uint64_t slot, uint64_t old_value, uint64_t,
-                              uint64_t) {
-    *reinterpret_cast<uint64_t*>(slot) = old_value;
-  }
+  void DestroyEntries();
 
-  std::vector<Record> records_;
-  std::vector<UndoClosure> closures_;
+  std::vector<UndoClosure, KeepAllocator<UndoClosure>> entries_;
+  bool owns_ = false;  // Some entry's closure has a destructor to run.
 };
 
 }  // namespace vino

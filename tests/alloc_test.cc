@@ -16,6 +16,7 @@
 #include <memory>
 #include <new>
 #include <span>
+#include <vector>
 
 #include "src/base/log.h"
 #include "src/base/trace.h"
@@ -120,7 +121,7 @@ TEST_F(AllocTest, SteadyStateAbortWithInlineUndoIsAllocationFree) {
   const uint64_t before = AllocCount();
   for (int i = 0; i < 10'000; ++i) {
     Transaction* txn = txn_.Begin();
-    TxnSet(&slot, uint64_t{1});  // Inline undo record: flat POD append.
+    TxnSet(&slot, uint64_t{1});  // Word restore: an inline closure.
     TxnSet(&slot, uint64_t{2});
     txn_.Abort(txn, Status::kTxnAborted);
     ASSERT_EQ(slot, 0u);
@@ -230,9 +231,9 @@ TEST_F(AllocTest, SmallCaptureUndoClosureStaysInline) {
 }
 
 TEST_F(AllocTest, SteadyStateClosureUndoAbortIsAllocationFree) {
-  // PushClosure with an inline-eligible capture: once the record and closure
-  // vectors are warm, a capture-carrying abort path performs zero
-  // allocations (the PR-3 small-buffer optimization).
+  // Undo entries with inline-eligible captures: once the undo log is warm,
+  // a capture-carrying abort path performs zero allocations (the closure's
+  // small-buffer storage).
   uint64_t slot = 0;
   const auto run_once = [&] {
     Transaction* txn = txn_.Begin();
@@ -249,6 +250,52 @@ TEST_F(AllocTest, SteadyStateClosureUndoAbortIsAllocationFree) {
     ASSERT_EQ(slot, 0u);
   }
   EXPECT_EQ(AllocCount() - before, 0u);
+}
+
+TEST_F(AllocTest, NestedCommitsGrowTheParentLogGeometrically) {
+  // One open parent absorbs 1,000 nested one-entry commits. Each merge
+  // appends to the parent's undo log, which must grow geometrically rather
+  // than to exactly its new size.
+  constexpr uint64_t kCommits = 1'000;
+  std::vector<uint64_t> slots(kCommits, 0);
+  const uint64_t before = AllocCount();
+  Transaction* parent = txn_.Begin();
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    Transaction* child = txn_.Begin();
+    TxnSet(&slots[i], i + 1);
+    ASSERT_EQ(txn_.Commit(child), Status::kOk);
+  }
+  const uint64_t allocations = AllocCount() - before;
+  EXPECT_EQ(parent->undo().size(), kCommits);
+  txn_.Abort(parent, Status::kTxnAborted);
+  EXPECT_LE(allocations, 16u);
+  for (uint64_t i = 0; i < kCommits; ++i) {
+    ASSERT_EQ(slots[i], 0u) << "entry " << i << " was not replayed";
+  }
+}
+
+TEST_F(AllocTest, SteadyStateDeferredActionIsAllocationFree) {
+  // A deferred delete whose capture is three words, more than
+  // std::function's inline buffer holds: once the transaction's deferred
+  // list is warm, deferring and running it allocates nothing.
+  uint64_t deletes = 0;
+  uint64_t* target = &deletes;
+  const uint64_t a = 1;
+  const uint64_t b = 2;
+  const auto run_once = [&] {
+    Transaction* txn = txn_.Begin();
+    TxnDeferDelete([target, a, b] { *target += b - a; });
+    ASSERT_EQ(txn_.Commit(txn), Status::kOk);
+  };
+  for (int i = 0; i < 8; ++i) {
+    run_once();
+  }
+  const uint64_t before = AllocCount();
+  for (int i = 0; i < 10'000; ++i) {
+    run_once();
+  }
+  EXPECT_EQ(AllocCount() - before, 0u);
+  EXPECT_EQ(deletes, 10'008u);
 }
 
 TEST_F(AllocTest, TracingEnabledSafePathIsAllocationFree) {

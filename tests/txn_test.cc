@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -22,9 +23,9 @@ namespace {
 TEST(UndoLogTest, ReplaysLifo) {
   UndoLog log;
   std::vector<int> order;
-  log.PushClosure([&order] { order.push_back(1); });
-  log.PushClosure([&order] { order.push_back(2); });
-  log.PushClosure([&order] { order.push_back(3); });
+  log.Push([&order] { order.push_back(1); });
+  log.Push([&order] { order.push_back(2); });
+  log.Push([&order] { order.push_back(3); });
   log.ReplayAndClear();
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
   EXPECT_TRUE(log.empty());
@@ -32,9 +33,11 @@ TEST(UndoLogTest, ReplaysLifo) {
 
 TEST(UndoLogTest, InlineEntriesAvoidAllocation) {
   UndoLog log;
-  static uint64_t slot = 0;
-  slot = 11;
-  log.PushRestoreU64(&slot);
+  uint64_t slot = 11;
+  // A word restore: the slot's address and its prior value, kept inline.
+  const auto restore = [p = &slot, old_value = slot] { *p = old_value; };
+  EXPECT_TRUE(UndoClosure(restore).is_inline());
+  log.Push(restore);
   slot = 99;
   log.ReplayAndClear();
   EXPECT_EQ(slot, 11u);
@@ -44,9 +47,9 @@ TEST(UndoLogTest, MergePreservesGlobalLifoOrder) {
   UndoLog parent;
   UndoLog child;
   std::vector<std::string> order;
-  parent.PushClosure([&order] { order.push_back("parent-1"); });
-  child.PushClosure([&order] { order.push_back("child-1"); });
-  child.PushClosure([&order] { order.push_back("child-2"); });
+  parent.Push([&order] { order.push_back("parent-1"); });
+  child.Push([&order] { order.push_back("child-1"); });
+  child.Push([&order] { order.push_back("child-2"); });
   child.MergeInto(parent);
   EXPECT_TRUE(child.empty());
   EXPECT_EQ(parent.size(), 3u);
@@ -54,6 +57,46 @@ TEST(UndoLogTest, MergePreservesGlobalLifoOrder) {
   // Child ops happened after parent-1, so they undo first, newest first.
   EXPECT_EQ(order,
             (std::vector<std::string>{"child-2", "child-1", "parent-1"}));
+}
+
+TEST(UndoLogTest, ClosuresWithDestructorsAreDestroyedOnEveryPath) {
+  // A shared_ptr capture has a destructor, and five words go to the heap:
+  // the log must end each such entry exactly once, whether it is replayed,
+  // cleared unrun, merged into a parent or dropped with the log, and after
+  // the vector has grown past its first block.
+  const auto token = std::make_shared<int>(0);
+  const auto push_both = [&token](UndoLog& log, int n) {
+    for (int i = 0; i < n; ++i) {
+      log.Push([token] { ++*token; });
+      uint64_t a = 1, b = 2, c = 3, d = 4;
+      log.Push([token, a, b, c, d] { *token += static_cast<int>(d - c); });
+    }
+  };
+  {
+    UndoLog log;
+    push_both(log, 12);  // 24 entries: past the first 16-entry block.
+    EXPECT_EQ(token.use_count(), 25);
+    log.ReplayAndClear();
+    EXPECT_EQ(*token, 24);
+    EXPECT_EQ(token.use_count(), 1);
+
+    push_both(log, 2);
+    log.Clear();
+    EXPECT_EQ(*token, 24);  // Cleared unrun.
+    EXPECT_EQ(token.use_count(), 1);
+
+    UndoLog child;
+    push_both(log, 1);
+    push_both(child, 2);
+    child.MergeInto(log);
+    EXPECT_EQ(token.use_count(), 7);
+    log.ReplayAndClear();
+    EXPECT_EQ(*token, 30);
+    EXPECT_EQ(token.use_count(), 1);
+
+    push_both(log, 3);
+  }
+  EXPECT_EQ(token.use_count(), 1);  // Dropped with the log.
 }
 
 class TxnTest : public ::testing::Test {
@@ -316,7 +359,6 @@ void ExpectPristine(Transaction* txn) {
   EXPECT_EQ(txn->depth(), 0);
   EXPECT_EQ(txn->state(), TxnState::kActive);
   EXPECT_TRUE(txn->undo().empty());
-  EXPECT_EQ(txn->undo().closure_count(), 0u);
   EXPECT_EQ(txn->lock_count(), 0u);
   EXPECT_EQ(txn->deferred_count(), 0u);
   EXPECT_FALSE(txn->abort_requested());
@@ -325,8 +367,8 @@ void ExpectPristine(Transaction* txn) {
 
 TEST_F(TxnTest, RecycledTransactionLeaksNothingAcrossReuse) {
   // Property test: run randomized commit/abort/nested-merge cycles that
-  // dirty every piece of transaction state — inline undo records, closure
-  // undo records, locks, deferred deletes, abort requests posted both
+  // dirty every piece of transaction state — word-restore and compensation
+  // undo entries, locks, deferred deletes, abort requests posted both
   // directly and via the thread's context — then assert the next Begin()
   // on this thread sees pristine state every time.
   Rng rng(0xdead5eed);
@@ -341,10 +383,10 @@ TEST_F(TxnTest, RecycledTransactionLeaksNothingAcrossReuse) {
 
     const uint64_t dirt = rng.Next();
     if (dirt & 1) {
-      TxnSet(&slot, rng.Next());  // Inline undo record.
+      TxnSet(&slot, rng.Next());  // Word-restore undo entry.
     }
     if (dirt & 2) {
-      TxnOnAbort([&slot] { slot = 0; });  // Closure undo record.
+      TxnOnAbort([&slot] { slot = 0; });  // Compensation undo entry.
     }
     if (dirt & 4) {
       ASSERT_EQ(lock_a.Acquire(), Status::kOk);

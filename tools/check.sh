@@ -52,12 +52,12 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR20 (wrapper, txn, sfi), BENCH_PR21 (wrapper with the
-#            flight recorder on), BENCH_PR22 (lockmgr, ledger) and
-#            BENCH_PR19 (net) json snapshots (warn-only: shared CI boxes
-#            are too noisy for a hard perf gate; read the table — unless
-#            VINO_QUIET_RUNNER=1 marks the box as quiet enough to make a
-#            regression a hard failure).
+#            BENCH_PR20 (wrapper, sfi), BENCH_PR23 (txn), BENCH_PR21
+#            (wrapper with the flight recorder on), BENCH_PR22 (lockmgr,
+#            ledger) and BENCH_PR19 (net) json snapshots (warn-only:
+#            shared CI boxes are too noisy for a hard perf gate; read the
+#            table — unless VINO_QUIET_RUNNER=1 marks the box as quiet
+#            enough to make a regression a hard failure).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -169,16 +169,23 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  # BENCH_PR20.json holds the wrapper, txn and sfi micros measured on the
-  # box that measured the lock manager, so a delta here is code, not a
+  # BENCH_PR20.json holds the wrapper and sfi micros measured on the box
+  # that measured the lock manager, so a delta here is code, not a
   # different box.
-  echo "== [bench] wrapper/txn/sfi micros vs BENCH_PR20.json ($GATE_LABEL) =="
-  for b in bench_wrapper bench_txn bench_sfi; do
+  echo "== [bench] wrapper/sfi micros vs BENCH_PR20.json ($GATE_LABEL) =="
+  for b in bench_wrapper bench_sfi; do
     build/bench/"$b" --json="build/$b.smoke.json" \
       --benchmark_min_time=0.05 >/dev/null
     tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
       "BENCH_PR20.json#$b" "build/$b.smoke.json"
   done
+  # The one-closure undo log (BENCH_PR23.json holds the change and, as
+  # bench_txn_parent, the parent on the same box).
+  echo "== [bench] txn micro vs BENCH_PR23.json ($GATE_LABEL) =="
+  build/bench/bench_txn --json="build/bench_txn.smoke.json" \
+    --benchmark_min_time=0.05 >/dev/null
+  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
+    "BENCH_PR23.json#bench_txn" "build/bench_txn.smoke.json"
   # The same wrapper with the flight recorder on: one record and three
   # clock reads per traced invocation (BENCH_PR21.json holds the change and,
   # as bench_wrapper_traced_parent, the parent on the same box).
