@@ -136,9 +136,12 @@ int Main() {
 
   std::printf("\nFitted model terms (paper: 35us + 10us*L + c*G, c < 1):\n");
   PrintScalar("A (fixed abort overhead)", l0_u0, "us");
-  PrintScalar("B (per lock released)", (l8_u0 - l0_u0) / 8.0, "us/lock");
-  PrintScalar("undo replay (per record)", (l0_u1024 - l0_u0) / 1024.0,
-              "us/record");
+  // The per-lock and per-record terms are tens of ns and a few ns; in µs a
+  // 1 ns change would be a step in the last printed digit.
+  PrintScalar("B (per lock released)", (l8_u0 - l0_u0) / 8.0 * 1000.0,
+              "ns/lock", 2);
+  PrintScalar("undo replay (per record)", (l0_u1024 - l0_u0) / 1024.0 * 1000.0,
+              "ns/record", 2);
 
   // Abort ~= commit claim: the paper observes abort adds little over commit.
   const Measurement commit = MeasurePath(

@@ -6,9 +6,19 @@
 // Figure 5 with the default policies behind std::function indirections;
 // BM_PolicyGetLockFairPolicy installs a non-default grant policy.
 // BM_SimpleGetLockSharedTable prices what threads on one table share.
+//
+// main() starts and joins one thread before any row runs. glibc takes a
+// cheaper mutex path until a process starts its first thread (a std::mutex
+// lock+unlock read ~10 ns before and ~24 ns after on a 4-vCPU Xeon VM), so
+// without it the rows would price the lock table below what the
+// multi-threaded kernel pays, and a multi-threaded row would shift every
+// row after it.
 
 #include <benchmark/benchmark.h>
 
+#include <thread>
+
+#include "bench/gbench_main.h"
 #include "src/lockmgr/lock_manager.h"
 
 namespace vino {
@@ -103,12 +113,6 @@ void BM_SimpleGetLockSharedTable(benchmark::State& state) {
   // its own: threads:2 against threads:1 is what the table's shared state
   // (shard mutexes, shard cache lines) costs two uncontended clients.
   // Resources 7 and 8 hash to shards 7 and 6.
-  //
-  // Registered last, threads:2 first: glibc takes a cheaper mutex path
-  // until a process starts its first thread (a std::mutex lock+unlock read
-  // ~10 ns before and ~24 ns after on a 4-vCPU Xeon VM). So the rows above
-  // run in a process with no second thread, as they always have, and both
-  // rows here pay the mutex cost a multi-threaded kernel pays.
   static SimpleLockManager mgr;
   const auto resource = static_cast<LockResourceId>(7 + state.thread_index());
   uint64_t holder = 1;
@@ -123,4 +127,7 @@ BENCHMARK(BM_SimpleGetLockSharedTable)->Threads(2)->Threads(1);
 }  // namespace
 }  // namespace vino
 
-BENCHMARK_MAIN();
+int main(int argc, char** argv) {
+  std::thread([] {}).join();
+  return vino::RunGbenchMain(argc, argv);
+}

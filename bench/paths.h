@@ -78,8 +78,9 @@ inline void PrintPathTable(const std::string& title,
 
 // One labelled scalar result (cost-benefit sections).
 inline void PrintScalar(const std::string& label, double value,
-                        const std::string& unit) {
-  std::printf("  %-44s %12.3f %s\n", label.c_str(), value, unit.c_str());
+                        const std::string& unit, int decimals = 3) {
+  std::printf("  %-44s %12.*f %s\n", label.c_str(), decimals, value,
+              unit.c_str());
 }
 
 }  // namespace bench

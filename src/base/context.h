@@ -15,12 +15,16 @@
 // innermost transaction. This keeps Transaction lifetime single-threaded.
 //
 // Posts carry the id of the transaction the poster meant to kill (or 0 for
-// "whatever is innermost"). Without the tag, a watchdog or lock-timeout fire
-// that lands after its victim already ended — but before the victim's
-// sibling begins — would abort the innocent successor: the post itself
-// cannot expire, so the consumer must be able to tell stale from live. The
-// consumer (TxnManager) discards a post whose target is no longer in the
-// thread's active transaction chain.
+// "whatever is innermost"). Without the tag, a lock-timeout fire that lands
+// after its victim already ended — but before the victim's sibling begins —
+// would abort the innocent successor: the post itself cannot expire, so the
+// consumer must be able to tell stale from live. The consumer (TxnManager)
+// discards a post whose target is no longer in the thread's active
+// transaction chain.
+//
+// A wall-clock budget (Watchdog::Scope, §4.5) is not posted: it is the
+// thread's own, kept in wall_budget, and the same consumer compares it with
+// its watchdog's tick count at the same points.
 
 #ifndef VINOLITE_SRC_BASE_CONTEXT_H_
 #define VINOLITE_SRC_BASE_CONTEXT_H_
@@ -32,6 +36,7 @@ namespace vino {
 
 class Transaction;      // src/txn/transaction.h
 class ResourceAccount;  // src/resource/account.h
+class Watchdog;         // src/txn/watchdog.h
 
 struct KernelContext {
   KernelContext();
@@ -60,6 +65,16 @@ struct KernelContext {
   // blended into a request neither of them made. 0 = none; see PackAbort.
   // Posted by other threads via PostAbortRequest, consumed by this thread.
   std::atomic<uint64_t> pending_abort{0};
+
+  // The wall-clock budget this thread runs under, set by Watchdog::Scope:
+  // the innermost scope's, or an enclosing scope's on the same watchdog
+  // that expires first. Only the owning thread reads or writes it.
+  struct WallBudget {
+    Watchdog* watchdog = nullptr;  // None when null.
+    uint64_t expiry = 0;           // On the watchdog's tick count (µs).
+    bool fired = false;            // Expiry noticed and counted.
+  };
+  WallBudget wall_budget;
 
   // --- Per-thread Transaction slab (hot-path recycling) ----------------
   // TxnManager::Begin/Commit/Abort recycle Transaction objects through this

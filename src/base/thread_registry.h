@@ -1,11 +1,10 @@
 // One object per calling thread, found without a lock.
 //
-// An owner that gives each calling thread its own object (the watchdog's
-// timer lists, the net stack's connection rings) keeps them in a
-// ThreadRegistry. A thread finds its object through a small thread-local
-// cache keyed by the registry's process-unique serial, so a cache entry
-// left by a destroyed registry never matches a new one built at the same
-// address. A miss takes the registration mutex and returns the object
+// An owner that gives each calling thread its own object (the net stack's
+// connection rings) keeps them in a ThreadRegistry. A thread finds its
+// object through a small thread-local cache keyed by the registry's
+// process-unique serial, so a cache entry left by a destroyed registry
+// never matches a new one built at the same address. A miss takes the registration mutex and returns the object
 // registered to the thread's id, or registers a new one. A thread that
 // reuses an exited thread's id inherits that thread's object, which the
 // exited thread will never touch again. Objects live as long as the

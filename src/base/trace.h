@@ -75,7 +75,7 @@ enum class Event : uint16_t {
   kLockTimeout,    // a = lock/resource id, b = waited µs (holder abort posted).
 
   // Watchdog (src/txn/watchdog.cc).
-  kWatchdogFire,   // a = victim os id, b = overshoot µs past the deadline.
+  kWatchdogFire,   // a = the expired thread's os id, b = µs past expiry.
 
   // Resource accounting (src/resource/account.cc).
   kResourceCharge, // tag = ResourceType, a = amount, b = usage after.

@@ -154,11 +154,11 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
   TxnScope scope(txn_manager, kctx);
   ScopedAccount account_swap(kctx, &graft->account());
 
-  // Optional wall-clock budget: the watchdog posts an abort to this thread
-  // if the invocation outlives it.
+  // Optional wall-clock budget: once the watchdog's tick count passes it,
+  // this thread's abort checks doom the invocation's transaction.
   std::optional<Watchdog::Scope> wall_budget;
   if (exec.watchdog != nullptr && exec.wall_budget > 0) {
-    wall_budget.emplace(*exec.watchdog, exec.wall_budget);
+    wall_budget.emplace(*exec.watchdog, exec.wall_budget, kctx);
   }
 
   InvocationOutcome outcome;

@@ -6,6 +6,12 @@
 #include "src/sfi/verifier.h"
 
 namespace vino {
+namespace {
+
+// Size of the simulated kernel region in each graft's memory image.
+constexpr uint64_t kImageKernelSize = 4096;
+
+}  // namespace
 
 Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft,
                                                  const LoadSpec& spec) {
@@ -83,7 +89,7 @@ Result<std::shared_ptr<Graft>> GraftLoader::Load(const SignedGraft& signed_graft
 
   auto graft =
       std::make_shared<Graft>(program.name, std::move(verified_program),
-                              spec.identity, options_.image_kernel_size);
+                              spec.identity, kImageKernelSize);
   if (spec.sponsor != nullptr) {
     const Status bill = graft->account().BillTo(spec.sponsor);
     if (!IsOk(bill)) {

@@ -38,17 +38,9 @@ namespace vino {
 
 class GraftLoader {
  public:
-  struct Options {
-    // Size of the simulated kernel region in each graft's memory image.
-    uint64_t image_kernel_size = 4096;
-  };
-
   GraftLoader(GraftNamespace* ns, const HostCallTable* host,
               SigningAuthority authority)
-      : GraftLoader(ns, host, std::move(authority), Options{}) {}
-  GraftLoader(GraftNamespace* ns, const HostCallTable* host,
-              SigningAuthority authority, Options options)
-      : ns_(ns), host_(host), authority_(std::move(authority)), options_(options) {}
+      : ns_(ns), host_(host), authority_(std::move(authority)) {}
 
   GraftLoader(const GraftLoader&) = delete;
   GraftLoader& operator=(const GraftLoader&) = delete;
@@ -85,7 +77,6 @@ class GraftLoader {
   GraftNamespace* ns_;
   const HostCallTable* host_;
   SigningAuthority authority_;
-  Options options_;
 };
 
 }  // namespace vino

@@ -43,9 +43,8 @@ VinoKernel::VinoKernel(const VinoKernelConfig& config)
       txn_(config.eject_degraded),
       toolchain_(config.signing_key),
       loader_(&ns_, &host_, SigningAuthority(config.signing_key)),
-      watchdog_(config.start_watchdog
-                    ? std::make_unique<Watchdog>(config.watchdog_tick)
-                    : nullptr),
+      watchdog_(config.start_watchdog ? std::make_unique<Watchdog>()
+                                      : nullptr),
       disk_(config.disk, &clock_),
       cache_(config.cache_buffers, config.readahead_quota, &disk_, &clock_),
       fs_(&disk_, &cache_, &txn_, &host_, &ns_),

@@ -49,8 +49,7 @@ struct VinoKernelConfig {
   size_t readahead_quota = 64;      // Global prefetch in-flight cap.
   DiskParams disk;                  // Paper-testbed disk by default.
   Scheduler::Params sched;          // 10 ms timeslices.
-  Micros watchdog_tick = 10'000;    // §4.5: 10 ms clock boundaries.
-  bool start_watchdog = true;
+  bool start_watchdog = true;       // §4.5: 10 ms clock boundaries.
 
   // Shared pool carrying asynchronous event-graft dispatches (§3.5 worker
   // threads, bounded). Defaults: hardware-sized workers, 256-deep queue,

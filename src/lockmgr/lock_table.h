@@ -115,7 +115,9 @@ class LockTable {
                   LockState* out) const;
 
  private:
-  struct Shard {
+  // Cache-line aligned, as NetStack::Ring is: two threads on neighbouring
+  // shards never write one line.
+  struct alignas(64) Shard {
     mutable std::mutex mu;
     std::unordered_map<LockResourceId, LockState> locks;
   };

@@ -11,12 +11,13 @@
 // commit merges its undo stack and its locks into the parent.
 //
 // Thread model: a transaction is touched by exactly one thread, the one
-// that began it. Other threads ask for an abort (lock time-out, resource
-// policing, the watchdog) by posting to the owning thread's
-// KernelContext::pending_abort. The owning thread checks that post at a
+// that began it. Another thread asks for an abort (a lock time-out) by
+// posting to the owning thread's KernelContext::pending_abort; a wall-clock
+// budget (Watchdog::Scope) is the owning thread's own, in its
+// KernelContext::wall_budget. The owning thread checks both at a
 // preemption point (the sfi Vm polls every N instructions; TxnLock waits
 // poll too) through TxnManager::AbortPending, which raises this
-// transaction's abort flag (RequestAbort) when the post applies, and then
+// transaction's abort flag (RequestAbort) when either applies, and then
 // performs the actual abort.
 
 #ifndef VINOLITE_SRC_TXN_TRANSACTION_H_

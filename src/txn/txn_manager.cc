@@ -4,18 +4,25 @@
 
 #include "src/base/log.h"
 #include "src/txn/txn_lock.h"
+#include "src/txn/watchdog.h"
 
 namespace vino {
-namespace {
 
-// Loads the thread's posted abort request and decides whether it applies to
-// the transaction chain rooted at `innermost`. A live request — wildcard
-// (target 0) or aimed at a transaction still in the chain — is returned as
-// its reason. A stale one, whose target already committed or aborted, is
-// CAS-cleared and ignored so it cannot poison an innocent successor; the CAS
-// (rather than a plain store) keeps a newer post that raced in from being
-// destroyed, and the loop re-evaluates that newer post instead.
-Status LivePostedAbort(KernelContext& ctx, const Transaction* innermost) {
+// The thread's abort request, if one applies to the transaction chain rooted
+// at `innermost`. An expired wall budget is checked first, so its fire is
+// counted even when a posted abort dooms the transaction anyway. Then the
+// posted request: a live one — wildcard (target 0) or aimed at a
+// transaction still in the chain — is returned as its reason. A stale one,
+// whose target already committed or aborted, is CAS-cleared and ignored so
+// it cannot poison an innocent successor; the CAS (rather than a plain
+// store) keeps a newer post that raced in from being destroyed, and the
+// loop re-evaluates that newer post instead. Inline: AbortPending is every
+// preemption point's poll.
+inline Status TxnManager::LiveAbortRequest(KernelContext& ctx,
+                                           const Transaction* innermost) {
+  if (Watchdog::Expired(ctx)) {
+    return Status::kTxnTimedOut;
+  }
   uint64_t word = ctx.pending_abort.load(std::memory_order_acquire);
   while (word != 0) {
     const KernelContext::AbortRequest req = KernelContext::UnpackAbort(word);
@@ -35,8 +42,6 @@ Status LivePostedAbort(KernelContext& ctx, const Transaction* innermost) {
   }
   return Status::kOk;
 }
-
-}  // namespace
 
 Transaction* TxnManager::SlabPop(KernelContext& ctx) {
   Transaction* txn = ctx.txn_slab;
@@ -99,12 +104,13 @@ Transaction* TxnManager::Begin(KernelContext& ctx) {
 Status TxnManager::Commit(KernelContext& ctx, Transaction* txn) {
   assert(ctx.txn == txn && "Commit must target the innermost transaction");
 
-  // An asynchronously requested abort (e.g. a waiter timed out on one of our
-  // locks) turns the commit into an abort: the requester has judged this
-  // transaction a resource hoarder and the paper's contract is that it does
-  // not get to keep its effects. A post whose target is no longer in the
-  // chain is stale — honouring it here would abort an innocent transaction.
-  const Status posted = LivePostedAbort(ctx, txn);
+  // An asynchronously requested abort (a waiter timed out on one of our
+  // locks, or the thread's wall budget expired) turns the commit into an
+  // abort: the transaction has been judged a resource hoarder and the
+  // paper's contract is that it does not get to keep its effects. A post
+  // whose target is no longer in the chain is stale — honouring it here
+  // would abort an innocent transaction.
+  const Status posted = LiveAbortRequest(ctx, txn);
   if (txn->abort_requested() || posted != Status::kOk) {
     const Status reason = txn->abort_requested() ? txn->abort_reason() : posted;
     Abort(ctx, txn, reason);
@@ -186,11 +192,13 @@ bool TxnManager::AbortPending(KernelContext& ctx) {
   if (txn->abort_requested()) {
     return true;
   }
-  const Status posted = LivePostedAbort(ctx, txn);
+  const Status posted = LiveAbortRequest(ctx, txn);
   if (posted != Status::kOk) {
     // A post aimed at an *ancestor* still dooms the innermost transaction:
     // the chain unwinds one level at a time (each abort clears the request;
-    // the still-blocked waiter re-posts against the next level).
+    // the still-blocked waiter re-posts against the next level). An expired
+    // budget stays expired until its scope closes, so it dooms each level
+    // in turn.
     txn->RequestAbort(posted);
     return true;
   }

@@ -65,9 +65,10 @@ class TxnManager {
   //  * top-level: locks are released, the undo stack is discarded.
   // If an abort was requested concurrently (e.g. a waiter timed out on a
   // lock this transaction holds — or any transaction below it in the chain),
-  // the commit is refused and the transaction aborts instead: returns the
-  // abort reason. Posted requests aimed at a transaction no longer in the
-  // chain are stale and discarded, not honoured.
+  // or the thread's wall budget has expired, the commit is refused and the
+  // transaction aborts instead: returns the abort reason. Posted requests
+  // aimed at a transaction no longer in the chain are stale and discarded,
+  // not honoured.
   Status Commit(Transaction* txn) { return Commit(KernelContext::Current(), txn); }
   Status Commit(KernelContext& ctx, Transaction* txn);
 
@@ -83,14 +84,15 @@ class TxnManager {
     return KernelContext::Current().txn;
   }
 
-  // The preemption-point poll. Checks both the current transaction's abort
-  // flag and the thread's asynchronously posted abort request (lock
-  // time-outs are delivered to the *thread*; this converts them into an
-  // abort of the innermost transaction). A posted request is honoured only
-  // if it targets the innermost transaction, one of its ancestors, or any
-  // transaction (wildcard 0); a request whose target already ended is stale
-  // and discarded so it cannot poison an innocent successor. Returns true if
-  // the current transaction must abort. Used by accessor functions, TxnLock
+  // The preemption-point poll. Checks the current transaction's abort flag,
+  // the thread's wall budget (Watchdog::Scope), and the thread's
+  // asynchronously posted abort request (lock time-outs are delivered to
+  // the *thread*); an expired budget or a live post dooms the innermost
+  // transaction. A posted request is honoured only if it targets the
+  // innermost transaction, one of its ancestors, or any transaction
+  // (wildcard 0); a request whose target already ended is stale and
+  // discarded so it cannot poison an innocent successor. Returns true if the
+  // current transaction must abort. Used by accessor functions, TxnLock
   // waits, and the sfi Vm's poll callback.
   [[nodiscard]] static bool AbortPending() {
     return AbortPending(KernelContext::Current());
@@ -117,6 +119,10 @@ class TxnManager {
 
  private:
   void ReleaseLocks(Transaction* txn);
+  // What AbortPending and Commit honour: kTxnTimedOut for an expired wall
+  // budget, else a live posted request's reason, else kOk.
+  static Status LiveAbortRequest(KernelContext& ctx,
+                                 const Transaction* innermost);
 
   // --- Transaction recycling (KernelContext::txn_slab) -----------------
   // Finished transactions park on a per-thread free list instead of being

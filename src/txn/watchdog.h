@@ -4,17 +4,19 @@
 //  graft hoards resources and must be timed out. We currently schedule
 //  time-outs on system-clock boundaries, which occur every 10 ms."
 //
-// The watchdog is that system clock: a background ticker that fires on a
-// fixed boundary and posts abort requests to threads whose armed budget has
-// expired. It complements the fuel limit (which bounds *instructions*) by
-// bounding *time*, catching grafts that block — e.g. in a host call — or
-// native grafts that poll preemption points but never finish.
+// The watchdog is that system clock: a background ticker that advances a
+// tick count and does nothing else. It complements the fuel limit (which
+// bounds *instructions*) by bounding *time*, catching grafts that block —
+// e.g. in a host call — or native grafts that poll preemption points but
+// never finish.
 //
-// Every budgeted graft invocation arms and disarms, so an arm must cost
-// what setting a deadline costs, not a kernel-wide lock: each thread that
-// arms gets its own timer list inside the watchdog. Arm, ArmFor and the
-// Disarm of their token lock only that list and allocate nothing once it
-// is warm; the ticker walks every list once per tick.
+// A budget is the calling thread's own: Scope writes its expiry into the
+// thread's KernelContext, and the thread compares it with the count where
+// it already looks for posted aborts (TxnManager::AbortPending, at every
+// preemption point, and Commit). An expired budget dooms the innermost
+// transaction with kTxnTimedOut and stays expired until its Scope closes,
+// so every transaction under it unwinds. An arm reads no clock and takes
+// no lock, and nothing crosses threads but the count.
 
 #ifndef VINOLITE_SRC_TXN_WATCHDOG_H_
 #define VINOLITE_SRC_TXN_WATCHDOG_H_
@@ -26,8 +28,7 @@
 #include <thread>
 
 #include "src/base/clock.h"
-#include "src/base/status.h"
-#include "src/base/thread_registry.h"
+#include "src/base/context.h"
 
 namespace vino {
 
@@ -41,61 +42,69 @@ class Watchdog {
   Watchdog(const Watchdog&) = delete;
   Watchdog& operator=(const Watchdog&) = delete;
 
-  // Arms a timer for the calling thread's current kernel context: if not
-  // disarmed within `budget`, an abort request (with `reason`) is posted to
-  // that thread, tagged with the thread's innermost transaction at arm time
-  // so a late fire cannot abort a successor transaction. Returns a token
-  // for Disarm.
-  uint64_t Arm(Micros budget, Status reason = Status::kTxnTimedOut);
-
-  // Arms on behalf of another thread (by context os id). `target_txn` tags
-  // the eventual post (0 = whatever transaction is innermost at fire time).
-  // The timer is kept in the calling thread's list: the target may never
-  // have armed this watchdog.
-  uint64_t ArmFor(uint64_t os_id, Micros budget, Status reason,
-                  uint64_t target_txn = 0);
-
-  // Cancels a timer, from any thread. Safe to call after expiry (no-op).
-  // Once it returns, the timer's abort post has either landed or never will.
-  void Disarm(uint64_t token);
-
-  // Timers that expired and fired an abort request.
+  // Budgets that expired, each counted once, by its own thread, when that
+  // thread first noticed.
   [[nodiscard]] uint64_t fires() const;
 
-  // RAII guard: arms on construction, disarms on destruction.
+  // A wall-clock budget for the calling thread, from construction to
+  // destruction. Nested scopes on one watchdog keep the earliest expiry; a
+  // scope on another watchdog displaces the thread's budget until it
+  // closes. Closing restores what the scope displaced.
   class Scope {
    public:
-    Scope(Watchdog& dog, Micros budget, Status reason = Status::kTxnTimedOut)
-        : dog_(dog), token_(dog.Arm(budget, reason)) {}
-    ~Scope() { dog_.Disarm(token_); }
+    Scope(Watchdog& dog, Micros budget)
+        : Scope(dog, budget, KernelContext::Current()) {}
+    // `ctx` must be the calling thread's context.
+    Scope(Watchdog& dog, Micros budget, KernelContext& ctx)
+        : ctx_(ctx), saved_(ctx.wall_budget) {
+      // The tick count at arm time + ceil(budget / tick) + 1, multiplied
+      // through by the tick (now_ counts in µs): a budget never expires
+      // early, and its expiry is noticed within two ticks.
+      const uint64_t expiry = dog.now_.load() + dog.tick_ + budget;
+      if (saved_.watchdog != &dog || expiry < saved_.expiry) {
+        ctx.wall_budget = KernelContext::WallBudget{&dog, expiry, false};
+        displaced_ = true;
+      }
+    }
+    ~Scope() {
+      if (displaced_) {
+        ctx_.wall_budget = saved_;
+      }
+    }
     Scope(const Scope&) = delete;
     Scope& operator=(const Scope&) = delete;
 
    private:
-    Watchdog& dog_;
-    uint64_t token_;
+    KernelContext& ctx_;
+    KernelContext::WallBudget saved_;
+    bool displaced_ = false;
   };
 
  private:
-  struct TimerList;  // One arming thread's timers (watchdog.cc).
+  // Reads the calling thread's budget at its abort checks.
+  friend class TxnManager;
 
-  // Lists one watchdog registers. A thread that arms once all are taken
-  // shares one: every list access is locked, so that costs contention,
-  // never correctness.
-  static constexpr uint32_t kMaxLists = 256;
-
-  // The calling thread's list, registered on the thread's first arm.
-  TimerList& CallerList();
-  // Every list taken: the one the calling thread shares. Out of line, so
-  // that CallerList's hit path needs no frame.
-  [[gnu::noinline]] TimerList& SharedList();
-  void FireExpired(TimerList& list, Micros now);
+  // Whether the budget in ctx.wall_budget has expired. The first check to
+  // see it expired counts the fire.
+  static bool Expired(KernelContext& ctx) {
+    KernelContext::WallBudget& budget = ctx.wall_budget;
+    if (budget.watchdog == nullptr ||
+        budget.watchdog->now_.load() < budget.expiry) {
+      return false;
+    }
+    if (!budget.fired) {
+      budget.watchdog->CountFire(ctx);
+    }
+    return true;
+  }
+  [[gnu::cold]] void CountFire(KernelContext& ctx);
   void TickLoop();
 
   const Micros tick_;
+  // The tick count, in µs: ticks since construction × tick_. Only the
+  // ticker writes it.
+  std::atomic<uint64_t> now_{0};
   std::atomic<uint64_t> fires_{0};
-
-  ThreadRegistry<TimerList, kMaxLists> lists_;
 
   std::mutex stop_mutex_;
   std::condition_variable wake_;

@@ -153,8 +153,8 @@ TEST_F(AllocTest, SteadyStateNullNativeGraftSafePathIsAllocationFree) {
 
 TEST_F(AllocTest, WatchdogArmedSafePathIsAllocationFree) {
   // The kernel's point shape (VinoKernel::DefaultPointConfig): every
-  // invocation arms and disarms the kernel's watchdog. The thread's timer
-  // list is reserved on its first arm; after that, arming allocates nothing.
+  // invocation arms and disarms the kernel's watchdog, which writes the
+  // thread's own context and allocates nothing.
   Watchdog dog;
   FunctionGraftPoint::Config config;
   config.watchdog = &dog;
@@ -170,7 +170,7 @@ TEST_F(AllocTest, WatchdogArmedSafePathIsAllocationFree) {
                 kRoot)),
             Status::kOk);
   for (int i = 0; i < 8; ++i) {
-    (void)point.Invoke({});  // Warm slab, stats shard, and timer list.
+    (void)point.Invoke({});  // Warm slab and stats shard.
   }
   const uint64_t before = AllocCount();
   for (int i = 0; i < 10'000; ++i) {

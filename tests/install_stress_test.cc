@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
 #include <memory>
 #include <string>
 #include <thread>
@@ -103,12 +104,16 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
 
   std::atomic<bool> stop{false};
   std::vector<std::thread> threads;
+  // The installers and invokers start once the transient-point thread has
+  // finished one round, so it runs at least one whatever the scheduler does.
+  std::latch first_transient_round(1);
 
   // Installer threads: install/remove their own grafts through the
   // namespace, plus the occasional spinner that gets itself forcibly
   // removed by aborting mid-run.
   for (int t = 0; t < kInstallers; ++t) {
     threads.emplace_back([&, t] {
+      first_transient_round.wait();
       Rng rng(0xC0FFEEu + static_cast<uint64_t>(t));
       for (int i = 0; i < kChurnIterations; ++i) {
         const int idx = static_cast<int>(rng.Next() % kPoints);
@@ -142,6 +147,7 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
   // result must be the default or some installer's graft value.
   for (int t = 0; t < kInvokers; ++t) {
     threads.emplace_back([&, t] {
+      first_transient_round.wait();
       Rng rng(0xBEEFu + static_cast<uint64_t>(t));
       for (int i = 0; i < kInvokeIterations; ++i) {
         const int idx = static_cast<int>(rng.Next() % kPoints);
@@ -175,7 +181,9 @@ TEST_F(InstallStressTest, ChurnInstallInvokeRemove) {
           TightFuelConfig(), &txn_, &host_, &ns_);
       ns_.Unregister(name);
       point.reset();
-      ++rounds;
+      if (++rounds == 1) {
+        first_transient_round.count_down();
+      }
     }
     EXPECT_GT(rounds, 0);
   });

@@ -1,6 +1,6 @@
 // Edge cases and hostile inputs across modules: memory-image boundaries,
 // interpreter corner cases, multi-block file reads, concurrent event
-// dispatch, cross-thread watchdog arming.
+// dispatch.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <thread>
 #include <vector>
 
-#include "src/base/context.h"
 #include "src/fs/file_system.h"
 #include "src/graft/event_point.h"
 #include "src/graft/namespace.h"
@@ -17,7 +16,6 @@
 #include "src/sfi/memory_image.h"
 #include "src/sfi/misfit.h"
 #include "src/sfi/vm.h"
-#include "src/txn/watchdog.h"
 
 namespace vino {
 namespace {
@@ -383,36 +381,6 @@ TEST(EventStressTest, StatsInvariantsUnderMixedDispatch) {
   EXPECT_EQ(stats.async_pool_runs + stats.async_inline_runs, kAsync * 2);
   EXPECT_EQ(a->account().usage(ResourceType::kThreads), 0u);
   EXPECT_EQ(b->account().usage(ResourceType::kThreads), 0u);
-}
-
-// --- Watchdog cross-thread arming -----------------------------------------
-
-TEST(WatchdogCrossThreadTest, ArmForOtherThread) {
-  Watchdog dog(1'000);
-  std::atomic<uint64_t> victim_os_id{0};
-  std::atomic<bool> victim_aborted{false};
-
-  std::thread victim([&] {
-    TxnManager manager;
-    Transaction* txn = manager.Begin();
-    victim_os_id.store(KernelContext::Current().os_id);
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-    while (!TxnManager::AbortPending() &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::yield();
-    }
-    victim_aborted.store(TxnManager::AbortPending());
-    manager.Abort(txn, Status::kTxnTimedOut);
-  });
-
-  while (victim_os_id.load() == 0) {
-    std::this_thread::yield();
-  }
-  // A supervisor thread arms a budget for the victim.
-  (void)dog.ArmFor(victim_os_id.load(), 2'000, Status::kTxnTimedOut);
-  victim.join();
-  EXPECT_TRUE(victim_aborted.load());
-  EXPECT_GE(dog.fires(), 1u);
 }
 
 }  // namespace

@@ -5,7 +5,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <latch>
 #include <memory>
 #include <optional>
 #include <thread>
@@ -21,59 +20,138 @@ namespace {
 
 constexpr GraftIdentity kRoot{0, true};
 
+// Polls the calling thread's preemption point until it reports an abort, or
+// five seconds pass. Returns whether the abort came.
+bool SpinUntilAbortPending() {
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!TxnManager::AbortPending()) {
+    if (std::chrono::steady_clock::now() >= deadline) {
+      return false;
+    }
+    std::this_thread::yield();
+  }
+  return true;
+}
+
 TEST(WatchdogTest, FiresAfterBudgetExpires) {
   Watchdog dog(/*tick=*/1'000);  // 1 ms ticks for fast tests.
   TxnManager manager;
   Transaction* txn = manager.Begin();
-
-  (void)dog.Arm(/*budget=*/2'000, Status::kTxnTimedOut);
-  // Spin at preemption points until the abort lands.
-  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (!TxnManager::AbortPending()) {
-    ASSERT_LT(std::chrono::steady_clock::now(), deadline) << "watchdog never fired";
-    std::this_thread::yield();
-  }
-  EXPECT_EQ(txn->abort_reason(), Status::kTxnTimedOut);
-  EXPECT_GE(dog.fires(), 1u);
-  manager.Abort(txn, txn->abort_reason());
-}
-
-TEST(WatchdogTest, DisarmPreventsFiring) {
-  Watchdog dog(1'000);
-  const uint64_t token = dog.Arm(2'000);
-  dog.Disarm(token);
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  EXPECT_EQ(dog.fires(), 0u);
-  EXPECT_EQ(KernelContext::Current().pending_abort.load(), 0);
-}
-
-TEST(WatchdogTest, DisarmAfterExpiryIsSafe) {
-  Watchdog dog(1'000);
-  const uint64_t token = dog.Arm(500);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_GE(dog.fires(), 1u);
-  dog.Disarm(token);  // No-op, no crash.
-  // Consume the posted abort so later tests see clean context state.
-  KernelContext::Current().pending_abort.store(0);
-}
-
-TEST(WatchdogTest, ScopeDisarmsOnExit) {
-  Watchdog dog(1'000);
   {
-    Watchdog::Scope scope(dog, 1'000'000);  // Generous budget, never fires.
+    Watchdog::Scope scope(dog, /*budget=*/2'000);
+    ASSERT_TRUE(SpinUntilAbortPending()) << "watchdog never fired";
+    EXPECT_EQ(txn->abort_reason(), Status::kTxnTimedOut);
+    EXPECT_EQ(dog.fires(), 1u);
+    manager.Abort(txn, txn->abort_reason());
   }
-  std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  EXPECT_EQ(dog.fires(), 0u);
+  EXPECT_EQ(dog.fires(), 1u);  // Counted once, however often it is seen.
 }
 
-TEST(WatchdogTest, MultipleTimersIndependent) {
+TEST(WatchdogTest, BudgetNeverFiresBeforeItIsDue) {
+  // Budgets shorter than, between and longer than whole ticks.
   Watchdog dog(1'000);
-  const uint64_t keep = dog.Arm(1'000'000);
-  (void)dog.Arm(500);
-  std::this_thread::sleep_for(std::chrono::milliseconds(15));
-  EXPECT_EQ(dog.fires(), 1u);  // Only the short one fired.
-  dog.Disarm(keep);
-  KernelContext::Current().pending_abort.store(0);
+  TxnManager manager;
+  for (const Micros budget : {Micros{1}, Micros{1'500}, Micros{4'000}}) {
+    Transaction* txn = manager.Begin();
+    const auto armed = std::chrono::steady_clock::now();
+    Watchdog::Scope scope(dog, budget);
+    ASSERT_TRUE(SpinUntilAbortPending()) << "budget " << budget;
+    EXPECT_GE(std::chrono::steady_clock::now() - armed,
+              std::chrono::microseconds(budget))
+        << "budget " << budget << " fired early";
+    manager.Abort(txn, txn->abort_reason());
+  }
+  EXPECT_EQ(dog.fires(), 3u);
+}
+
+TEST(WatchdogTest, ClosedScopeNeverFires) {
+  Watchdog dog(1'000);
+  TxnManager manager;
+  Transaction* txn = manager.Begin();
+  { Watchdog::Scope scope(dog, 1'000); }
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));  // Past due.
+  EXPECT_FALSE(TxnManager::AbortPending());
+  EXPECT_EQ(manager.Commit(txn), Status::kOk);
+  EXPECT_EQ(dog.fires(), 0u);
+  EXPECT_EQ(KernelContext::Current().pending_abort.load(), 0u);
+}
+
+TEST(WatchdogTest, ExpiredBudgetRefusesACommitNoPollPreceded) {
+  // This thread never polls: the commit is where it notices. A helper armed
+  // after it on the same watchdog polls, so once the helper's budget has
+  // expired, this thread's has too.
+  Watchdog dog(1'000);
+  TxnManager manager;
+  Transaction* txn = manager.Begin();
+  Watchdog::Scope scope(dog, 1'000);
+  bool helper_fired = false;
+  std::thread helper([&] {
+    Transaction* helper_txn = manager.Begin();
+    Watchdog::Scope helper_scope(dog, 1'000);
+    helper_fired = SpinUntilAbortPending();
+    manager.Abort(helper_txn, Status::kTxnTimedOut);
+  });
+  helper.join();
+  ASSERT_TRUE(helper_fired);
+  EXPECT_EQ(manager.Commit(txn), Status::kTxnTimedOut);
+  EXPECT_EQ(dog.fires(), 2u);
+  EXPECT_EQ(manager.stats().timeout_aborts, 2u);
+}
+
+TEST(WatchdogTest, ScopeClosingAfterExpiryLeavesNoAbortBehind) {
+  Watchdog dog(1'000);
+  TxnManager manager;
+  Transaction* txn = manager.Begin();
+  {
+    Watchdog::Scope scope(dog, 500);
+    ASSERT_TRUE(SpinUntilAbortPending());
+    manager.Abort(txn, txn->abort_reason());
+  }
+  Transaction* next = manager.Begin();
+  EXPECT_FALSE(TxnManager::AbortPending());
+  EXPECT_EQ(manager.Commit(next), Status::kOk);
+  EXPECT_EQ(dog.fires(), 1u);
+}
+
+TEST(WatchdogTest, NestedScopesKeepTheEarliestExpiry) {
+  // A short budget inside a long one fires alone; once it closes, the long
+  // one governs again and has not expired.
+  Watchdog dog(1'000);
+  TxnManager manager;
+  Watchdog::Scope outer(dog, 1'000'000);  // 1 s: never expires here.
+  Transaction* txn = manager.Begin();
+  {
+    Watchdog::Scope inner(dog, 500);
+    ASSERT_TRUE(SpinUntilAbortPending());
+    manager.Abort(txn, txn->abort_reason());
+  }
+  EXPECT_EQ(dog.fires(), 1u);
+  Transaction* next = manager.Begin();
+  EXPECT_FALSE(TxnManager::AbortPending());
+  EXPECT_EQ(manager.Commit(next), Status::kOk);
+  EXPECT_EQ(dog.fires(), 1u);
+}
+
+TEST(WatchdogTest, OuterBudgetExpiringInsideNestedWorkAbortsBothLevels) {
+  // A graft invocation nested in another, as the wrapper arms them: the
+  // outer budget is the earlier one and expires while the inner runs. The
+  // inner transaction aborts first; the outer budget is still expired, so
+  // the outer transaction must not commit either.
+  Watchdog dog(1'000);
+  TxnManager manager;
+  Transaction* outer = manager.Begin();
+  Watchdog::Scope outer_budget(dog, 2'000);
+  {
+    Transaction* inner = manager.Begin();
+    Watchdog::Scope inner_budget(dog, 1'000'000);
+    ASSERT_TRUE(SpinUntilAbortPending());
+    EXPECT_EQ(inner->abort_reason(), Status::kTxnTimedOut);
+    manager.Abort(inner, inner->abort_reason());
+  }
+  EXPECT_TRUE(TxnManager::AbortPending());
+  EXPECT_EQ(manager.Commit(outer), Status::kTxnTimedOut);
+  EXPECT_EQ(dog.fires(), 1u);  // One budget, one fire.
 }
 
 TEST(WatchdogTest, ConcurrentScopesFireOnlyTheExpiredThread) {
@@ -136,52 +214,40 @@ TEST(WatchdogTest, OneWatchdogNeverFiresAnothersBudget) {
   std::optional<Watchdog> dog;
   dog.emplace(1'000);
   Watchdog other(1'000);
+  TxnManager manager;
   { Watchdog::Scope scope(*dog, 1'000'000); }
   { Watchdog::Scope scope(other, 1'000'000); }
   dog.reset();
   dog.emplace(1'000);
 
-  (void)dog->Arm(500);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (dog->fires() + other.fires() == 0 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  Transaction* txn = manager.Begin();
+  {
+    Watchdog::Scope scope(*dog, 500);
+    ASSERT_TRUE(SpinUntilAbortPending());
+    manager.Abort(txn, txn->abort_reason());
   }
   EXPECT_EQ(dog->fires(), 1u);
   EXPECT_EQ(other.fires(), 0u);
-  KernelContext::Current().pending_abort.store(0);
 }
 
-TEST(WatchdogTest, ThreadsBeyondTheListTableShareLists) {
-  // More threads arm one watchdog at once than it has lists (256), so the
-  // last ones share lists, as does this thread. Sharing costs contention,
-  // never correctness: disarmed budgets stay silent, an expiring one fires
-  // once.
-  constexpr int kThreads = 300;
+TEST(WatchdogTest, ScopeOnAnotherWatchdogDisplacesUntilItCloses) {
+  // An invocation at a point on another kernel's watchdog runs under that
+  // budget alone; the displaced one governs again once it closes.
   Watchdog dog(1'000);
-  std::latch all_armed(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      const uint64_t token = dog.Arm(1'000'000);
-      all_armed.arrive_and_wait();  // All alive at once: no id is reused.
-      dog.Disarm(token);
-    });
+  Watchdog other(1'000);
+  TxnManager manager;
+  Transaction* txn = manager.Begin();
+  Watchdog::Scope short_budget(dog, 1'000);
+  {
+    Watchdog::Scope long_budget(other, 1'000'000);
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    EXPECT_FALSE(TxnManager::AbortPending());
   }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-  EXPECT_EQ(dog.fires(), 0u);
-
-  (void)dog.Arm(500);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (dog.fires() == 0 && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  ASSERT_TRUE(SpinUntilAbortPending());
+  EXPECT_EQ(txn->abort_reason(), Status::kTxnTimedOut);
+  manager.Abort(txn, txn->abort_reason());
   EXPECT_EQ(dog.fires(), 1u);
-  KernelContext::Current().pending_abort.store(0);
+  EXPECT_EQ(other.fires(), 0u);
 }
 
 TEST(WatchdogTest, WallBudgetAbortsNativeGraftThatBlocks) {

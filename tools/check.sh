@@ -52,9 +52,9 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR20 (wrapper, sfi), BENCH_PR23 (txn), BENCH_PR21
-#            (wrapper with the flight recorder on), BENCH_PR22 (lockmgr,
-#            ledger) and BENCH_PR19 (net) json snapshots (warn-only:
+#            BENCH_PR25 (wrapper, wrapper with the flight recorder on,
+#            lockmgr), BENCH_PR20 (sfi), BENCH_PR23 (txn), BENCH_PR22
+#            (ledger) and BENCH_PR19 (net) json snapshots (warn-only:
 #            shared CI boxes are too noisy for a hard perf gate; read the
 #            table — unless VINO_QUIET_RUNNER=1 marks the box as quiet
 #            enough to make a regression a hard failure).
@@ -169,16 +169,20 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  # BENCH_PR20.json holds the wrapper and sfi micros measured on the box
-  # that measured the lock manager, so a delta here is code, not a
-  # different box.
-  echo "== [bench] wrapper/sfi micros vs BENCH_PR20.json ($GATE_LABEL) =="
-  for b in bench_wrapper bench_sfi; do
-    build/bench/"$b" --json="build/$b.smoke.json" \
-      --benchmark_min_time=0.05 >/dev/null
-    tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-      "BENCH_PR20.json#$b" "build/$b.smoke.json"
-  done
+  # The watchdog as a tick count (BENCH_PR25.json holds the change and, as
+  # bench_wrapper_parent, the parent, pinned and alternated on one box).
+  echo "== [bench] wrapper micro vs BENCH_PR25.json ($GATE_LABEL) =="
+  build/bench/bench_wrapper --json="build/bench_wrapper.smoke.json" \
+    --benchmark_min_time=0.05 >/dev/null
+  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
+    "BENCH_PR25.json#bench_wrapper" "build/bench_wrapper.smoke.json"
+  # BENCH_PR20.json holds the sfi micros measured on the box that measured
+  # the lock manager, so a delta here is code, not a different box.
+  echo "== [bench] sfi micro vs BENCH_PR20.json ($GATE_LABEL) =="
+  build/bench/bench_sfi --json="build/bench_sfi.smoke.json" \
+    --benchmark_min_time=0.05 >/dev/null
+  tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
+    "BENCH_PR20.json#bench_sfi" "build/bench_sfi.smoke.json"
   # The one-closure undo log (BENCH_PR23.json holds the change and, as
   # bench_txn_parent, the parent on the same box).
   echo "== [bench] txn micro vs BENCH_PR23.json ($GATE_LABEL) =="
@@ -187,22 +191,23 @@ if [[ "$BENCH" == "1" ]]; then
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR23.json#bench_txn" "build/bench_txn.smoke.json"
   # The same wrapper with the flight recorder on: one record and three
-  # clock reads per traced invocation (BENCH_PR21.json holds the change and,
+  # clock reads per traced invocation (BENCH_PR25.json holds the change and,
   # as bench_wrapper_traced_parent, the parent on the same box).
-  echo "== [bench] traced wrapper micro vs BENCH_PR21.json ($GATE_LABEL) =="
+  echo "== [bench] traced wrapper micro vs BENCH_PR25.json ($GATE_LABEL) =="
   VINO_TRACE=1 build/bench/bench_wrapper \
     --json="build/bench_wrapper_traced.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR21.json#bench_wrapper_traced" \
+    "BENCH_PR25.json#bench_wrapper_traced" \
     "build/bench_wrapper_traced.smoke.json"
-  # The allocation-free lock table (BENCH_PR22.json holds the change and,
-  # as bench_lockmgr_parent, the parent on the same box).
-  echo "== [bench] lock manager micro vs BENCH_PR22.json ($GATE_LABEL) =="
+  # The lock table, one cache line per shard, every row priced on glibc's
+  # multi-threaded mutex path (BENCH_PR25.json holds the change and, as
+  # bench_lockmgr_parent, the parent on the same box).
+  echo "== [bench] lock manager micro vs BENCH_PR25.json ($GATE_LABEL) =="
   build/bench/bench_lockmgr --benchmark_out=build/bench_lockmgr.smoke.json \
     --benchmark_out_format=json --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR22.json#bench_lockmgr" "build/bench_lockmgr.smoke.json"
+    "BENCH_PR25.json#bench_lockmgr" "build/bench_lockmgr.smoke.json"
   echo "== [bench] net stack micro vs BENCH_PR19.json ($GATE_LABEL) =="
   build/bench/bench_net --json="build/bench_net.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
