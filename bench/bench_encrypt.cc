@@ -112,7 +112,7 @@ int Main() {
       "VINO path", [&] { (void)point.Invoke({}); }, kIterations));
 
   auto graft_row = [&](const char* label, const std::shared_ptr<Graft>& graft,
-                       bool reinstall) {
+                       bool abort_row) {
     BenchKernel::Require(point.Replace(graft) == Status::kOk, label);
     uint64_t args[3] = {0, 0, 0};
     if (!graft->is_native()) {
@@ -122,10 +122,11 @@ int Main() {
         label,
         [&point, &args] { (void)point.Invoke(std::span<const uint64_t>(args, 3)); },
         kIterations,
-        reinstall ? std::function<void()>([&point, graft] {
+        abort_row ? std::function<void()>([&point, graft] {
           (void)point.Replace(graft);
         })
                   : std::function<void()>()));
+    BenchKernel::RequireTimedAsLabelled(point, *graft, abort_row, label);
     point.Remove();
   };
 

@@ -12,6 +12,7 @@
 #include <string>
 
 #include "src/base/log.h"
+#include "src/graft/function_point.h"
 #include "src/graft/loader.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
@@ -87,14 +88,16 @@ class BenchKernel {
     return *graft;
   }
 
-  // Same program, loaded raw (uninstrumented) so the interpreter cost is
-  // identical and the MiSFIT delta is clean. Only benchmarks may do this.
+  // Same program, uninstrumented and never verified: the paper's
+  // unprotected path. It runs on Tier 0 with no bounds check at all, so a
+  // wild access is undefined behaviour, as it would be in a real kernel.
+  // One of the two callers of the AssumeVerified escape hatch.
   std::shared_ptr<Graft> LoadUninstrumented(Asm& assembler) {
     Result<Program> raw = assembler.Finish();
     Require(raw.ok(), "assemble");
-    Program p = *raw;
-    p.sandbox_log2 = 16;  // Arena sizing only; no mask is applied.
-    return std::make_shared<Graft>(p.name + ".unsafe", p, kBenchRoot, 4096);
+    raw->sandbox_log2 = 16;  // Arena sizing only; no mask is applied.
+    return std::make_shared<Graft>(raw->name + ".unsafe", AssumeVerified(*raw),
+                                   kBenchRoot, 4096);
   }
 
   std::shared_ptr<Graft> LoadNative(std::string name, Graft::NativeFn fn) {
@@ -106,9 +109,23 @@ class BenchKernel {
 
   static void Require(bool ok, const char* what) {
     if (!ok) {
-      std::fprintf(stderr, "bench setup failed: %s\n", what);
+      std::fprintf(stderr, "bench failed: %s\n", what);
       std::abort();
     }
+  }
+
+  // Called after a row is timed: a graft that aborts is removed and `point`
+  // falls back to its default, which the row would then have timed. So a
+  // row's graft must still be installed with no aborts, except the abort
+  // row's, which must have aborted on every invocation.
+  static void RequireTimedAsLabelled(const FunctionGraftPoint& point,
+                                     const Graft& graft, bool abort_row,
+                                     const char* label) {
+    Require(abort_row ? graft.invocations() > 0 &&
+                            graft.aborts() == graft.invocations()
+                      : point.current_graft().get() == &graft &&
+                            graft.aborts() == 0,
+            label);
   }
 
  private:

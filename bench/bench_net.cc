@@ -22,7 +22,6 @@
 #include "src/net/net_stack.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
-#include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 
 namespace vino {
@@ -63,18 +62,12 @@ std::shared_ptr<Graft> HttpHandler(const HostCallTable& host) {
   if (!inst.ok()) {
     return nullptr;
   }
-  Program p = *inst;
-  VerifierOptions options;
-  options.host = &host;
-  if (!VerifySandbox(p, options).ok()) {
+  const Result<VerifiedProgram> p =
+      VerifyAndCompile(*inst, host, ExecTier::kTier1);
+  if (!p.ok()) {
     return nullptr;
   }
-  p.verified = true;
-  p.compiled = CompileThreaded(p);
-  if (p.compiled == nullptr) {
-    return nullptr;
-  }
-  auto graft = std::make_shared<Graft>("http", std::move(p), kRoot, 4096);
+  auto graft = std::make_shared<Graft>("http", *p, kRoot, 4096);
   if (graft->image().Write(graft->image().arena_base() + 1024, kReply,
                            sizeof(kReply) - 1) != Status::kOk) {
     return nullptr;

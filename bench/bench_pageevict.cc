@@ -184,7 +184,7 @@ int Main() {
   }
 
   auto graft_row = [&](const char* label, const std::shared_ptr<Graft>& graft,
-                       bool reinstall_each_time) {
+                       bool abort_row) {
     BenchKernel::Require(point.Replace(graft) == Status::kOk, label);
     uint64_t args[5];
     marshal_for(graft, args);
@@ -195,9 +195,10 @@ int Main() {
           (void)point.Invoke(std::span<const uint64_t>(args, 5));
         },
         kIterations,
-        reinstall_each_time
+        abort_row
             ? std::function<void()>([&point, graft] { (void)point.Replace(graft); })
             : std::function<void()>()));
+    BenchKernel::RequireTimedAsLabelled(point, *graft, abort_row, label);
     point.Remove();
   };
 

@@ -158,51 +158,26 @@ int Main() {
         kReads));
   }
 
-  // --- Null path: transaction around a null graft. ---
-  {
-    BenchKernel::Require(point.Replace(null_graft) == Status::kOk, "install null");
+  // --- Null, unsafe (the same vISA code without MiSFIT), safe and abort
+  // (the safe path ending in a transaction abort) paths. ---
+  auto graft_row = [&](const char* label, const std::shared_ptr<Graft>& graft,
+                       bool abort_row) {
+    BenchKernel::Require(point.Replace(graft) == Status::kOk, label);
     uint64_t args[6];
-    prepare(null_graft, args);
+    prepare(graft, args);
     rows.push_back(MeasurePath(
-        "Null path", [&] { point.Invoke(std::span<const uint64_t>(args, 6)); },
-        kReads));
-    point.Remove();
-  }
-
-  // --- Unsafe path (interpreted): same vISA code, no MiSFIT. ---
-  {
-    BenchKernel::Require(point.Replace(unsafe_vm_graft) == Status::kOk,
-                         "install unsafe");
-    uint64_t args[6];
-    prepare(unsafe_vm_graft, args);
-    rows.push_back(MeasurePath(
-        "Unsafe path (interpreted)",
-        [&] { point.Invoke(std::span<const uint64_t>(args, 6)); }, kReads));
-    point.Remove();
-  }
-
-  // --- Safe path: MiSFIT-instrumented graft. ---
-  uint64_t safe_args[6];
-  {
-    BenchKernel::Require(point.Replace(safe_graft) == Status::kOk, "install safe");
-    prepare(safe_graft, safe_args);
-    rows.push_back(MeasurePath(
-        "Safe path",
-        [&] { point.Invoke(std::span<const uint64_t>(safe_args, 6)); }, kReads));
-    point.Remove();
-  }
-
-  // --- Abort path: safe path ending in transaction abort. ---
-  {
-    uint64_t args[6];
-    prepare(abort_graft, args);
-    rows.push_back(MeasurePath(
-        "Abort path", [&] { point.Invoke(std::span<const uint64_t>(args, 6)); },
+        label, [&] { point.Invoke(std::span<const uint64_t>(args, 6)); },
         kReads,
         // The abort forcibly removes the graft; reinstall outside timing.
-        [&] { (void)point.Replace(abort_graft); }));
+        abort_row ? std::function<void()>([&] { (void)point.Replace(graft); })
+                  : std::function<void()>()));
+    BenchKernel::RequireTimedAsLabelled(point, *graft, abort_row, label);
     point.Remove();
-  }
+  };
+  graft_row("Null path", null_graft, false);
+  graft_row("Unsafe path (interpreted)", unsafe_vm_graft, false);
+  graft_row("Safe path", safe_graft, false);
+  graft_row("Abort path", abort_graft, true);
 
   PrintPathTable("Table 3: Read-Ahead Graft Overhead", rows);
 

@@ -157,7 +157,7 @@ int Main() {
   };
 
   auto graft_row = [&](const char* label, const std::shared_ptr<Graft>& graft,
-                       bool reinstall) {
+                       bool abort_row) {
     install_on_all(graft);
     rows.push_back(MeasurePath(
         label,
@@ -166,8 +166,14 @@ int Main() {
           (void)vino_sched.ScheduleOnce();
         },
         kIterations,
-        reinstall ? std::function<void()>([&] { install_on_all(graft); })
+        abort_row ? std::function<void()>([&] { install_on_all(graft); })
                   : std::function<void()>()));
+    for (int i = 1; i <= kProcessCount; ++i) {
+      if (KernelThread* t = vino_sched.Find(static_cast<ThreadId>(i))) {
+        BenchKernel::RequireTimedAsLabelled(t->delegate_point(), *graft,
+                                            abort_row, label);
+      }
+    }
     remove_from_all();
   };
 

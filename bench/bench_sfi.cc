@@ -54,10 +54,10 @@ Program AluProgram() {
 void BM_VmAluOp(benchmark::State& state) {
   HostCallTable host;
   MemoryImage image(4096, 16);
-  Vm vm(&image, &host);
+  Vm vm(&host);
   const Program p = AluProgram();
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.RunUnverified(p, &image, {}, RunOptions{}));
   }
   state.counters["ns/op"] = benchmark::Counter(
       static_cast<double>(state.iterations()) * kOps * 2,
@@ -68,10 +68,10 @@ BENCHMARK(BM_VmAluOp);
 void BM_VmLoadStoreRaw(benchmark::State& state) {
   HostCallTable host;
   MemoryImage image(65536, 16);  // Big kernel region: raw offsets stay valid.
-  Vm vm(&image, &host);
+  Vm vm(&host);
   const Program p = LoadStoreProgram(false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.RunUnverified(p, &image, {}, RunOptions{}));
   }
 }
 BENCHMARK(BM_VmLoadStoreRaw);
@@ -83,10 +83,10 @@ void BM_VmLoadStoreInstrumented(benchmark::State& state) {
   // cross-revision comparison.
   HostCallTable host;
   MemoryImage image(65536, 16);
-  Vm vm(&image, &host);
+  Vm vm(&host);
   const Program p = LoadStoreProgram(true, /*elide=*/false);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.RunUnverified(p, &image, {}, RunOptions{}));
   }
 }
 BENCHMARK(BM_VmLoadStoreInstrumented);
@@ -97,10 +97,10 @@ void BM_VmLoadStoreElided(benchmark::State& state) {
   // per-access InBounds branch.
   HostCallTable host;
   MemoryImage image(65536, 16);
-  Vm vm(&image, &host);
+  Vm vm(&host);
   const Program p = LoadStoreProgram(true, /*elide=*/true);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.RunUnverified(p, &image, {}, RunOptions{}));
   }
 }
 BENCHMARK(BM_VmLoadStoreElided);
@@ -112,15 +112,15 @@ void BM_VmLoadStoreVerified(benchmark::State& state) {
   // per-access overhead.
   HostCallTable host;
   MemoryImage image(65536, 16);
-  Vm vm(&image, &host);
-  Program p = LoadStoreProgram(true, /*elide=*/true);
-  if (!VerifySandbox(p).ok()) {
+  Vm vm(&host);
+  const Result<VerifiedProgram> p = VerifyAndCompile(
+      LoadStoreProgram(true, /*elide=*/true), host, ExecTier::kTier0);
+  if (!p.ok()) {
     state.SkipWithError("bench program failed verification");
     return;
   }
-  p.verified = true;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.Run(*p, &image, {}, RunOptions{}));
   }
 }
 BENCHMARK(BM_VmLoadStoreVerified);
@@ -164,26 +164,25 @@ void BM_TierDensity(benchmark::State& state) {
   const int tier = static_cast<int>(state.range(1));
   HostCallTable host;
   MemoryImage image(65536, 16);
-  Program p = DensityProgram(density);
-  if (!VerifySandbox(p).ok()) {
+  const Result<VerifiedProgram> p = VerifyAndCompile(
+      DensityProgram(density), host, static_cast<ExecTier>(tier));
+  if (!p.ok()) {
     state.SkipWithError("bench program failed verification");
     return;
   }
-  p.verified = true;
   if (tier == 1) {
-    p.compiled = CompileThreaded(p);
-    if (p.compiled == nullptr) {
+    if (p->tier() != ExecTier::kTier1) {
       state.SkipWithError("tier-1 compile unavailable");
       return;
     }
     const ThreadedVm tvm(&host);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(tvm.Run(p, &image, {}, RunOptions{}));
+      benchmark::DoNotOptimize(tvm.Run(*p, &image, {}, RunOptions{}));
     }
   } else {
     const Vm vm(&host);
     for (auto _ : state) {
-      benchmark::DoNotOptimize(vm.Run(p, &image, {}, RunOptions{}));
+      benchmark::DoNotOptimize(vm.Run(*p, &image, {}, RunOptions{}));
     }
   }
   state.counters["ns/ins"] = benchmark::Counter(
@@ -237,7 +236,7 @@ void BM_IndirectCallChecked(benchmark::State& state) {
   const uint32_t id = host.Register(
       "k.noop", [](HostCallContext&) -> Result<uint64_t> { return 0ull; }, true);
   MemoryImage image(4096, 16);
-  Vm vm(&image, &host);
+  Vm vm(&host);
   Asm a("ccall");
   a.LoadImm(R1, id);
   for (int i = 0; i < 64; ++i) {
@@ -246,7 +245,7 @@ void BM_IndirectCallChecked(benchmark::State& state) {
   a.Halt();
   const Program p = *Instrument(*a.Finish(), MisfitOptions{16});
   for (auto _ : state) {
-    benchmark::DoNotOptimize(vm.Run(p, {}, RunOptions{}));
+    benchmark::DoNotOptimize(vm.RunUnverified(p, &image, {}, RunOptions{}));
   }
 }
 BENCHMARK(BM_IndirectCallChecked);

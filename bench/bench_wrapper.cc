@@ -9,6 +9,8 @@
 //   * the watchdog arm/disarm, on one thread and on two sharing a kernel,
 //   * the VM entry/exit for a minimal program,
 //   * poll_interval sensitivity (abort-latency vs throughput knob).
+// Every program graft is built through VerifyAndCompile, so it runs on the
+// tier the loader picks unless the row pins one.
 
 #include <benchmark/benchmark.h>
 
@@ -19,7 +21,6 @@
 #include "src/graft/function_point.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
-#include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 #include "src/txn/watchdog.h"
 
@@ -36,11 +37,23 @@ struct Fixture {
   HostCallTable host;
 };
 
-std::shared_ptr<Graft> NullProgramGraft() {
+// Instruments `a` and makes its graft through VerifyAndCompile, so it runs
+// on the tier the loader picks unless `ceiling` pins one. Null when the
+// program does not reach the ceiling's tier.
+std::shared_ptr<Graft> ProgramGraft(Asm& a, const HostCallTable& host,
+                                    ExecTier ceiling = MaxExecTier()) {
+  const Result<VerifiedProgram> p =
+      VerifyAndCompile(*Instrument(*a.Finish()), host, ceiling);
+  if (!p.ok() || p->tier() != ceiling) {
+    return nullptr;
+  }
+  return std::make_shared<Graft>(p->program().name, *p, kRoot, 4096);
+}
+
+std::shared_ptr<Graft> NullProgramGraft(const HostCallTable& host) {
   Asm a("null");
   a.Halt();
-  Result<Program> inst = Instrument(*a.Finish());
-  return std::make_shared<Graft>("null", *inst, kRoot, 4096);
+  return ProgramGraft(a, host);
 }
 
 std::shared_ptr<Graft> NullNativeGraft() {
@@ -83,7 +96,7 @@ void BM_WrapperVmNull(benchmark::State& state) {
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; },
       FunctionGraftPoint::Config{}, &f.txn, &f.host, nullptr);
-  (void)point.Replace(NullProgramGraft());
+  (void)point.Replace(NullProgramGraft(f.host));
   for (auto _ : state) {
     benchmark::DoNotOptimize(point.Invoke({}));
   }
@@ -100,7 +113,7 @@ void BM_WrapperVmNullWithValidator(benchmark::State& state) {
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
       &f.txn, &f.host, nullptr);
-  (void)point.Replace(NullProgramGraft());
+  (void)point.Replace(NullProgramGraft(f.host));
   for (auto _ : state) {
     benchmark::DoNotOptimize(point.Invoke({}));
   }
@@ -117,7 +130,7 @@ void BM_WrapperVmNullWithWatchdog(benchmark::State& state) {
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
       &f.txn, &f.host, nullptr);
-  (void)point.Replace(NullProgramGraft());
+  (void)point.Replace(NullProgramGraft(f.host));
   for (auto _ : state) {
     benchmark::DoNotOptimize(point.Invoke({}));
   }
@@ -140,7 +153,7 @@ void RunSharedKernel(benchmark::State& state, bool armed) {
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
       &shared.txn, &shared.host, nullptr);
-  (void)point.Replace(NullProgramGraft());
+  (void)point.Replace(NullProgramGraft(shared.host));
   for (auto _ : state) {
     benchmark::DoNotOptimize(point.Invoke({}));
   }
@@ -165,8 +178,7 @@ void BM_WrapperVmAbort(benchmark::State& state) {
       true);
   Asm a("aborter");
   a.Call(abort_id).Halt();
-  Result<Program> inst = Instrument(*a.Finish());
-  auto graft = std::make_shared<Graft>("aborter", *inst, kRoot, 4096);
+  auto graft = ProgramGraft(a, f.host);
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; },
       FunctionGraftPoint::Config{}, &f.txn, &f.host, nullptr);
@@ -182,7 +194,8 @@ BENCHMARK(BM_WrapperVmAbort);
 // Tier 1, and equivalent native code. The native number is the floor the
 // tiers chase; Tier 1 recovers the dispatch share of the gap while keeping
 // the sandbox.
-std::shared_ptr<Graft> SmallProgramGraft(bool tier1) {
+std::shared_ptr<Graft> SmallProgramGraft(const HostCallTable& host,
+                                         ExecTier tier) {
   Asm a("small");
   a.LoadImm(R1, 0);
   a.LoadImm(R2, 1);
@@ -193,21 +206,7 @@ std::shared_ptr<Graft> SmallProgramGraft(bool tier1) {
   }
   a.Mov(R0, R4);
   a.Halt();
-  MisfitOptions options{16};
-  options.elide_redundant_masks = true;
-  Result<Program> inst = Instrument(*a.Finish(), options);
-  Program p = *inst;
-  if (!VerifySandbox(p).ok()) {
-    return nullptr;
-  }
-  p.verified = true;
-  if (tier1) {
-    p.compiled = CompileThreaded(p);
-    if (p.compiled == nullptr) {
-      return nullptr;
-    }
-  }
-  return std::make_shared<Graft>("small", std::move(p), kRoot, 4096);
+  return ProgramGraft(a, host, tier);
 }
 
 void BM_WrapperTierSmall(benchmark::State& state) {
@@ -215,7 +214,8 @@ void BM_WrapperTierSmall(benchmark::State& state) {
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; },
       FunctionGraftPoint::Config{}, &f.txn, &f.host, nullptr);
-  auto graft = SmallProgramGraft(state.range(0) == 1);
+  auto graft =
+      SmallProgramGraft(f.host, static_cast<ExecTier>(state.range(0)));
   if (graft == nullptr) {
     state.SkipWithError("bench graft failed to build");
     return;
@@ -255,11 +255,13 @@ void BM_WrapperNativeSmall(benchmark::State& state) {
 BENCHMARK(BM_WrapperNativeSmall);
 
 // poll_interval sensitivity: a 4096-instruction compute loop at different
-// abort-poll cadences. Finer polling = faster aborts, more poll overhead.
+// abort-poll cadences, on each tier. Finer polling = faster aborts, more
+// poll overhead.
 void BM_PollIntervalSweep(benchmark::State& state) {
   Fixture f;
   FunctionGraftPoint::Config config;
   config.poll_interval = static_cast<uint32_t>(state.range(0));
+  const auto tier = static_cast<ExecTier>(state.range(1));
   FunctionGraftPoint point(
       "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
       &f.txn, &f.host, nullptr);
@@ -272,14 +274,20 @@ void BM_PollIntervalSweep(benchmark::State& state) {
   a.AddI(R1, R1, -1);
   a.Bne(R1, R2, top);
   a.Halt();
-  Result<Program> inst = Instrument(*a.Finish());
-  (void)point.Replace(std::make_shared<Graft>("loop4k", *inst, kRoot, 4096));
+  auto graft = ProgramGraft(a, f.host, tier);
+  if (graft == nullptr) {
+    state.SkipWithError("bench graft failed to build");
+    return;
+  }
+  (void)point.Replace(std::move(graft));
 
   for (auto _ : state) {
     benchmark::DoNotOptimize(point.Invoke({}));
   }
 }
-BENCHMARK(BM_PollIntervalSweep)->Arg(1)->Arg(8)->Arg(64)->Arg(1024);
+BENCHMARK(BM_PollIntervalSweep)
+    ->ArgNames({"interval", "tier"})
+    ->ArgsProduct({{1, 8, 64, 1024}, {0, 1}});
 
 }  // namespace
 }  // namespace vino

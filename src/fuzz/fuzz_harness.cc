@@ -83,10 +83,10 @@ struct TierRun {
   std::vector<uint8_t> memory;
 };
 
-TierRun RunTier(const ExecutionEngine& engine, const Program& program,
+TierRun RunTier(const ExecutionEngine& engine, const VerifiedProgram& program,
                 MirrorHost& host, std::span<const uint64_t> args) {
   TierRun run;
-  MemoryImage image(4096, program.sandbox_log2);
+  MemoryImage image(4096, program.program().sandbox_log2);
   RunOptions options;
   options.fuel = kDifferentialFuel;
   options.final_regs = run.regs;
@@ -448,7 +448,7 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
                 " graft wrote into the image's kernel region",
             TriageInput{.graft_trace_id = graft->trace_id()});
         p.container = container;
-        p.program = graft->program();
+        p.program = graft->program().program();
         p.has_program = true;
       }
       const bool aborted = after.graft_aborts > before.graft_aborts;
@@ -463,23 +463,21 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
                    "graft aborted but was not forcibly removed",
                    TriageInput{.graft_trace_id = graft->trace_id()});
           p.container = container;
-          p.program = graft->program();
+          p.program = graft->program().program();
           p.has_program = true;
         }
       }
       point.Remove();
     };
 
-    // Differential cross-check of an accepted program on both tiers.
+    // Differential cross-check of an accepted program on both tiers. The
+    // loader compiled only up to VINO_EXEC_TIER's ceiling; the harness
+    // still owes the differential, so it verifies again for Tier 1.
     const auto cross_check = [&](const Program& accepted, int index,
                                  const std::vector<uint8_t>& container) {
-      Program prog = accepted;
-      if (prog.compiled == nullptr) {
-        // VINO_EXEC_TIER=0 keeps the loader from compiling; the harness
-        // still owes the differential, so compile here.
-        prog.compiled = CompileThreaded(prog);
-      }
-      if (prog.compiled == nullptr) {
+      const Result<VerifiedProgram> prog =
+          VerifyAndCompile(accepted, kernel.host(), ExecTier::kTier1);
+      if (!prog.ok() || prog->tier() != ExecTier::kTier1) {
         return;  // No computed-goto support in this build; nothing to diff.
       }
       uint64_t args[kMaxArgs];
@@ -487,12 +485,9 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
         a = rng.Next();
       }
       const std::span<const uint64_t> args_span(args, kMaxArgs);
-      const TierRun t0 = RunTier(tier0, prog, mirror, args_span);
-      const TierRun t1 = RunTier(tier1, prog, mirror, args_span);
+      const TierRun t0 = RunTier(tier0, *prog, mirror, args_span);
+      const TierRun t1 = RunTier(tier1, *prog, mirror, args_span);
       ++report.tier1_checked;
-      if (t1.outcome.tier != ExecTier::kTier1) {
-        return;  // Fell back (shouldn't happen with compiled set); not a diff.
-      }
       const std::string diff = CompareTiers(t0, t1);
       if (!diff.empty()) {
         PendingAnomaly& p = note(
@@ -547,7 +542,7 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
         }
         ++report.valid_accepted;
         drive(*graft, i, container, /*hostile_class=*/false);
-        cross_check((*graft)->program(), i, container);
+        cross_check((*graft)->program().program(), i, container);
 
         // Sometimes also route a second instance through the event point.
         if (rng.Chance(0.3)) {
@@ -581,7 +576,7 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
         }
         ++report.forged_accepted;
         drive(*graft, i, container, /*hostile_class=*/true);
-        cross_check((*graft)->program(), i, container);
+        cross_check((*graft)->program().program(), i, container);
       } else {
         // --- Soup: container-level bytes; must reject, never crash. -----
         std::vector<uint8_t> bytes;
@@ -653,8 +648,9 @@ FuzzReport RunFuzz(const FuzzOptions& options) {
           note(AnomalyKind::kKernelCorruption, i,
                "verifier accepted a mask-writing program");
         }
-        evil.verified = true;  // The forged proof: bypasses the loader.
-        auto graft = std::make_shared<Graft>(evil.name, evil, kFuzzUser,
+        // The forged proof: bypasses the loader.
+        auto graft = std::make_shared<Graft>(evil.name, AssumeVerified(evil),
+                                             kFuzzUser,
                                              /*kernel_region_size=*/4096);
         drive(graft, i, EncodeProgram(evil), /*hostile_class=*/true);
       }

@@ -17,13 +17,12 @@ uint64_t Graft::NextTraceId() {
   return next.fetch_add(1, std::memory_order_relaxed);
 }
 
-Graft::Graft(std::string name, Program program, GraftIdentity owner,
+Graft::Graft(std::string name, VerifiedProgram program, GraftIdentity owner,
              uint64_t kernel_region_size)
     : name_(std::move(name)),
       program_(std::move(program)),
       owner_(owner),
-      image_(kernel_region_size,
-             program_.sandbox_log2 != 0 ? program_.sandbox_log2 : kNativeArenaLog2),
+      image_(kernel_region_size, program_->program().sandbox_log2),
       account_(name_ + ".account") {}
 
 Graft::Graft(std::string name, NativeFn fn, GraftIdentity owner)

@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 
@@ -22,7 +23,7 @@
 #include "src/resource/account.h"
 #include "src/sfi/exec_engine.h"
 #include "src/sfi/memory_image.h"
-#include "src/sfi/program.h"
+#include "src/sfi/verifier.h"
 
 namespace vino {
 
@@ -38,15 +39,16 @@ struct GraftIdentity {
 class Graft {
  public:
   // Native graft: runs host C++ directly, with no SFI protection. This is
-  // the paper's "unsafe path" and is only installable through the
-  // privileged InstallNativeUnsafe API — never through the loader.
+  // the paper's "unsafe path"; the loader makes one only through the
+  // privileged GraftLoader::LoadNativeUnsafe.
   using NativeFn =
       std::function<Result<uint64_t>(std::span<const uint64_t>, MemoryImage*)>;
 
-  // Program-backed graft (the normal, safe case). `kernel_region_size`
-  // sizes the image's simulated kernel region; the arena comes from the
-  // program's sandbox_log2.
-  Graft(std::string name, Program program, GraftIdentity owner,
+  // Program-backed graft (the normal, safe case), from a VerifiedProgram
+  // only (src/sfi/verifier.h). `kernel_region_size` sizes the image's
+  // simulated kernel region; the arena comes from the program's
+  // sandbox_log2.
+  Graft(std::string name, VerifiedProgram program, GraftIdentity owner,
         uint64_t kernel_region_size);
 
   // Native graft; gets a default 64 KiB arena for shared-buffer exchange.
@@ -57,14 +59,9 @@ class Graft {
 
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] bool is_native() const { return native_fn_ != nullptr; }
-  [[nodiscard]] const Program& program() const { return program_; }
-
-  // True when the loader's sandbox verifier proved this graft's program
-  // (src/sfi/verifier.h); such grafts run the Vm's no-bounds-check fast
-  // path. Always false for native grafts — they have no program to prove.
-  [[nodiscard]] bool verified() const {
-    return !is_native() && program_.verified;
-  }
+  // The graft's program. Native grafts have none: call only when
+  // !is_native().
+  [[nodiscard]] const VerifiedProgram& program() const { return *program_; }
   [[nodiscard]] const NativeFn& native_fn() const { return native_fn_; }
   [[nodiscard]] GraftIdentity owner() const { return owner_; }
 
@@ -119,7 +116,7 @@ class Graft {
   static uint64_t NextTraceId();
 
   std::string name_;
-  Program program_;
+  std::optional<VerifiedProgram> program_;
   NativeFn native_fn_;
   GraftIdentity owner_;
   MemoryImage image_;

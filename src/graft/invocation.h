@@ -20,8 +20,8 @@
 // (Run is const; all execution state lives on Run's stack), so concurrent
 // invocations of the same point share the pinned context safely. Which
 // tier a program runs on was decided once at load time (the Tier-1
-// artifact either travels with the Program or doesn't); the wrapper just
-// reads that decision. The thread's KernelContext is resolved
+// artifact either travels with the VerifiedProgram or doesn't); the
+// wrapper just reads that decision. The thread's KernelContext is resolved
 // once and threaded through the transaction scope, the account swap, and
 // the abort polls. Steady state performs zero heap allocations (recycled
 // transaction, lean undo log); tests/alloc_test.cc asserts it with tracing
@@ -70,13 +70,14 @@ struct GraftExecContext {
   RunOptions options;
 
   // The pinned execution engines, one per tier. Stateless — safe to enter
-  // concurrently. Tier selection already happened in the loader; EngineFor
-  // just follows the artifact.
+  // concurrently. Tier selection already happened in VerifyAndCompile;
+  // EngineFor just follows the program's tier().
   Vm vm;
   ThreadedVm threaded_vm;
 
-  [[nodiscard]] const ExecutionEngine& EngineFor(const Program& program) const {
-    if (program.compiled != nullptr) {
+  [[nodiscard]] const ExecutionEngine& EngineFor(
+      const VerifiedProgram& program) const {
+    if (program.tier() == ExecTier::kTier1) {
       return threaded_vm;
     }
     return vm;
@@ -126,15 +127,9 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
 
   // Execution tier for trace attribution, biased by one so 0 keeps meaning
   // "no tier" (native grafts, legacy spools). The load-time decision is the
-  // artifact itself, so this is a pointer test, not policy.
-  const uint16_t tier_plus1 =
-      graft->is_native()
-          ? 0
-          : static_cast<uint16_t>(
-                (graft->program().compiled != nullptr
-                     ? static_cast<uint16_t>(ExecTier::kTier1)
-                     : static_cast<uint16_t>(ExecTier::kTier0)) +
-                1);
+  // program's tier(), so this is a pointer test, not policy.
+  const auto tier_plus1 = static_cast<uint16_t>(
+      graft->is_native() ? 0 : static_cast<int>(graft->program().tier()) + 1);
 
   // Flight recorder (src/base/trace.h): one relaxed load when disabled.
   // Enabled, an invocation reads the clock three times — at start, where
@@ -179,9 +174,9 @@ inline InvocationOutcome RunGraftInvocation(TxnManager& txn_manager,
       failure = scope.txn()->abort_reason();
     }
   } else {
-    // The engine the loader picked: the Tier-1 artifact travels with the
-    // program, so this is one branch, and the chosen engine is a pinned
-    // member of the context — nothing is built here.
+    // The engine the loader picked: the program carries its tier, so this
+    // is one branch, and the chosen engine is a pinned member of the
+    // context — nothing is built here.
     const ExecutionEngine& engine = exec.EngineFor(graft->program());
     const RunOutcome run = engine.Run(
         graft->program(), &graft->image(), args, exec.options,

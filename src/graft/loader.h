@@ -4,17 +4,12 @@
 //  1. signature verification — the program must carry a valid signature
 //     from the MiSFIT signing authority (Rule 6: "the kernel must not
 //     execute grafts that are not known to be safe");
-//  2. instrumentation — unsigned/uninstrumented programs are refused;
-//  3. structural verification of the code;
-//  4. link-time direct-call checking — every direct kCall id must be on the
-//     graft-callable list (Rules 4 and 7);
-//  5. arena match — the sandbox size the code was instrumented for must
-//     match the arena the kernel allocates;
-//  6. sandbox verification — an abstract interpreter (src/sfi/verifier.h)
-//     re-proves from the instruction stream alone that the declared call
-//     set covers the code's true calls and that every memory access is
-//     confined, so neither the instrumenter nor the manifest is trusted.
-//     Grafts that pass run the Vm's no-bounds-check fast path.
+//  2-7. VerifyAndCompile (src/sfi/verifier.h) with this loader's host
+//     table and MaxExecTier() as the ceiling: instrumentation, structure,
+//     link-time calls (Rules 4 and 7), arena size, then (step 6) sandbox
+//     verification, which trusts neither the instrumenter nor the
+//     manifest, and tier selection. Passing makes the program a
+//     VerifiedProgram, the only kind a Graft holds and an engine runs.
 //
 // Installation additionally enforces the restricted-point privilege check
 // (Rule 5) — that check lives in the graft points themselves and is

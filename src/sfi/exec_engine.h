@@ -1,31 +1,25 @@
 // The tiered graft execution engine interface.
 //
-// One verified vISA program can be executed by more than one backend:
+// An engine runs only a VerifiedProgram (src/sfi/verifier.h), so every run
+// rests on the load-time verifier's proof and needs no per-access bounds
+// check. Either backend can execute one:
 //
-//   Tier 0  (src/sfi/vm.h)          — the classic switch interpreter. Runs
-//                                     anything, instrumented or not, with
-//                                     per-access bounds checks unless the
-//                                     program carries the verifier's proof.
+//   Tier 0  (src/sfi/vm.h)          — the classic switch interpreter.
 //   Tier 1  (src/sfi/threaded_vm.h) — direct-threaded dispatch over a
 //                                     load-time pre-decoded op array
-//                                     (computed goto). Only runs programs
-//                                     the load-time verifier proved safe;
-//                                     the proof is what lets it drop the
-//                                     per-iteration pc bounds check and the
-//                                     per-access InBounds branch entirely.
+//                                     (computed goto).
 //
-// Tier selection happens exactly once, in GraftLoader::Load: a program that
-// passes VerifySandbox is compiled for Tier 1 (policy permitting) and the
-// artifact travels with the Program; graft points then pick the engine by
-// looking at the artifact, never by re-deciding policy.
+// Tier selection happens exactly once, in VerifyAndCompile, which builds
+// the Tier-1 artifact up to the caller's ceiling; graft points then pick
+// the engine by the program's tier(), never by re-deciding policy.
 //
 // Both tiers stamp their per-op code out of the op table in src/sfi/isa.h,
 // one body per operand shape, so they agree on every pure op by
 // construction. The poll-interval clamp (RunOptions below), the
 // final-register dump and the host-call probe-and-dispatch
 // (src/sfi/engine_internal.h) are defined once. What each tier still
-// writes for itself — memory access with or without the bounds check, fuel
-// accounting and abort polling — keeps the MiSFIT masking semantics and the
+// writes for itself — memory access, fuel accounting and abort polling —
+// keeps the MiSFIT masking semantics and the
 // Rule-7 kCheckedCallR abort contract byte-for-byte; tests/property_test.cc
 // and tools/graftfuzz hold the tiers to it differentially.
 
@@ -43,7 +37,7 @@
 
 namespace vino {
 
-struct Program;
+class VerifiedProgram;  // src/sfi/verifier.h
 
 enum class ExecTier : uint8_t {
   kTier0 = 0,  // Switch interpreter.
@@ -55,8 +49,8 @@ inline constexpr size_t kExecTierCount = 2;
 
 // The process-wide tier ceiling, read once from VINO_EXEC_TIER at first use
 // and cached. Unset (or any value other than "0") allows Tier 1; "0" forces
-// every graft onto the switch interpreter. Consulted only by the loader —
-// the runtime never re-reads the environment.
+// every graft onto the switch interpreter. It is VerifyAndCompile's default
+// ceiling; the runtime never re-reads the environment.
 [[nodiscard]] ExecTier MaxExecTier();
 
 // Execution options. Deliberately a trivially-copyable POD: the graft
@@ -110,13 +104,10 @@ class ExecutionEngine {
  public:
   virtual ~ExecutionEngine() = default;
 
-  // The tier this engine implements (what RunOutcome::tier reports when the
-  // engine runs a program itself rather than falling back).
-  [[nodiscard]] virtual ExecTier tier() const = 0;
-
-  // Executes `program` with `args` in r0..r5, confined to `image`.
-  // `identity` is passed to every host call (the installing user, §3.3).
-  [[nodiscard]] virtual RunOutcome Run(const Program& program,
+  // Executes `program` with `args` in r0..r5, confined to `image` by the
+  // program's proof. `identity` is passed to every host call (the
+  // installing user, §3.3).
+  [[nodiscard]] virtual RunOutcome Run(const VerifiedProgram& program,
                                        MemoryImage* image,
                                        std::span<const uint64_t> args,
                                        const RunOptions& options,

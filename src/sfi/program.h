@@ -4,7 +4,6 @@
 #define VINOLITE_SRC_SFI_PROGRAM_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -13,10 +12,9 @@
 
 namespace vino {
 
-struct CompiledProgram;  // src/sfi/threaded_vm.h
-
 // A graft program. Produced by an assembler, transformed by the MiSFIT
-// instrumenter, executed by the Vm.
+// instrumenter; no field of it claims safety, so it runs only once
+// VerifyAndCompile makes it a VerifiedProgram (src/sfi/verifier.h).
 struct Program {
   std::string name;
   std::vector<Instruction> code;
@@ -31,19 +29,6 @@ struct Program {
   // mask baked into the prologue only confines addresses if the runtime
   // region matches, so the loader checks this against the graft's arena.
   uint32_t sandbox_log2 = 0;
-
-  // True once VerifySandbox (src/sfi/verifier.h) has proven the sandbox
-  // invariants for this exact instruction stream. Deliberately NOT part of
-  // the serialized container: a manifest cannot claim it, DecodeProgram
-  // never sets it, and the loader only sets it on its own verifier's
-  // verdict. The Vm skips the per-access InBounds branch when it is set.
-  bool verified = false;
-
-  // The Tier-1 direct-threaded artifact (src/sfi/threaded_vm.h), built by
-  // the loader after — and only after — the verifier's proof succeeds.
-  // Like `verified`, never part of the serialized container; null means
-  // "run Tier 0". Immutable once built; copies of the Program share it.
-  std::shared_ptr<const CompiledProgram> compiled;
 
   // Host-function ids named by direct kCall instructions, collected during
   // assembly. The dynamic linker checks each against the graft-callable

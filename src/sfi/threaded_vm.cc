@@ -127,7 +127,7 @@ RunOutcome ThreadedExec(const CompiledProgram* cp, MemoryImage* image,
   for (size_t i = 0; i < argc; ++i) {
     regs[i] = args[i];
   }
-  // Compiled programs are instrumented by construction (CompileThreaded
+  // Compiled programs are instrumented by construction (VerifyAndCompile
   // refuses anything else), so the sandbox registers are always live.
   regs[kSandboxMaskReg] = image->arena_mask();
   regs[kSandboxBaseReg] = image->arena_base();
@@ -192,9 +192,7 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
   (void)program;
   return nullptr;
 #else
-  // Tier-1 eligibility: the dropped checks are exactly the ones the
-  // load-time proof covers, so no proof → no Tier-1 form.
-  if (!program.instrumented || !program.verified || program.code.empty()) {
+  if (program.code.empty()) {
     return nullptr;
   }
   const void* const* labels = nullptr;
@@ -204,10 +202,11 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
   auto compiled = std::make_shared<CompiledProgram>();
   compiled->ops.reserve(size);
   for (const Instruction& ins : program.code) {
-    // VerifyProgram already guarantees all of this for verified programs;
-    // re-checking here keeps "compiled implies can't leave the op array"
-    // a local property of this function rather than a cross-module trust
-    // chain. Any violation downgrades to Tier 0, never UB.
+    // VerifyProgram already guarantees all of this for the programs
+    // VerifyAndCompile passes here; re-checking keeps "compiled implies
+    // can't leave the op array" a local property of this function rather
+    // than a cross-module trust chain. Any violation downgrades to Tier 0,
+    // never UB.
     const size_t opcode = static_cast<size_t>(ins.op);
     if (opcode >= static_cast<size_t>(Op::kOpCount) ||
         ins.rd >= kNumRegisters || ins.rs1 >= kNumRegisters ||
@@ -234,22 +233,20 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
 #endif
 }
 
-RunOutcome ThreadedVm::Run(const Program& program, MemoryImage* image,
+RunOutcome ThreadedVm::Run(const VerifiedProgram& program, MemoryImage* image,
                            std::span<const uint64_t> args,
                            const RunOptions& options,
                            CallerIdentity identity) const {
-  const CompiledProgram* compiled = program.compiled.get();
-  // Fallback ladder: no artifact (policy, compile refusal, or a toolchain
-  // without computed goto) → Tier 0. Never an error.
-  if (compiled == nullptr || compiled->ops.size() != program.code.size()) {
-    return Vm(host_).Run(program, image, args, options, identity);
-  }
 #if VINO_HAVE_COMPUTED_GOTO
-  return ThreadedExec(compiled, image, args, options, host_, identity,
-                      nullptr);
-#else
-  return Vm(host_).Run(program, image, args, options, identity);
+  if (const CompiledProgram* compiled = program.compiled();
+      compiled != nullptr) {
+    return ThreadedExec(compiled, image, args, options, host_, identity,
+                        nullptr);
+  }
 #endif
+  // No artifact (ceiling, compile refusal, or a toolchain without computed
+  // goto): Tier 0, never an error.
+  return Vm(host_).Run(program, image, args, options, identity);
 }
 
 }  // namespace vino

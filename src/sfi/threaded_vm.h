@@ -26,11 +26,11 @@
 // in tests/property_test.cc holds them to identical registers, memory,
 // host-call sequences, and abort reasons.
 //
-// Compilation happens once, in GraftLoader::Load, and only for programs
-// whose sandbox proof succeeded — the dropped checks are exactly the ones
-// the proof covers, so an unverified program has no Tier-1 form. A failed
-// or unavailable compile (non-GNU compiler) is never a load failure: the
-// artifact is simply absent and the graft runs Tier 0.
+// Compilation happens once, in VerifyAndCompile (src/sfi/verifier.h),
+// and only after the sandbox proof succeeded — the dropped checks are
+// exactly the ones the proof covers, so an unverified program has no Tier-1
+// form. A failed or unavailable compile (non-GNU compiler) is never a load
+// failure: the artifact is simply absent and the graft runs Tier 0.
 
 #ifndef VINOLITE_SRC_SFI_THREADED_VM_H_
 #define VINOLITE_SRC_SFI_THREADED_VM_H_
@@ -45,6 +45,7 @@
 #include "src/sfi/host.h"
 #include "src/sfi/memory_image.h"
 #include "src/sfi/program.h"
+#include "src/sfi/verifier.h"
 
 namespace vino {
 
@@ -59,32 +60,30 @@ struct ThreadedOp {
   int64_t imm = 0;
 };
 
-// The Tier-1 artifact: a dense handler-resolved op array. Built once at
-// load time, owned by the Program (shared_ptr — Program is copied into the
-// Graft), immutable thereafter; concurrent invocations share it freely.
+// The Tier-1 artifact: a dense handler-resolved op array. Built once by
+// VerifyAndCompile, shared by the VerifiedProgram's copies, immutable
+// thereafter; concurrent invocations share it freely.
 struct CompiledProgram {
   std::vector<ThreadedOp> ops;
 };
 
-// Pre-decodes `program` for direct-threaded dispatch. Returns nullptr —
-// never an error — when the program is not Tier-1 eligible: it must be
-// instrumented, carry the load-time verifier's proof (Program::verified),
-// be non-empty, and the build must support computed goto. Callers treat
-// nullptr as "run Tier 0".
+// Pre-decodes `program` for direct-threaded dispatch. Only VerifyAndCompile
+// calls it, after the sandbox proof. Returns nullptr — never an error — when
+// an instruction is out of range (unknown opcode, register, or branch
+// target), when the program is empty or does not end in kHalt/kJmp, or when
+// the build lacks computed goto. Callers treat nullptr as "run Tier 0".
 [[nodiscard]] std::shared_ptr<const CompiledProgram> CompileThreaded(
     const Program& program);
 
 // The Tier-1 engine. Stateless like the Vm: Run is const and all execution
 // state lives on its stack, so one instance per graft point serves any
 // number of concurrent invocations. A program without a compiled artifact
-// falls back to the Tier-0 interpreter (and the outcome reports kTier0).
+// runs on the Tier-0 interpreter (and the outcome reports kTier0).
 class ThreadedVm final : public ExecutionEngine {
  public:
   explicit ThreadedVm(const HostCallTable* host) : host_(host) {}
 
-  [[nodiscard]] ExecTier tier() const override { return ExecTier::kTier1; }
-
-  RunOutcome Run(const Program& program, MemoryImage* image,
+  RunOutcome Run(const VerifiedProgram& program, MemoryImage* image,
                  std::span<const uint64_t> args, const RunOptions& options,
                  CallerIdentity identity = {}) const override;
 

@@ -3,7 +3,10 @@
 #include <algorithm>
 #include <array>
 
+#include "src/base/log.h"
+#include "src/base/trace.h"
 #include "src/sfi/isa.h"
+#include "src/sfi/threaded_vm.h"
 
 namespace vino {
 namespace {
@@ -368,6 +371,50 @@ VerifierReport VerifySandbox(const Program& program,
   }
 
   return Analyzer(program, options).Run();
+}
+
+Result<VerifiedProgram> VerifyAndCompile(const Program& program,
+                                         const HostCallTable& host,
+                                         ExecTier ceiling) {
+  if (!program.instrumented) {
+    return Status::kNotInstrumented;
+  }
+  const Status structural = VerifyProgram(program);
+  if (!IsOk(structural)) {
+    return structural;
+  }
+  for (const uint32_t id : program.direct_call_ids) {
+    if (!host.IsCallable(id)) {
+      const HostCallTable::Entry* entry = host.Lookup(id);
+      VINO_LOG_WARN << "loader: graft '" << program.name
+                    << "' calls non-graft-callable function "
+                    << (entry != nullptr ? entry->name : "<unknown>");
+      return Status::kIllegalCall;
+    }
+  }
+  if (program.sandbox_log2 < 4 || program.sandbox_log2 > 30) {
+    return Status::kBadGraft;
+  }
+  VerifierOptions voptions;
+  voptions.host = &host;
+  const VerifierReport report = VerifySandbox(program, voptions);
+  if (!report.ok()) {
+    VINO_LOG_WARN << "loader: verifier rejected graft '" << program.name
+                  << "' at pc " << report.fail_pc << ": " << report.reason
+                  << " (" << StatusName(report.status) << ")";
+    VINO_TRACE(trace::Event::kGraftRejected, report.status, report.fail_pc, 0,
+               program.code.size());
+    return report.status;
+  }
+  std::shared_ptr<const CompiledProgram> compiled;
+  if (ceiling >= ExecTier::kTier1) {
+    compiled = CompileThreaded(program);
+  }
+  return VerifiedProgram(program, std::move(compiled));
+}
+
+VerifiedProgram AssumeVerified(Program program) {
+  return VerifiedProgram(std::move(program), nullptr);
 }
 
 }  // namespace vino

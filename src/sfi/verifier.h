@@ -39,20 +39,25 @@
 //    though provable constant targets are extracted for the report and can
 //    optionally be refused outright.
 //
-// What passing buys: Vm::Run skips the per-access InBounds branch for
-// verified programs, and the instrumenter may elide kSandboxAddr on
+// What passing buys: VerifyAndCompile (below) runs this analysis, and a
+// pass is the only way to a VerifiedProgram — the only kind a Graft holds
+// and an engine runs (paper Rule 6: "the kernel must not execute grafts
+// that are not known to be safe"). Both tiers run one with no per-access
+// InBounds branch, and the instrumenter may elide kSandboxAddr on
 // already-sandboxed-base + small-offset accesses, because this verifier —
-// not the instrumentation pattern — is now the enforcement boundary.
+// not the instrumentation pattern — is the enforcement boundary.
 
 #ifndef VINOLITE_SRC_SFI_VERIFIER_H_
 #define VINOLITE_SRC_SFI_VERIFIER_H_
 
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/base/status.h"
+#include "src/sfi/exec_engine.h"
 #include "src/sfi/host.h"
 #include "src/sfi/program.h"
 
@@ -132,6 +137,55 @@ struct VerifierReport {
 // the same verdict, so the loader and the offline vverify audit agree.
 [[nodiscard]] VerifierReport VerifySandbox(const Program& program,
                                            const VerifierOptions& options = {});
+
+struct CompiledProgram;  // src/sfi/threaded_vm.h
+class VerifiedProgram;
+
+// The loader's checks after the signature, in order: instrumented
+// (kNotInstrumented); VerifyProgram; every declared kCall id graft-callable
+// in `host` (the link-time check, kIllegalCall, §3.3); a real arena size
+// (kBadGraft); then VerifySandbox against `host`. A pass is the only way to
+// a VerifiedProgram. It carries a Tier-1 artifact when `ceiling` allows one
+// and the build supports it; a missing artifact is never a failure. The
+// loader passes MaxExecTier(); tier-pinning tests and benches pass their
+// own ceiling.
+[[nodiscard]] Result<VerifiedProgram> VerifyAndCompile(
+    const Program& program, const HostCallTable& host,
+    ExecTier ceiling = MaxExecTier());
+
+// The escape hatch: wraps `program` WITHOUT any check, to run on Tier 0
+// with no bounds check at all. tools/check.sh holds it to its two callers:
+// the fuzzer's forged-proof injection and the Tables' unprotected row
+// (bench/bench_kernel.h).
+[[nodiscard]] VerifiedProgram AssumeVerified(Program program);
+
+// A Program that passed VerifyAndCompile, with its Tier-1 artifact if one
+// was built. It has no public constructor and its program is immutable, so
+// the proof cannot go stale; copies share the artifact.
+class VerifiedProgram {
+ public:
+  [[nodiscard]] const Program& program() const { return program_; }
+  [[nodiscard]] const CompiledProgram* compiled() const {
+    return compiled_.get();
+  }
+  // Graft points pick their engine by it, and traces tag invocations with it.
+  [[nodiscard]] ExecTier tier() const {
+    return compiled_ != nullptr ? ExecTier::kTier1 : ExecTier::kTier0;
+  }
+
+ private:
+  friend Result<VerifiedProgram> VerifyAndCompile(const Program&,
+                                                  const HostCallTable&,
+                                                  ExecTier);
+  friend VerifiedProgram AssumeVerified(Program);
+
+  VerifiedProgram(Program program,
+                  std::shared_ptr<const CompiledProgram> compiled)
+      : program_(std::move(program)), compiled_(std::move(compiled)) {}
+
+  Program program_;
+  std::shared_ptr<const CompiledProgram> compiled_;
+};
 
 }  // namespace vino
 

@@ -80,11 +80,11 @@ namespace {
                   regs[kSandboxMaskReg]) |                           \
                  regs[kSandboxBaseReg];
 
-// The dispatch loop, stamped out twice: kCheckBounds=true is the classic
-// interpreter; kCheckBounds=false is the fast path for programs whose
-// load-time proof (src/sfi/verifier.h) already covers every access, with
-// the per-access InBounds branch compiled out rather than tested per
-// iteration.
+// The dispatch loop, stamped out twice: kCheckBounds=false runs a verified
+// program, whose load-time proof (src/sfi/verifier.h) already covers every
+// access, with the per-access InBounds branch compiled out rather than
+// tested per iteration; kCheckBounds=true is RunUnverified's classic
+// interpreter.
 template <bool kCheckBounds>
 RunOutcome RunLoop(const Program& program, MemoryImage* image,
                    std::span<const uint64_t> args, const RunOptions& options,
@@ -151,23 +151,17 @@ RunOutcome RunLoop(const Program& program, MemoryImage* image,
 
 }  // namespace
 
-RunOutcome Vm::Run(const Program& program, MemoryImage* image,
+RunOutcome Vm::Run(const VerifiedProgram& program, MemoryImage* image,
                    std::span<const uint64_t> args, const RunOptions& options,
                    CallerIdentity identity) const {
-  if (program.code.empty()) {
-    RunOutcome outcome;
-    outcome.status = Status::kBadGraft;
-    return outcome;
-  }
+  return RunLoop<false>(program.program(), image, args, options, host_,
+                        identity);
+}
 
-  // Verified programs (src/sfi/verifier.h) carry a load-time proof that
-  // every reachable access lands inside the arena + guard zone of whatever
-  // image initializes the sandbox registers, so the per-access InBounds
-  // branch is compiled out. The proof rests on the loop loading mask/base
-  // from the image, hence the instrumented qualifier.
-  if (program.verified && program.instrumented) {
-    return RunLoop<false>(program, image, args, options, host_, identity);
-  }
+RunOutcome Vm::RunUnverified(const Program& program, MemoryImage* image,
+                             std::span<const uint64_t> args,
+                             const RunOptions& options,
+                             CallerIdentity identity) const {
   return RunLoop<true>(program, image, args, options, host_, identity);
 }
 

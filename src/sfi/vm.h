@@ -2,20 +2,20 @@
 //
 // Instrumented programs run with the sandbox mask/base registers initialized
 // from the memory image's graft arena; their memory accesses cannot leave the
-// arena. Uninstrumented programs (the paper's "unsafe path") access the whole
-// image — including kernel memory — which is exactly the disaster the paper
-// is about; tests use this to demonstrate corruption, benchmarks use it to
-// price the MiSFIT overhead.
+// arena. A VerifiedProgram carries the load-time proof of that, so Run
+// executes it with no per-access bounds check.
 //
 // Preemption (Table 1, Rule 1): the interpreter charges one unit of fuel per
 // instruction and polls an abort predicate at a fixed cadence, so an
 // infinitely looping graft is bounded and an asynchronous transaction abort
 // (e.g. a lock time-out fired by another thread) takes effect promptly.
 //
-// This is the universal backend: it runs anything — uninstrumented,
-// unverified, or verified — and is the floor the Tier-1 direct-threaded
-// backend (src/sfi/threaded_vm.h) falls back to. RunOptions/RunOutcome and
-// the engine interface live in src/sfi/exec_engine.h.
+// RunUnverified, the other entry, runs a raw Program with every access
+// bounds-checked. No graft reaches it: tests use it as the reference a
+// verified run must match, and to show the disaster — an uninstrumented
+// program (the paper's "unsafe path") reaches the whole image, kernel
+// memory included. RunOptions/RunOutcome and the engine interface live in
+// src/sfi/exec_engine.h.
 
 #ifndef VINOLITE_SRC_SFI_VM_H_
 #define VINOLITE_SRC_SFI_VM_H_
@@ -28,6 +28,7 @@
 #include "src/sfi/host.h"
 #include "src/sfi/memory_image.h"
 #include "src/sfi/program.h"
+#include "src/sfi/verifier.h"
 
 namespace vino {
 
@@ -37,33 +38,24 @@ namespace vino {
 // threads — the per-invocation construction the wrapper used to pay is gone.
 class Vm final : public ExecutionEngine {
  public:
-  // Host-pinned form: the image (and caller identity) vary per run and are
-  // passed to Run — how the graft wrapper drives a per-point Vm whose graft
-  // (and thus arena image) can change.
   explicit Vm(const HostCallTable* host) : host_(host) {}
 
-  // Image-pinned convenience form for tests/tools that run one program
-  // against one image.
-  Vm(MemoryImage* image, const HostCallTable* host) : image_(image), host_(host) {}
-
-  [[nodiscard]] ExecTier tier() const override { return ExecTier::kTier0; }
-
-  // Executes `program` with `args` in r0..r5, confined to `image`.
-  // `identity` is passed to every host call (the installing user, §3.3).
-  // The program must pass VerifyProgram (callers that skip verification get
-  // kSfiBadOpcode / kSfiTrap at runtime rather than UB).
-  RunOutcome Run(const Program& program, MemoryImage* image,
+  // Executes `program` with `args` in r0..r5. The program's proof confines
+  // every access, so none is bounds-checked. `identity` is passed to every
+  // host call (the installing user, §3.3).
+  RunOutcome Run(const VerifiedProgram& program, MemoryImage* image,
                  std::span<const uint64_t> args, const RunOptions& options,
                  CallerIdentity identity = {}) const override;
 
-  // Image-pinned form over the constructor-supplied image.
-  RunOutcome Run(const Program& program, std::span<const uint64_t> args,
-                 const RunOptions& options = {}) const {
-    return Run(program, image_, args, options);
-  }
+  // Executes a raw, unverified `program` with a bounds check on every
+  // access: an access outside `image` stops the run with kSfiTrap, and a
+  // malformed program gets kSfiBadOpcode / kBadGraft rather than UB.
+  RunOutcome RunUnverified(const Program& program, MemoryImage* image,
+                           std::span<const uint64_t> args,
+                           const RunOptions& options,
+                           CallerIdentity identity = {}) const;
 
  private:
-  MemoryImage* image_ = nullptr;
   const HostCallTable* host_;
 };
 

@@ -218,14 +218,11 @@ struct SpinningGraft {
     a.Jmp(top);
     Result<Program> inst = Instrument(*a.Finish(), MisfitOptions{16});
     EXPECT_TRUE(inst.ok());
-    Program p = *inst;
-    VerifierOptions voptions;
-    voptions.host = &host;
-    EXPECT_TRUE(VerifySandbox(p, voptions).ok());
-    p.verified = true;
-    p.compiled = CompileThreaded(p);
-    EXPECT_NE(p.compiled, nullptr);
-    graft = std::make_shared<Graft>("tier1-spinner", std::move(p), kRoot, 4096);
+    const Result<VerifiedProgram> p =
+        VerifyAndCompile(*inst, host, ExecTier::kTier1);
+    EXPECT_TRUE(p.ok());
+    EXPECT_EQ(p->tier(), ExecTier::kTier1);
+    graft = std::make_shared<Graft>("tier1-spinner", *p, kRoot, 4096);
   }
 };
 

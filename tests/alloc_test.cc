@@ -387,7 +387,8 @@ TEST_F(AllocTest, SteadyStateNullProgramGraftSafePathIsAllocationFree) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("null", *inst, kRoot, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "null", *VerifyAndCompile(*inst, host_), kRoot, 4096)),
             Status::kOk);
   for (int i = 0; i < 8; ++i) {
     (void)point.Invoke({});
@@ -462,7 +463,8 @@ TEST_F(AllocTest, TracingEnabledProgramGraftSafePathIsAllocationFree) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("null", *inst, kRoot, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "null", *VerifyAndCompile(*inst, host_), kRoot, 4096)),
             Status::kOk);
   for (int i = 0; i < 8; ++i) {
     (void)point.Invoke({});  // Warm slab, stats shard, and trace ring.
@@ -581,7 +583,8 @@ std::shared_ptr<Graft> EchoHandler(const HostCallTable& host) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   EXPECT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("echo", *inst, kRoot, 4096);
+  auto graft = std::make_shared<Graft>(
+      "echo", *VerifyAndCompile(*inst, host), kRoot, 4096);
   graft->account().SetLimit(ResourceType::kNetBandwidth, uint64_t{1} << 40);
   return graft;
 }

@@ -77,7 +77,8 @@ class FailureInjectionTest : public ::testing::TestWithParam<uint64_t> {
     a.Halt();
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
-    auto graft = std::make_shared<Graft>("mutator", *inst, kUser, 4096);
+    auto graft = std::make_shared<Graft>(
+        "mutator", *VerifyAndCompile(*inst, host_), kUser, 4096);
     graft->account().SetLimit(ResourceType::kMemory, 1024);
     return graft;
   }
@@ -167,7 +168,8 @@ TEST(FailureInjectionEdge, HostErrorMidChainRollsBackEarlierMutations) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("failer", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "failer", *VerifyAndCompile(*inst, host), kUser, 4096);
 
   FunctionGraftPoint point(
       "e.point", [](std::span<const uint64_t>) -> uint64_t { return 7; },

@@ -239,7 +239,7 @@ TEST_F(FileSystemTest, ReadaheadPointInNamespace) {
 
 // The paper's §4.1.2 graft: reads the application's hint buffer and asks
 // for exactly those extents.
-std::shared_ptr<Graft> HintFollowingGraft() {
+std::shared_ptr<Graft> HintFollowingGraft(const HostCallTable& host) {
   // Args: r0=offset r1=len r2=hint addr r3=hint count r4=out addr r5=max.
   // Copy min(hint_count, max) (offset,len) pairs from hints to output;
   // return the count.
@@ -270,12 +270,14 @@ std::shared_ptr<Graft> HintFollowingGraft() {
   EXPECT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p);
   EXPECT_TRUE(inst.ok());
-  return std::make_shared<Graft>("hint-ra", *inst, kUser, 4096);
+  return std::make_shared<Graft>(
+      "hint-ra", *VerifyAndCompile(*inst, host), kUser, 4096);
 }
 
 TEST_F(FileSystemTest, ReadaheadGraftPrefetchesHintedBlocks) {
   OpenFile* f = MakeAndOpen("hinted", 3000 * 4096);
-  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft()), Status::kOk);
+  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft(host_)),
+            Status::kOk);
 
   // The application announces its next (random) read.
   ASSERT_EQ(f->WriteHints({{500 * 4096, 4096}}), Status::kOk);
@@ -292,7 +294,8 @@ TEST_F(FileSystemTest, ReadaheadGraftPrefetchesHintedBlocks) {
 
 TEST_F(FileSystemTest, GraftExtentsValidated) {
   OpenFile* f = MakeAndOpen("v", 10 * 4096);
-  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft()), Status::kOk);
+  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft(host_)),
+            Status::kOk);
   // Hints pointing past EOF and with zero length must be dropped.
   ASSERT_EQ(f->WriteHints({{100 * 4096, 4096},  // Beyond EOF.
                            {0, 0},              // Empty.
@@ -314,7 +317,8 @@ TEST_F(FileSystemTest, AbortedGraftArenaNotHarvested) {
   spin.Jmp(top);
   Result<Program> inst = Instrument(*spin.Finish());
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("spin-ra", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "spin-ra", *VerifyAndCompile(*inst, host_), kUser, 4096);
   // Poison the arena output area with plausible extents that must never be
   // prefetched.
   MemoryImage& arena = graft->image();
@@ -337,7 +341,8 @@ TEST_F(FileSystemTest, AbortedGraftArenaNotHarvested) {
 
 TEST_F(FileSystemTest, GreedyGraftBoundedByGlobalQuota) {
   OpenFile* f = MakeAndOpen("greedy", 3000 * 4096);
-  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft()), Status::kOk);
+  ASSERT_EQ(f->readahead_point().Replace(HintFollowingGraft(host_)),
+            Status::kOk);
   // Ask for 40 blocks at once; the global policy issues at most the
   // read-ahead quota (8) and keeps the rest queued.
   std::vector<std::pair<uint64_t, uint64_t>> hints;

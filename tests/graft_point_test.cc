@@ -44,7 +44,8 @@ class GraftPointTest : public ::testing::Test {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>("const-graft", *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        "const-graft", *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   // A graft that loops forever (misbehaving).
@@ -57,7 +58,8 @@ class GraftPointTest : public ::testing::Test {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>("spin-graft", *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        "spin-graft", *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   FunctionGraftPoint::Config DefaultConfig() { return FunctionGraftPoint::Config{}; }
@@ -113,7 +115,8 @@ TEST_F(GraftPointTest, RestrictedPointRejectsUnprivileged) {
   ASSERT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p);
   ASSERT_TRUE(inst.ok());
-  auto root_graft = std::make_shared<Graft>("root-graft", *inst, kRoot, 4096);
+  auto root_graft = std::make_shared<Graft>(
+      "root-graft", *VerifyAndCompile(*inst, host_), kRoot, 4096);
   EXPECT_EQ(point.Replace(root_graft), Status::kOk);
   EXPECT_EQ(point.Invoke({}), 9u);
 }
@@ -163,7 +166,8 @@ TEST_F(GraftPointTest, AbortUndoesKernelStateChanges) {
   ASSERT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p);
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("mutator", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "mutator", *VerifyAndCompile(*inst, host_), kUser, 4096);
 
   FunctionGraftPoint point(
       "obj.fn", [](std::span<const uint64_t>) -> uint64_t { return 7; },
@@ -298,7 +302,8 @@ TEST_F(GraftPointTest, HostCallsCarryInstallerIdentity) {
   a.Call(admin_op).Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("try-admin", *inst, kUser, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "try-admin", *VerifyAndCompile(*inst, host_), kUser, 4096)),
             Status::kOk);
   EXPECT_EQ(point.Invoke({}), 7u);
   EXPECT_FALSE(point.grafted());
@@ -307,7 +312,8 @@ TEST_F(GraftPointTest, HostCallsCarryInstallerIdentity) {
   // Privileged installer: the same code succeeds.
   Result<Program> inst2 = Instrument(*Asm("try-admin2").Call(admin_op).Halt().Finish());
   ASSERT_TRUE(inst2.ok());
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("try-admin2", *inst2, kRoot, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "try-admin2", *VerifyAndCompile(*inst2, host_), kRoot, 4096)),
             Status::kOk);
   EXPECT_EQ(point.Invoke({}), 1u);
 
@@ -315,7 +321,8 @@ TEST_F(GraftPointTest, HostCallsCarryInstallerIdentity) {
   point.Remove();
   Result<Program> inst3 = Instrument(*Asm("whoami").Call(whoami).Halt().Finish());
   ASSERT_TRUE(inst3.ok());
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("whoami", *inst3, kUser, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "whoami", *VerifyAndCompile(*inst3, host_), kUser, 4096)),
             Status::kOk);
   EXPECT_EQ(point.Invoke({}), kUser.uid);
 }
@@ -399,11 +406,8 @@ TEST_F(GraftPointTest, TracedCommitPostsOneEndRecordStampedAtStart) {
   const trace::Record& end = records[0];
   EXPECT_EQ(static_cast<trace::Event>(end.event), trace::Event::kInvokeEnd);
   EXPECT_EQ(trace::InvokePathTag(end.tag), trace::PathTag::kSafe);
-  const ExecTier tier = graft->program().compiled != nullptr
-                            ? ExecTier::kTier1
-                            : ExecTier::kTier0;
   EXPECT_EQ(trace::InvokeTierPlus1(end.tag),
-            static_cast<uint16_t>(tier) + 1);
+            static_cast<uint16_t>(graft->program().tier()) + 1);
   EXPECT_EQ(end.a, graft->trace_id());
   EXPECT_EQ(end.a32, 0u);  // No locks held at commit.
   EXPECT_GT(end.b, 0u);
@@ -497,7 +501,8 @@ class EventPointTest : public GraftPointTest {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>(name, *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        name, *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   void SetUp() override {
@@ -547,7 +552,8 @@ TEST_F(EventPointTest, AbortingHandlerRemovedOthersSurvive) {
   ASSERT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p);
   ASSERT_TRUE(inst.ok());
-  auto bad = std::make_shared<Graft>("bad-handler", *inst, kUser, 4096);
+  auto bad = std::make_shared<Graft>(
+      "bad-handler", *VerifyAndCompile(*inst, host_), kUser, 4096);
 
   ASSERT_EQ(point.AddHandler(TagGraft("good", 7), 1), Status::kOk);
   ASSERT_EQ(point.AddHandler(bad, 2), Status::kOk);

@@ -29,7 +29,8 @@ class GraftedLockMgrTest : public ::testing::Test {
   std::shared_ptr<Graft> Load(Asm& a) {
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>("policy", *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        "policy", *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   // The fair-queueing grant policy as a graft: deny whenever any waiter

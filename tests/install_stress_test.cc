@@ -44,7 +44,8 @@ class InstallStressTest : public ::testing::Test {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>(name, *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        name, *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   // A graft that burns its whole fuel budget and aborts: exercises the
@@ -58,7 +59,8 @@ class InstallStressTest : public ::testing::Test {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>(name, *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        name, *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   FunctionGraftPoint::Config TightFuelConfig() {

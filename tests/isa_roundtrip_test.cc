@@ -79,8 +79,9 @@ TEST_P(OpRoundTripTest, DisassembleReassembleEncodeDecode) {
   ASSERT_EQ(VerifyProgram(p), Status::kOk);
 
   // Executes cleanly (r1/r2 hold in-arena addresses; call id 1 registered).
-  Vm vm(&image, &host);
-  EXPECT_EQ(vm.Run(p, {}, RunOptions{}).status, Status::kOk) << OpName(op);
+  Vm vm(&host);
+  EXPECT_EQ(vm.RunUnverified(p, &image, {}, RunOptions{}).status, Status::kOk)
+      << OpName(op);
 
   // Disassemble -> reassemble -> identical code.
   DisasmOptions options;
@@ -252,21 +253,22 @@ TEST(OpSemanticsTest, BoundaryOperandsOnBothTiersAndInTheVerifierFold) {
         ASSERT_EQ(VerifyProgram(source), Status::kOk);
         Result<Program> instrumented = Instrument(source, MisfitOptions{16});
         ASSERT_TRUE(instrumented.ok());
-        Program verified = *instrumented;
-        const VerifierReport report = VerifySandbox(verified);
+        const VerifierReport report = VerifySandbox(*instrumented);
         ASSERT_TRUE(report.ok()) << report.reason;
-        verified.verified = true;
-        verified.compiled = CompileThreaded(verified);
-        ASSERT_NE(verified.compiled, nullptr);
+        const Result<VerifiedProgram> verified =
+            VerifyAndCompile(*instrumented, host, ExecTier::kTier1);
+        ASSERT_TRUE(verified.ok());
+        ASSERT_EQ(verified->tier(), ExecTier::kTier1);
 
         MemoryImage image(4096, 16);
         // Tier 0 with per-access bounds checks, Tier 0 on the verified
         // fast path, and Tier 1.
         const Vm vm(&host);
-        const RunOutcome checked = vm.Run(source, &image, {}, RunOptions{});
-        const RunOutcome fast = vm.Run(verified, &image, {}, RunOptions{});
+        const RunOutcome checked =
+            vm.RunUnverified(source, &image, {}, RunOptions{});
+        const RunOutcome fast = vm.Run(*verified, &image, {}, RunOptions{});
         const RunOutcome threaded =
-            ThreadedVm(&host).Run(verified, &image, {}, RunOptions{});
+            ThreadedVm(&host).Run(*verified, &image, {}, RunOptions{});
         ASSERT_EQ(checked.status, Status::kOk);
         ASSERT_EQ(fast.status, Status::kOk);
         ASSERT_EQ(threaded.status, Status::kOk);

@@ -83,7 +83,7 @@ TEST(KernelTest, SourcePipelineProducesRunnableGraft) {
   Result<std::shared_ptr<Graft>> graft = kernel.LoadGraftFromSource(
       "loadi r0, 1234\nhalt\n", "answer", kUser);
   ASSERT_TRUE(graft.ok());
-  EXPECT_TRUE((*graft)->program().instrumented);
+  EXPECT_TRUE((*graft)->program().program().instrumented);
 
   FunctionGraftPoint point(
       "k.point", [](std::span<const uint64_t>) -> uint64_t { return 0; },

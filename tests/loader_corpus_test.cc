@@ -1,9 +1,10 @@
 // Replays the checked-in adversarial corpus (tests/corpus/loader_reject/)
 // through the exact deserialize -> GraftLoader::Load pipeline and asserts
-// every fixture earns the Status recorded in its file. This pins each
-// loader rejection path — decode bombs, truncation, bit flips, wrong keys,
-// forged manifests, mask writes, unsandboxed accesses — byte-for-byte
-// against regression.
+// every fixture earns the Status recorded in its file — and, for every
+// fixture past the signature, that VerifyAndCompile alone earns it too.
+// This pins each loader rejection path — decode bombs, truncation, bit
+// flips, wrong keys, forged manifests, mask writes, unsandboxed accesses —
+// byte-for-byte against regression.
 //
 // The corpus is generated (and self-checked against the live pipeline) by
 // `graftfuzz --emit-corpus tests/corpus/loader_reject`; the count test
@@ -22,6 +23,7 @@
 #include "src/graft/namespace.h"
 #include "src/sfi/host.h"
 #include "src/sfi/signing.h"
+#include "src/sfi/verifier.h"
 
 namespace vino {
 namespace {
@@ -56,10 +58,13 @@ TEST(LoaderCorpusTest, CheckedInFixturesEarnTheirRecordedStatus) {
   GraftNamespace ns;
   GraftLoader loader(&ns, &host, SigningAuthority(fuzz::CorpusSigningKey()));
 
+  const SigningAuthority authority(fuzz::CorpusSigningKey());
+
   const std::vector<std::string> paths = CorpusFiles();
   ASSERT_GE(paths.size(), 50u)
       << "corpus directory " << VINO_CORPUS_DIR << " looks truncated";
 
+  size_t past_signature = 0;
   for (const std::string& path : paths) {
     Result<fuzz::CorpusFixture> fixture = fuzz::ParseCorpusFile(path);
     ASSERT_TRUE(fixture.ok()) << "unparseable fixture: " << path;
@@ -68,7 +73,20 @@ TEST(LoaderCorpusTest, CheckedInFixturesEarnTheirRecordedStatus) {
         << fixture->name << " (" << path << "): the pipeline says "
         << StatusName(got) << " but the fixture pins "
         << StatusName(fixture->expect);
+
+    // Past the signature, the loader is VerifyAndCompile: run directly on
+    // the decoded program, it must earn the same status.
+    const Result<SignedGraft> sg = DeserializeSignedGraft(fixture->bytes);
+    if (sg.ok() && authority.Verify(*sg)) {
+      ++past_signature;
+      const Status direct = VerifyAndCompile(sg->program, host).status();
+      EXPECT_EQ(direct, fixture->expect)
+          << fixture->name << " (" << path << "): VerifyAndCompile says "
+          << StatusName(direct) << " but the fixture pins "
+          << StatusName(fixture->expect);
+    }
   }
+  EXPECT_GT(past_signature, 0u);
 }
 
 TEST(LoaderCorpusTest, CheckedInSetMatchesTheBuilder) {

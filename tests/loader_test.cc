@@ -3,11 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
+
 #include "src/graft/loader.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/exec_engine.h"
 #include "src/sfi/isa.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/verifier.h"
 
 namespace vino {
 namespace {
@@ -187,20 +191,32 @@ TEST_F(LoaderTest, RejectsForgedUncheckedIndirectCall) {
             Status::kVerifyFailed);
 }
 
-TEST_F(LoaderTest, LoadedGraftsAreMarkedVerified) {
-  // The verified bit is a loader-session fact, never a container field:
-  // it exists only on programs this loader's own verifier passed.
+// The proof is a type, not a field: a raw Program cannot become a Graft or
+// a VerifiedProgram; only VerifyAndCompile (and its named escape hatch)
+// makes one.
+static_assert(!std::is_constructible_v<Graft, std::string, Program,
+                                       GraftIdentity, uint64_t>);
+static_assert(!std::is_constructible_v<VerifiedProgram, Program>);
+static_assert(!std::is_constructible_v<VerifiedProgram, const Program&>);
+static_assert(!std::is_default_constructible_v<VerifiedProgram>);
+
+TEST_F(LoaderTest, LoadedGraftsCarryTheArtifactOfTheirTierCeiling) {
+  // The loader's ceiling is MaxExecTier(): a loaded program carries the
+  // Tier-1 pre-decoded artifact unless VINO_EXEC_TIER=0 pins the process to
+  // the interpreter, in which case the loader must not compile at all.
   Result<std::shared_ptr<Graft>> graft =
       loader_.Load(MakeSigned(callable_id_), {kUser, nullptr});
   ASSERT_TRUE(graft.ok());
-  EXPECT_TRUE((*graft)->verified());
-  // Tier selection rides the same load: a verified program carries the
-  // Tier-1 pre-decoded artifact — unless VINO_EXEC_TIER=0 pins the process
-  // to the interpreter, in which case the loader must not compile at all.
-  if (MaxExecTier() >= ExecTier::kTier1) {
-    EXPECT_NE((*graft)->program().compiled, nullptr);
-  } else {
-    EXPECT_EQ((*graft)->program().compiled, nullptr);
+  const VerifiedProgram& loaded = (*graft)->program();
+  EXPECT_EQ(loaded.tier(), MaxExecTier());
+  EXPECT_EQ(loaded.compiled() != nullptr, MaxExecTier() == ExecTier::kTier1);
+  // The same program under each explicit ceiling.
+  for (const ExecTier ceiling : {ExecTier::kTier0, ExecTier::kTier1}) {
+    const Result<VerifiedProgram> verified =
+        VerifyAndCompile(loaded.program(), host_, ceiling);
+    ASSERT_TRUE(verified.ok());
+    EXPECT_EQ(verified->tier(), ceiling);
+    EXPECT_EQ(verified->compiled() != nullptr, ceiling == ExecTier::kTier1);
   }
 }
 

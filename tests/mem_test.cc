@@ -142,7 +142,7 @@ TEST_F(MemorySystemTest, AllWiredMeansNoVictim) {
 
 // Builds an eviction graft that walks the resident list and returns the
 // first page not on the hint (pinned) list — the paper's §4.2.2 graft.
-std::shared_ptr<Graft> PinningEvictionGraft() {
+std::shared_ptr<Graft> PinningEvictionGraft(const HostCallTable& host) {
   // Args: r0=victim, r1=resident addr, r2=resident count,
   //       r3=hint addr, r4=hint count.
   // for each resident page p: if p not in hints: return p. else return victim.
@@ -188,7 +188,8 @@ std::shared_ptr<Graft> PinningEvictionGraft() {
   EXPECT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p);
   EXPECT_TRUE(inst.ok());
-  return std::make_shared<Graft>("pin-evict", *inst, kUser, 4096);
+  return std::make_shared<Graft>(
+      "pin-evict", *VerifyAndCompile(*inst, host), kUser, 4096);
 }
 
 TEST_F(MemorySystemTest, EvictionGraftProtectsPinnedPages) {
@@ -196,7 +197,8 @@ TEST_F(MemorySystemTest, EvictionGraftProtectsPinnedPages) {
   for (uint64_t i = 0; i < 4; ++i) {
     ASSERT_TRUE(mem_.Touch(vas->id(), i).ok());
   }
-  ASSERT_EQ(vas->eviction_point().Replace(PinningEvictionGraft()), Status::kOk);
+  ASSERT_EQ(vas->eviction_point().Replace(PinningEvictionGraft(host_)),
+            Status::kOk);
 
   // Pin the page backing virtual index 0 (the next global victim).
   Page* important = vas->FindResident(0);
@@ -231,7 +233,8 @@ TEST_F(MemorySystemTest, GraftChoosingWiredPageIsOverruled) {
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
   ASSERT_EQ(vas->eviction_point().Replace(
-                std::make_shared<Graft>("bad-evict", *inst, kUser, 4096)),
+                std::make_shared<Graft>(
+                    "bad-evict", *VerifyAndCompile(*inst, host_), kUser, 4096)),
             Status::kOk);
 
   ASSERT_EQ(mem_.EvictOne(), Status::kOk);
@@ -257,7 +260,9 @@ TEST_F(MemorySystemTest, GraftChoosingForeignPageIsOverruled) {
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
   ASSERT_EQ(victim_vas->eviction_point().Replace(
-                std::make_shared<Graft>("malicious-evict", *inst, kUser, 4096)),
+                std::make_shared<Graft>(
+                    "malicious-evict", *VerifyAndCompile(*inst, host_),
+                    kUser, 4096)),
             Status::kOk);
 
   ASSERT_EQ(mem_.EvictOne(), Status::kOk);
@@ -311,7 +316,8 @@ TEST_F(MemorySystemTest, CaoSwapAppliedOnOverrule) {
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
   ASSERT_EQ(vas->eviction_point().Replace(
-                std::make_shared<Graft>("choose-p2", *inst, kUser, 4096)),
+                std::make_shared<Graft>(
+                    "choose-p2", *VerifyAndCompile(*inst, host_), kUser, 4096)),
             Status::kOk);
 
   ASSERT_EQ(mem_.EvictOne(), Status::kOk);

@@ -21,16 +21,16 @@ constexpr uint32_t kArenaLog2 = 16;  // 64 KiB arena.
 
 class MisfitVmTest : public ::testing::Test {
  protected:
-  MisfitVmTest() : image_(4096, kArenaLog2), vm_(&image_, &host_) {}
+  MisfitVmTest() : image_(4096, kArenaLog2), vm_(&host_) {}
 
   RunOutcome RunRaw(Program p, std::vector<uint64_t> args = {}) {
-    return vm_.Run(p, args, RunOptions{});
+    return vm_.RunUnverified(p, &image_, args, RunOptions{});
   }
 
   RunOutcome RunInstrumented(const Program& p, std::vector<uint64_t> args = {}) {
     Result<Program> inst = Instrument(p, MisfitOptions{kArenaLog2});
     EXPECT_TRUE(inst.ok());
-    return vm_.Run(*inst, args, RunOptions{});
+    return vm_.RunUnverified(*inst, &image_, args, RunOptions{});
   }
 
   HostCallTable host_;
@@ -173,10 +173,10 @@ TEST_F(MisfitVmTest, SandboxEscapeFuzz) {
 
     MemoryImage img(4096, kArenaLog2);
     // Poison-free kernel region: all zero. After the run it must still be.
-    Vm vm(&img, &host_);
+    Vm vm(&host_);
     Result<Program> inst = Instrument(*p, MisfitOptions{kArenaLog2});
     ASSERT_TRUE(inst.ok());
-    const RunOutcome out = vm.Run(*inst, {}, RunOptions{});
+    const RunOutcome out = vm.RunUnverified(*inst, &img, {}, RunOptions{});
     EXPECT_EQ(out.status, Status::kOk) << "trial " << trial;
     for (uint64_t i = 0; i < img.kernel_size(); ++i) {
       ASSERT_EQ(img.data()[i], 0) << "kernel byte " << i << " dirtied, trial "
@@ -194,7 +194,7 @@ TEST_F(MisfitVmTest, FuelExhaustionStopsInfiniteLoop) {
   ASSERT_TRUE(p.ok());
   RunOptions options;
   options.fuel = 10'000;
-  const RunOutcome out = vm_.Run(*p, {}, options);
+  const RunOutcome out = vm_.RunUnverified(*p, &image_, {}, options);
   EXPECT_EQ(out.status, Status::kSfiFuelExhausted);
   EXPECT_EQ(out.instructions, 10'000u);
 }
@@ -216,7 +216,7 @@ TEST_F(MisfitVmTest, ZeroPollIntervalPollsEveryInstruction) {
   options.abort_requested = [](void* ctx) {
     return ++*static_cast<int*>(ctx) >= 3;
   };
-  const RunOutcome out = vm_.Run(*p, {}, options);
+  const RunOutcome out = vm_.RunUnverified(*p, &image_, {}, options);
   EXPECT_EQ(out.status, Status::kTxnAborted);
   EXPECT_EQ(out.instructions, 3u);  // Clamped to every instruction.
 }
@@ -235,7 +235,7 @@ TEST_F(MisfitVmTest, AbortPollStopsExecution) {
   options.abort_requested = [](void* ctx) {
     return ++*static_cast<int*>(ctx) >= 3;
   };
-  const RunOutcome out = vm_.Run(*p, {}, options);
+  const RunOutcome out = vm_.RunUnverified(*p, &image_, {}, options);
   EXPECT_EQ(out.status, Status::kTxnAborted);
   EXPECT_EQ(out.instructions, 3u * 64u);
 }
@@ -360,7 +360,7 @@ TEST_F(MisfitVmTest, InstrumentationOverheadProportionalToMemoryOps) {
   // One sandbox op per store.
   EXPECT_EQ(inst->code.size(), p->code.size() + 50);
   const RunOutcome raw = RunRaw(*p);
-  const RunOutcome safe = vm_.Run(*inst, {}, RunOptions{});
+  const RunOutcome safe = vm_.RunUnverified(*inst, &image_, {}, RunOptions{});
   EXPECT_EQ(safe.instructions, raw.instructions + 50);
 }
 
@@ -381,7 +381,7 @@ TEST_F(MisfitVmTest, ElisionCollapsesDenseAccessRuns) {
   ASSERT_TRUE(inst.ok());
   EXPECT_EQ(inst->code.size(), p->code.size() + 1);
   const RunOutcome raw = RunRaw(*p);
-  const RunOutcome safe = vm_.Run(*inst, {}, RunOptions{});
+  const RunOutcome safe = vm_.RunUnverified(*inst, &image_, {}, RunOptions{});
   EXPECT_EQ(safe.status, Status::kOk);
   EXPECT_EQ(safe.instructions, raw.instructions + 1);
   // The stores landed where the raw program put them.

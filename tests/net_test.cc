@@ -64,7 +64,8 @@ class NetTest : public ::testing::Test {
     EXPECT_TRUE(p.ok());
     Result<Program> inst = Instrument(*p);
     EXPECT_TRUE(inst.ok());
-    auto graft = std::make_shared<Graft>("echo", *inst, kUser, 4096);
+    auto graft = std::make_shared<Graft>(
+        "echo", *VerifyAndCompile(*inst, host_), kUser, 4096);
     graft->account().SetLimit(ResourceType::kNetBandwidth, bandwidth_limit);
     return graft;
   }
@@ -85,7 +86,8 @@ class NetTest : public ::testing::Test {
     a.Halt();
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
-    auto graft = std::make_shared<Graft>("partial-send", *inst, kUser, 4096);
+    auto graft = std::make_shared<Graft>(
+        "partial-send", *VerifyAndCompile(*inst, host_), kUser, 4096);
     graft->account().SetLimit(ResourceType::kNetBandwidth, 6);
     return graft;
   }
@@ -120,7 +122,8 @@ class NetTest : public ::testing::Test {
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
     auto graft = std::make_shared<Graft>(std::string("hostile-") + call,
-                                         *inst, kUser, 4096);
+                                         *VerifyAndCompile(*inst, host_),
+                                         kUser, 4096);
     graft->account().SetLimit(ResourceType::kNetBandwidth, 1 << 20);
     return graft;
   }
@@ -214,7 +217,8 @@ TEST_F(NetTest, AbortedHandlerRetractsPartialSend) {
   a.Jmp(top);  // Covert denial of service.
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("partial", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "partial", *VerifyAndCompile(*inst, host_), kUser, 4096);
   graft->account().SetLimit(ResourceType::kNetBandwidth, 1 << 20);
 
   // On the port's own point: net.* serves only the handler its connection
@@ -243,7 +247,8 @@ TEST_F(NetTest, RecvRejectsKernelDestinations) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("deputy", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "deputy", *VerifyAndCompile(*inst, host_), kUser, 4096);
 
   EventGraftPoint* point = stack_.ListenTcp(11);
   ASSERT_EQ(point->AddHandler(graft, 1), Status::kOk);
@@ -277,7 +282,8 @@ TEST_F(NetTest, MultipleHandlersEachOwnTransaction) {
   a.Halt();
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  ASSERT_EQ(point->AddHandler(std::make_shared<Graft>("aborter", *inst, kUser, 4096), 2),
+  ASSERT_EQ(point->AddHandler(std::make_shared<Graft>(
+      "aborter", *VerifyAndCompile(*inst, host_), kUser, 4096), 2),
             Status::kOk);
 
   Result<ConnectionId> conn = stack_.DeliverConnection(13, "hi");

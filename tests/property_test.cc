@@ -86,8 +86,8 @@ TEST_P(SandboxFuzzTest, RandomProgramsNeverEscapeArena) {
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
       image.data()[i] = static_cast<uint8_t>(i * 13 + 7);
     }
-    Vm vm(&image, &host);
-    const RunOutcome out = vm.Run(*inst, {}, RunOptions{});
+    Vm vm(&host);
+    const RunOutcome out = vm.RunUnverified(*inst, &image, {}, RunOptions{});
     EXPECT_EQ(out.status, Status::kOk);
 
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
@@ -137,14 +137,14 @@ TEST_P(SandboxFuzzTest, InstrumentationPreservesInArenaSemantics) {
     Result<Program> raw = a.Finish();
     ASSERT_TRUE(raw.ok());
 
-    Vm vm(&image, &host);
-    const RunOutcome before = vm.Run(*raw, {}, RunOptions{});
+    Vm vm(&host);
+    const RunOutcome before = vm.RunUnverified(*raw, &image, {}, RunOptions{});
     ASSERT_EQ(before.status, Status::kOk);
 
     image.ZeroArena();
     Result<Program> inst = Instrument(*raw, MisfitOptions{16});
     ASSERT_TRUE(inst.ok());
-    const RunOutcome after = vm.Run(*inst, {}, RunOptions{});
+    const RunOutcome after = vm.RunUnverified(*inst, &image, {}, RunOptions{});
     ASSERT_EQ(after.status, Status::kOk);
     EXPECT_EQ(before.ret, after.ret) << "seed=" << GetParam() << " trial=" << trial;
   }
@@ -179,22 +179,22 @@ class VerifierFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(VerifierFuzzTest, AcceptedForgeriesAreConfinedWithoutRuntimeChecks) {
   // Random forged instruction streams (hand-marked "instrumented", so no
   // instrumenter discipline) probe the analysis directly: whatever the
-  // verifier accepts runs with Program::verified set — every per-access
-  // InBounds branch deleted — under fuzzed entry arguments, and a kernel
-  // canary checks that the accept set really is the confined set.
+  // verifier accepts runs as a VerifiedProgram — every per-access InBounds
+  // branch deleted — under fuzzed entry arguments, and a kernel canary
+  // checks that the accept set really is the confined set.
   Rng rng(GetParam() ^ 0x5afe);
   HostCallTable host;
   size_t accepted = 0;
   const int trials = fuzz::ItersFromEnv(150);
   for (int trial = 0; trial < trials; ++trial) {
     const Program p = fuzz::RandomForgedProgram(rng);
-    if (VerifyProgram(p) != Status::kOk || !VerifySandbox(p).ok()) {
+    const Result<VerifiedProgram> verified =
+        VerifyAndCompile(p, host, ExecTier::kTier0);
+    if (!verified.ok()) {
       continue;
     }
     ++accepted;
 
-    Program verified = p;
-    verified.verified = true;
     MemoryImage image(8192, 16);
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
       image.data()[i] = static_cast<uint8_t>(i * 29 + 3);
@@ -203,8 +203,8 @@ TEST_P(VerifierFuzzTest, AcceptedForgeriesAreConfinedWithoutRuntimeChecks) {
     for (uint64_t& arg : args) {
       arg = rng.Next();  // Includes kernel addresses and wild pointers.
     }
-    Vm vm(&image, &host);
-    const RunOutcome out = vm.Run(verified, args, RunOptions{});
+    Vm vm(&host);
+    const RunOutcome out = vm.Run(*verified, &image, args, RunOptions{});
     EXPECT_EQ(out.status, Status::kOk)
         << "seed=" << GetParam() << " trial=" << trial;
     for (uint64_t i = 0; i < image.kernel_size(); ++i) {
@@ -235,10 +235,10 @@ TEST_P(VerifierFuzzTest, InstrumenterOutputVerifiesAndFastPathAgrees) {
     const Program raw = fuzz::RandomProgram(rng, fuzz::GenOptions{.length = 30});
     Result<Program> inst = Instrument(raw, MisfitOptions{16});
     ASSERT_TRUE(inst.ok());
-    const VerifierReport report = VerifySandbox(*inst);
-    EXPECT_TRUE(report.ok()) << report.reason << " at pc " << report.fail_pc
-                             << " (seed=" << GetParam() << " trial=" << trial
-                             << ")";
+    const Result<VerifiedProgram> verified =
+        VerifyAndCompile(*inst, host, ExecTier::kTier0);
+    EXPECT_TRUE(verified.ok()) << StatusName(verified.status()) << " (seed="
+                               << GetParam() << " trial=" << trial << ")";
     if (DumpOnFailure("verifier-complete", GetParam(), trial, *inst,
                       "real instrumenter output rejected by the verifier")) {
       return;
@@ -252,10 +252,9 @@ TEST_P(VerifierFuzzTest, InstrumenterOutputVerifiesAndFastPathAgrees) {
     MemoryImage verified_img(8192, 16);
     Vm vm(&host);
     const RunOutcome checked =
-        vm.Run(*inst, &checked_img, args, RunOptions{});
-    Program verified = *inst;
-    verified.verified = true;
-    const RunOutcome fast = vm.Run(verified, &verified_img, args, RunOptions{});
+        vm.RunUnverified(*inst, &checked_img, args, RunOptions{});
+    const RunOutcome fast =
+        vm.Run(*verified, &verified_img, args, RunOptions{});
     EXPECT_EQ(fast.status, checked.status);
     EXPECT_EQ(fast.ret, checked.ret);
     EXPECT_EQ(fast.instructions, checked.instructions);
@@ -325,16 +324,15 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
                               .hostile_call_chance = 0.1});
     Result<Program> inst = Instrument(raw, MisfitOptions{16});
     ASSERT_TRUE(inst.ok());
-    ASSERT_TRUE(VerifySandbox(*inst).ok());
-
-    Program tier1 = *inst;
-    tier1.verified = true;
-    tier1.compiled = CompileThreaded(tier1);
-    ASSERT_NE(tier1.compiled, nullptr)
+    const Result<VerifiedProgram> tier1 =
+        VerifyAndCompile(*inst, host0.table, ExecTier::kTier1);
+    ASSERT_TRUE(tier1.ok());
+    ASSERT_EQ(tier1->tier(), ExecTier::kTier1)
         << "seed=" << GetParam() << " trial=" << trial;
     ++compiled_count;
-    Program tier0 = tier1;
-    tier0.compiled = nullptr;
+    const Result<VerifiedProgram> tier0 =
+        VerifyAndCompile(*inst, host0.table, ExecTier::kTier0);
+    ASSERT_TRUE(tier0.ok());
 
     uint64_t args[kMaxArgs];
     for (uint64_t& arg : args) {
@@ -354,12 +352,12 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
     host0.calls.clear();
     options.final_regs = regs0;
     const RunOutcome out0 =
-        Vm(&host0.table).Run(tier0, &image0, args, options);
+        Vm(&host0.table).Run(*tier0, &image0, args, options);
 
     host1.calls.clear();
     options.final_regs = regs1;
     const RunOutcome out1 =
-        ThreadedVm(&host1.table).Run(tier1, &image1, args, options);
+        ThreadedVm(&host1.table).Run(*tier1, &image1, args, options);
 
     EXPECT_EQ(out1.status, out0.status)
         << "seed=" << GetParam() << " trial=" << trial;
@@ -383,7 +381,7 @@ TEST_P(TierFuzzTest, TiersAgreeOnRegistersMemoryHostCallsAndAborts) {
         std::memcmp(image0.data(), image1.data(), image0.total_size()), 0)
         << "memory images diverged (seed=" << GetParam() << " trial=" << trial
         << ")";
-    if (DumpOnFailure("tier-fuzz", GetParam(), trial, tier1,
+    if (DumpOnFailure("tier-fuzz", GetParam(), trial, *inst,
                       "Tier-0 and Tier-1 diverged on this program")) {
       return;
     }
@@ -550,7 +548,9 @@ TEST_P(EvictionFuzzTest, RandomGraftAnswersNeverEvictWiredOrForeignPages) {
     ASSERT_TRUE(inst.ok());
     a->eviction_point().Remove();
     ASSERT_EQ(a->eviction_point().Replace(
-                  std::make_shared<Graft>("rand-evict", *inst, kUser, 4096)),
+                  std::make_shared<Graft>(
+                      "rand-evict", *VerifyAndCompile(*inst, host),
+                      kUser, 4096)),
               Status::kOk);
 
     const size_t b_resident_before = b->resident_count();

@@ -69,7 +69,7 @@ TEST(MemoryImageTest, InArenaRejectsOverflowingRanges) {
 
 class VmEdgeTest : public ::testing::Test {
  protected:
-  VmEdgeTest() : image_(4096, 16), vm_(&image_, &host_) {}
+  VmEdgeTest() : image_(4096, 16), vm_(&host_) {}
   HostCallTable host_;
   MemoryImage image_;
   Vm vm_;
@@ -77,7 +77,7 @@ class VmEdgeTest : public ::testing::Test {
 
 TEST_F(VmEdgeTest, EmptyProgramRejected) {
   Program p;
-  EXPECT_EQ(vm_.Run(p, {}, RunOptions{}).status, Status::kBadGraft);
+  EXPECT_EQ(vm_.RunUnverified(p, &image_, {}, RunOptions{}).status, Status::kBadGraft);
 }
 
 TEST_F(VmEdgeTest, FallingOffTheEndTrapsNotCrashes) {
@@ -86,30 +86,30 @@ TEST_F(VmEdgeTest, FallingOffTheEndTrapsNotCrashes) {
   Program p;
   p.name = "fall";
   p.code.push_back(Instruction{Op::kNop, 0, 0, 0, 0});
-  EXPECT_EQ(vm_.Run(p, {}, RunOptions{}).status, Status::kBadGraft);
+  EXPECT_EQ(vm_.RunUnverified(p, &image_, {}, RunOptions{}).status, Status::kBadGraft);
 }
 
 TEST_F(VmEdgeTest, DivisionByZeroYieldsZero) {
   Asm a("div0");
   a.LoadImm(R1, 42).LoadImm(R2, 0).DivU(R0, R1, R2).Halt();
-  EXPECT_EQ(vm_.Run(*a.Finish(), {}, RunOptions{}).ret, 0u);
+  EXPECT_EQ(vm_.RunUnverified(*a.Finish(), &image_, {}, RunOptions{}).ret, 0u);
   Asm b("rem0");
   b.LoadImm(R1, 42).LoadImm(R2, 0).RemU(R0, R1, R2).Halt();
-  EXPECT_EQ(vm_.Run(*b.Finish(), {}, RunOptions{}).ret, 0u);
+  EXPECT_EQ(vm_.RunUnverified(*b.Finish(), &image_, {}, RunOptions{}).ret, 0u);
 }
 
 TEST_F(VmEdgeTest, ExtraArgumentsBeyondSixIgnored) {
   Asm a("argsum");
   a.Add(R0, R0, R5).Halt();
   const std::vector<uint64_t> args{1, 0, 0, 0, 0, 6, 999, 999};
-  const RunOutcome out = vm_.Run(*a.Finish(), args, RunOptions{});
+  const RunOutcome out = vm_.RunUnverified(*a.Finish(), &image_, args, RunOptions{});
   EXPECT_EQ(out.ret, 7u);  // r0=1 + r5=6; args 7 and 8 dropped.
 }
 
 TEST_F(VmEdgeTest, ShiftAmountsMasked) {
   Asm a("shifts");
   a.LoadImm(R1, 1).LoadImm(R2, 64).Shl(R0, R1, R2).Halt();  // 64 & 63 == 0.
-  EXPECT_EQ(vm_.Run(*a.Finish(), {}, RunOptions{}).ret, 1u);
+  EXPECT_EQ(vm_.RunUnverified(*a.Finish(), &image_, {}, RunOptions{}).ret, 1u);
 }
 
 TEST_F(VmEdgeTest, SignedBranchesUseSignedComparison) {
@@ -120,7 +120,7 @@ TEST_F(VmEdgeTest, SignedBranchesUseSignedComparison) {
   a.LoadImm(R0, 0).Halt();
   a.Bind(less);
   a.LoadImm(R0, 1).Halt();
-  EXPECT_EQ(vm_.Run(*a.Finish(), {}, RunOptions{}).ret, 1u);
+  EXPECT_EQ(vm_.RunUnverified(*a.Finish(), &image_, {}, RunOptions{}).ret, 1u);
 
   // Unsigned comparison sees -5 as huge.
   Asm b("unsigned");
@@ -130,7 +130,7 @@ TEST_F(VmEdgeTest, SignedBranchesUseSignedComparison) {
   b.LoadImm(R0, 0).Halt();
   b.Bind(less_u);
   b.LoadImm(R0, 1).Halt();
-  EXPECT_EQ(vm_.Run(*b.Finish(), {}, RunOptions{}).ret, 0u);
+  EXPECT_EQ(vm_.RunUnverified(*b.Finish(), &image_, {}, RunOptions{}).ret, 0u);
 }
 
 TEST_F(VmEdgeTest, RawEscapeHatchStillVerified) {
@@ -143,7 +143,8 @@ TEST_F(VmEdgeTest, RawEscapeHatchStillVerified) {
 TEST_F(VmEdgeTest, CallToUnregisteredIdTraps) {
   Asm a("wildcall");
   a.Call(777).Halt();
-  EXPECT_EQ(vm_.Run(*a.Finish(), {}, RunOptions{}).status, Status::kSfiTrap);
+  EXPECT_EQ(vm_.RunUnverified(*a.Finish(), &image_, {}, RunOptions{}).status,
+            Status::kSfiTrap);
 }
 
 // --- File system: multi-block reads ---------------------------------------

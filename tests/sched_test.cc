@@ -24,7 +24,8 @@ class SchedTest : public ::testing::Test {
     a.LoadImm(R0, static_cast<int64_t>(target)).Halt();
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>("delegate", *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        "delegate", *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   ManualClock clock_;
@@ -122,7 +123,8 @@ TEST_F(SchedTest, MisbehavingDelegateRemovedAndDefaultUsed) {
   spin.Jmp(top);
   Result<Program> inst = Instrument(*spin.Finish());
   ASSERT_TRUE(inst.ok());
-  auto graft = std::make_shared<Graft>("spin", *inst, kUser, 4096);
+  auto graft = std::make_shared<Graft>(
+      "spin", *VerifyAndCompile(*inst, host_), kUser, 4096);
   // Tight fuel so the test is fast.
   // (Config is part of the point; rebuild via Replace on a point with the
   // default fuel is fine — the default 10M instructions still terminates,

@@ -51,7 +51,8 @@ class StreamTest : public ::testing::Test {
     a.Halt();
     Result<Program> inst = Instrument(*a.Finish());
     EXPECT_TRUE(inst.ok());
-    return std::make_shared<Graft>("xor-stream", *inst, kUser, 4096);
+    return std::make_shared<Graft>(
+        "xor-stream", *VerifyAndCompile(*inst, host_), kUser, 4096);
   }
 
   ManualClock clock_;
@@ -156,7 +157,8 @@ TEST_F(StreamTest, AbortingStreamGraftDegradesToIdentityNotGarbage) {
   a.Jmp(spin);  // ...then hang.
   Result<Program> inst = Instrument(*a.Finish());
   ASSERT_TRUE(inst.ok());
-  auto torn = std::make_shared<Graft>("torn", *inst, kUser, 4096);
+  auto torn = std::make_shared<Graft>(
+      "torn", *VerifyAndCompile(*inst, host_), kUser, 4096);
   ASSERT_EQ(open_->stream_point().Replace(torn), Status::kOk);
 
   std::vector<uint8_t> readback(data.size());

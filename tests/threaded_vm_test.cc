@@ -1,6 +1,6 @@
 // The Tier-1 direct-threaded engine (src/sfi/threaded_vm.h):
-//  * CompileThreaded's eligibility gate (instrumented + verified only) and
-//    the fallback ladder (no artifact -> Tier 0, never an error);
+//  * the artifact VerifyAndCompile builds under each tier ceiling, and the
+//    fallback ladder (no artifact -> Tier 0, never an error);
 //  * observable-for-observable parity with the Tier-0 interpreter across
 //    ALU, memory, control flow, host calls, Rule-7 aborts, fuel
 //    exhaustion, and the abort-poll cadence (including the poll_interval
@@ -29,30 +29,27 @@
 namespace vino {
 namespace {
 
-// Instrument + verify + compile: the same pipeline the loader runs, so the
-// program under test is a faithful Tier-1 citizen.
-Program MakeTier1(const Program& raw, const HostCallTable* host = nullptr) {
+// Instrument + VerifyAndCompile up to `ceiling`: the same pipeline the
+// loader runs, so the program under test is a faithful citizen of its tier.
+VerifiedProgram MakeVerified(const Program& raw, const HostCallTable& host,
+                             ExecTier ceiling = ExecTier::kTier1) {
   Result<Program> inst = Instrument(raw, MisfitOptions{16});
   EXPECT_TRUE(inst.ok());
-  VerifierOptions voptions;
-  voptions.host = host;
-  const VerifierReport report = VerifySandbox(*inst, voptions);
-  EXPECT_TRUE(report.ok()) << report.reason << " at pc " << report.fail_pc;
-  Program p = *inst;
-  p.verified = true;
-  p.compiled = CompileThreaded(p);
-  EXPECT_NE(p.compiled, nullptr);
-  return p;
+  Result<VerifiedProgram> p = VerifyAndCompile(*inst, host, ceiling);
+  EXPECT_TRUE(p.ok()) << StatusName(p.status());
+  EXPECT_EQ(p->tier(), ceiling);
+  return *p;
 }
 
 // Runs the same program+args on both tiers against identical fresh images
 // and asserts every observable agrees. Returns the Tier-1 outcome.
-RunOutcome AssertTierParity(const Program& tier1_program,
+RunOutcome AssertTierParity(const VerifiedProgram& tier1_program,
                             std::span<const uint64_t> args,
                             const RunOptions& base_options,
                             const HostCallTable* host) {
-  Program tier0_program = tier1_program;
-  tier0_program.compiled = nullptr;
+  const Result<VerifiedProgram> tier0_program =
+      VerifyAndCompile(tier1_program.program(), *host, ExecTier::kTier0);
+  EXPECT_TRUE(tier0_program.ok());
 
   MemoryImage image0(8192, 16);
   MemoryImage image1(8192, 16);
@@ -66,7 +63,7 @@ RunOutcome AssertTierParity(const Program& tier1_program,
 
   const Vm vm(host);
   const ThreadedVm tvm(host);
-  const RunOutcome out0 = vm.Run(tier0_program, &image0, args, options0);
+  const RunOutcome out0 = vm.Run(*tier0_program, &image0, args, options0);
   const RunOutcome out1 = tvm.Run(tier1_program, &image1, args, options1);
 
   EXPECT_EQ(out1.status, out0.status);
@@ -82,48 +79,52 @@ RunOutcome AssertTierParity(const Program& tier1_program,
   return out1;
 }
 
-TEST(CompileThreadedTest, RequiresInstrumentedAndVerified) {
+TEST(CompileThreadedTest, ArtifactFollowsTheTierCeiling) {
+  HostCallTable host;
   Asm a("gate");
   a.LoadImm(R0, 7).Halt();
   Result<Program> raw = a.Finish();
   ASSERT_TRUE(raw.ok());
 
-  // Uninstrumented: no Tier-1 form.
-  EXPECT_EQ(CompileThreaded(*raw), nullptr);
+  // Uninstrumented: no VerifiedProgram at all, so no Tier-1 form.
+  EXPECT_EQ(VerifyAndCompile(*raw, host, ExecTier::kTier1).status(),
+            Status::kNotInstrumented);
 
-  // Instrumented but unverified: still no Tier-1 form — the dropped checks
-  // are exactly what the proof covers.
+  // Verified under a Tier-0 ceiling: no artifact.
   Result<Program> inst = Instrument(*raw, MisfitOptions{16});
   ASSERT_TRUE(inst.ok());
-  EXPECT_EQ(CompileThreaded(*inst), nullptr);
+  const Result<VerifiedProgram> tier0 =
+      VerifyAndCompile(*inst, host, ExecTier::kTier0);
+  ASSERT_TRUE(tier0.ok());
+  EXPECT_EQ(tier0->compiled(), nullptr);
+  EXPECT_EQ(tier0->tier(), ExecTier::kTier0);
 
-  // Verified: compiles, one op per instruction.
-  Program verified = *inst;
-  ASSERT_TRUE(VerifySandbox(verified).ok());
-  verified.verified = true;
-  const auto compiled = CompileThreaded(verified);
-  ASSERT_NE(compiled, nullptr);
-  EXPECT_EQ(compiled->ops.size(), verified.code.size());
+  // Verified under a Tier-1 ceiling: compiled, one op per instruction.
+  const Result<VerifiedProgram> tier1 =
+      VerifyAndCompile(*inst, host, ExecTier::kTier1);
+  ASSERT_TRUE(tier1.ok());
+  ASSERT_NE(tier1->compiled(), nullptr);
+  EXPECT_EQ(tier1->compiled()->ops.size(), inst->code.size());
+  EXPECT_EQ(tier1->tier(), ExecTier::kTier1);
 }
 
-TEST(CompileThreadedTest, EmptyProgramDoesNotCompile) {
+TEST(CompileThreadedTest, EmptyProgramGetsNoArtifactUnderEitherCeiling) {
+  HostCallTable host;
   Program p;
   p.instrumented = true;
-  p.verified = true;
-  EXPECT_EQ(CompileThreaded(p), nullptr);
+  p.sandbox_log2 = 16;
+  for (const ExecTier ceiling : {ExecTier::kTier0, ExecTier::kTier1}) {
+    EXPECT_EQ(VerifyAndCompile(p, host, ceiling).status(), Status::kBadGraft);
+  }
 }
 
 TEST(ThreadedVmTest, FallsBackToTier0WithoutArtifact) {
+  HostCallTable host;
   Asm a("fallback");
   a.LoadImm(R0, 41).AddI(R0, R0, 1).Halt();
-  Result<Program> inst = Instrument(*a.Finish(), MisfitOptions{16});
-  ASSERT_TRUE(inst.ok());
-  Program p = *inst;
-  ASSERT_TRUE(VerifySandbox(p).ok());
-  p.verified = true;
-  // Deliberately no CompileThreaded: the engine must run it anyway, on the
+  // A Tier-0 ceiling: no artifact. The engine must run it anyway, on the
   // interpreter, and say so in the outcome.
-  HostCallTable host;
+  const VerifiedProgram p = MakeVerified(*a.Finish(), host, ExecTier::kTier0);
   MemoryImage image(8192, 16);
   const ThreadedVm tvm(&host);
   const RunOutcome out = tvm.Run(p, &image, {}, RunOptions{});
@@ -149,7 +150,7 @@ TEST(ThreadedVmTest, AluAndMemoryParity) {
     a.Xor(R0, R0, R6);
   }
   a.Halt();
-  const Program p = MakeTier1(*a.Finish(), &host);
+  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
   const uint64_t args[2] = {11, 22};
   const RunOutcome out = AssertTierParity(p, args, RunOptions{}, &host);
   EXPECT_EQ(out.status, Status::kOk);
@@ -172,8 +173,8 @@ TEST(ThreadedVmTest, ControlFlowAndDivByZeroParity) {
   a.Jmp(top);
   a.Bind(out_label);
   a.Halt();
-  const RunOutcome out =
-      AssertTierParity(MakeTier1(*a.Finish(), &host), {}, RunOptions{}, &host);
+  const RunOutcome out = AssertTierParity(MakeVerified(*a.Finish(), host), {},
+                                          RunOptions{}, &host);
   EXPECT_EQ(out.status, Status::kOk);
 }
 
@@ -215,18 +216,10 @@ TEST(ThreadedVmTest, HostCallSequenceAndRule7Parity) {
   a.LoadImm(R1, rec0.hostile_id);
   a.CallR(R1);  // kSfiBadCall on both tiers.
   a.Halt();
-  Result<Program> inst = Instrument(*a.Finish(), MisfitOptions{16});
-  ASSERT_TRUE(inst.ok());
-  Program p = *inst;
-  VerifierOptions voptions;
-  voptions.host = &rec0.host;
-  ASSERT_TRUE(VerifySandbox(p, voptions).ok());
-  p.verified = true;
-  p.compiled = CompileThreaded(p);
-  ASSERT_NE(p.compiled, nullptr);
-
-  Program tier0 = p;
-  tier0.compiled = nullptr;
+  const Result<Program> raw = a.Finish();
+  ASSERT_TRUE(raw.ok());
+  const VerifiedProgram p = MakeVerified(*raw, rec0.host);
+  const VerifiedProgram tier0 = MakeVerified(*raw, rec0.host, ExecTier::kTier0);
   MemoryImage image0(8192, 16);
   MemoryImage image1(8192, 16);
   const RunOutcome out0 = Vm(&rec0.host).Run(tier0, &image0, {}, RunOptions{});
@@ -259,18 +252,10 @@ TEST(ThreadedVmTest, HostCallErrorStatusParity) {
   a.LoadImm(R1, id);
   a.CallR(R1);
   a.Halt();
-  Result<Program> inst = Instrument(*a.Finish(), MisfitOptions{16});
-  ASSERT_TRUE(inst.ok());
-  Program p = *inst;
-  VerifierOptions voptions;
-  voptions.host = &host0;
-  ASSERT_TRUE(VerifySandbox(p, voptions).ok());
-  p.verified = true;
-  p.compiled = CompileThreaded(p);
-  ASSERT_NE(p.compiled, nullptr);
-
-  Program tier0 = p;
-  tier0.compiled = nullptr;
+  const Result<Program> raw = a.Finish();
+  ASSERT_TRUE(raw.ok());
+  const VerifiedProgram p = MakeVerified(*raw, host0);
+  const VerifiedProgram tier0 = MakeVerified(*raw, host0, ExecTier::kTier0);
   MemoryImage image0(8192, 16);
   MemoryImage image1(8192, 16);
   const RunOutcome out0 = Vm(&host0).Run(tier0, &image0, {}, RunOptions{});
@@ -288,7 +273,7 @@ TEST(ThreadedVmTest, FuelExhaustionParity) {
   a.Bind(top);
   a.Add(R2, R2, R1);
   a.Jmp(top);
-  const Program p = MakeTier1(*a.Finish(), &host);
+  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
 
   for (const uint64_t fuel : {0ull, 1ull, 2ull, 97ull, 1000ull}) {
     RunOptions options;
@@ -319,9 +304,10 @@ TEST(ThreadedVmTest, AbortPollCadenceParity) {
   a.Bind(top);
   a.Add(R2, R2, R1);
   a.Jmp(top);
-  const Program p = MakeTier1(*a.Finish(), &host);
-  Program tier0 = p;
-  tier0.compiled = nullptr;
+  const Result<Program> raw = a.Finish();
+  ASSERT_TRUE(raw.ok());
+  const VerifiedProgram p = MakeVerified(*raw, host);
+  const VerifiedProgram tier0 = MakeVerified(*raw, host, ExecTier::kTier0);
 
   for (const uint32_t interval : {1u, 7u, 64u}) {
     PollCounter c0;
@@ -356,7 +342,7 @@ TEST(ThreadedVmTest, PollIntervalZeroClampsToEveryInstruction) {
   a.Bind(top);
   a.Add(R2, R2, R1);
   a.Jmp(top);
-  const Program p = MakeTier1(*a.Finish(), &host);
+  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
 
   PollCounter counter;
   counter.trip_after = 3;
@@ -387,7 +373,7 @@ TEST(ThreadedVmTest, ConcurrentRunsShareOneCompiledArtifact) {
   a.St64(R3, R2, 128);
   a.Ld64(R4, R3, 128);
   a.Jmp(top);
-  const Program p = MakeTier1(*a.Finish(), &host);
+  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
 
   std::atomic<bool> stop{false};
   auto predicate = [](void* ctx) {

@@ -457,17 +457,16 @@ TEST_F(VerifierTest, VerifiedFastPathMatchesCheckedSemantics) {
   ASSERT_TRUE(p.ok());
   Result<Program> inst = Instrument(*p, MisfitOptions{kArenaLog2});
   ASSERT_TRUE(inst.ok());
-  ASSERT_TRUE(Verify(*inst).ok());
+  const Result<VerifiedProgram> verified =
+      VerifyAndCompile(*inst, host_, ExecTier::kTier0);
+  ASSERT_TRUE(verified.ok());
 
   MemoryImage checked_img(4096, kArenaLog2);
   MemoryImage verified_img(4096, kArenaLog2);
   Vm vm(&host_);
   const RunOutcome checked =
-      vm.Run(*inst, &checked_img, {}, RunOptions{});
-
-  Program verified = *inst;
-  verified.verified = true;
-  const RunOutcome fast = vm.Run(verified, &verified_img, {}, RunOptions{});
+      vm.RunUnverified(*inst, &checked_img, {}, RunOptions{});
+  const RunOutcome fast = vm.Run(*verified, &verified_img, {}, RunOptions{});
 
   EXPECT_EQ(checked.status, Status::kOk);
   EXPECT_EQ(fast.status, Status::kOk);

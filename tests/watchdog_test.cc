@@ -304,9 +304,10 @@ TEST(WatchdogTest, WallBudgetAbortsSpinningVmGraft) {
   Program spin;
   spin.name = "spin";
   spin.code.push_back(Instruction{Op::kJmp, 0, 0, 0, 0});
-  spin.instrumented = true;  // Hand-built; fine for a direct Replace.
+  spin.instrumented = true;  // Hand-built; the verifier still proves it.
   spin.sandbox_log2 = 16;
-  ASSERT_EQ(point.Replace(std::make_shared<Graft>("spin", spin, kRoot, 4096)),
+  ASSERT_EQ(point.Replace(std::make_shared<Graft>(
+      "spin", *VerifyAndCompile(spin, host), kRoot, 4096)),
             Status::kOk);
 
   const auto start = std::chrono::steady_clock::now();

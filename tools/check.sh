@@ -7,7 +7,8 @@
 #   2. offline verifier audit: vverify (the same VerifySandbox analysis the
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
-#      refuses at load time — must contain every attack,
+#      refuses at load time — must contain every attack; and a grep finds
+#      no hand-set proof or artifact and no stray AssumeVerified caller,
 #   3. flaky-dispatch guard: robustness_test, net_test, trace_test,
 #      serve_survival_test, watchdog_test and drift_test repeated 20x
 #      until-fail (the mixed sync/async event case was an 18/20 flake
@@ -52,9 +53,9 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR25 (wrapper, wrapper with the flight recorder on,
-#            lockmgr), BENCH_PR20 (sfi), BENCH_PR23 (txn), BENCH_PR22
-#            (ledger) and BENCH_PR19 (net) json snapshots (warn-only:
+#            BENCH_PR26 (wrapper, wrapper with the flight recorder on),
+#            BENCH_PR25 (lockmgr), BENCH_PR20 (sfi), BENCH_PR23 (txn),
+#            BENCH_PR22 (ledger) and BENCH_PR19 (net) json snapshots (warn-only:
 #            shared CI boxes are too noisy for a hard perf gate; read the
 #            table — unless VINO_QUIET_RUNNER=1 marks the box as quiet
 #            enough to make a regression a hard failure).
@@ -103,6 +104,18 @@ fi
 grep -q 'Forged toolchain' "$AUDIT_DIR/zoo.out" || {
   echo "zoo output missing the forged-toolchain section" >&2; exit 1; }
 echo "verifier audit: ok (offline vverify and in-kernel loader agree)"
+# The type system refuses a Graft or an engine run built from a raw Program;
+# this refuses a proof or artifact set by hand, and the escape hatch outside
+# its two callers.
+CXX_SOURCES=(src tests bench tools --include='*.h' --include='*.cc')
+HATCH_OK='^(src/fuzz/fuzz_harness\.cc|bench/bench_kernel\.h|src/sfi/verifier\.(h|cc)):'
+if grep -rnE 'verified\s*=\s*true|(\.|->)compiled\s*=([^=]|$)' \
+    "${CXX_SOURCES[@]}" ||
+   grep -rn 'AssumeVerified(' "${CXX_SOURCES[@]}" | grep -vE "$HATCH_OK"; then
+  echo "a hand-set proof or artifact, or AssumeVerified misused (above)" >&2
+  exit 1
+fi
+echo "proof boundary: ok (only VerifyAndCompile and its two hatches)"
 
 echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival/watchdog/drift tests x20 =="
 ctest --test-dir build \
@@ -169,13 +182,14 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  # The watchdog as a tick count (BENCH_PR25.json holds the change and, as
-  # bench_wrapper_parent, the parent, pinned and alternated on one box).
-  echo "== [bench] wrapper micro vs BENCH_PR25.json ($GATE_LABEL) =="
+  # Every program row on the tier the loader picks, the poll sweep on both
+  # tiers (BENCH_PR26.json holds the change and, as bench_wrapper_parent,
+  # the parent, pinned and alternated on one box).
+  echo "== [bench] wrapper micro vs BENCH_PR26.json ($GATE_LABEL) =="
   build/bench/bench_wrapper --json="build/bench_wrapper.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR25.json#bench_wrapper" "build/bench_wrapper.smoke.json"
+    "BENCH_PR26.json#bench_wrapper" "build/bench_wrapper.smoke.json"
   # BENCH_PR20.json holds the sfi micros measured on the box that measured
   # the lock manager, so a delta here is code, not a different box.
   echo "== [bench] sfi micro vs BENCH_PR20.json ($GATE_LABEL) =="
@@ -191,14 +205,14 @@ if [[ "$BENCH" == "1" ]]; then
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
     "BENCH_PR23.json#bench_txn" "build/bench_txn.smoke.json"
   # The same wrapper with the flight recorder on: one record and three
-  # clock reads per traced invocation (BENCH_PR25.json holds the change and,
+  # clock reads per traced invocation (BENCH_PR26.json holds the change and,
   # as bench_wrapper_traced_parent, the parent on the same box).
-  echo "== [bench] traced wrapper micro vs BENCH_PR25.json ($GATE_LABEL) =="
+  echo "== [bench] traced wrapper micro vs BENCH_PR26.json ($GATE_LABEL) =="
   VINO_TRACE=1 build/bench/bench_wrapper \
     --json="build/bench_wrapper_traced.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR25.json#bench_wrapper_traced" \
+    "BENCH_PR26.json#bench_wrapper_traced" \
     "build/bench_wrapper_traced.smoke.json"
   # The lock table, one cache line per shard, every row priced on glibc's
   # multi-threaded mutex path (BENCH_PR25.json holds the change and, as

@@ -89,7 +89,6 @@
 #include "src/graft/invocation.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
-#include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 #include "src/txn/accessor.h"
 #include "src/txn/txn_lock.h"
@@ -629,16 +628,13 @@ std::shared_ptr<Graft> TieredWorker() {
   a.Bne(vino::R1, vino::R3, top);
   a.Mov(vino::R0, vino::R2);
   a.Halt();
-  auto inst = vino::Instrument(*a.Finish(), vino::MisfitOptions{16});
-  vino::Program program = *inst;
-  if (!vino::VerifySandbox(program).ok()) {
+  static const vino::HostCallTable kNoCalls;
+  const auto verified = vino::VerifyAndCompile(
+      *vino::Instrument(*a.Finish(), vino::MisfitOptions{16}), kNoCalls);
+  if (!verified.ok()) {
     return nullptr;
   }
-  program.verified = true;
-  if (vino::MaxExecTier() >= vino::ExecTier::kTier1) {
-    program.compiled = vino::CompileThreaded(program);
-  }
-  return std::make_shared<Graft>("tiered-worker", std::move(program),
+  return std::make_shared<Graft>("tiered-worker", *verified,
                                  GraftIdentity{1000, false}, 4096);
 }
 
