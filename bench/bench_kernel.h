@@ -115,16 +115,20 @@ class BenchKernel {
   }
 
   // Called after a row is timed: a graft that aborts is removed and `point`
-  // falls back to its default, which the row would then have timed. So a
-  // row's graft must still be installed with no aborts, except the abort
-  // row's, which must have aborted on every invocation.
+  // falls back to its default, which the row would then have timed, and a
+  // graft whose answer fails the point's validator has the default run
+  // after it. So a row's graft must still be installed with no aborts and
+  // its point must have counted no bad result, except the abort row's
+  // graft, which must have aborted on every invocation. Rows are checked
+  // as each finishes, so the first row to count a bad result fails.
   static void RequireTimedAsLabelled(const FunctionGraftPoint& point,
                                      const Graft& graft, bool abort_row,
                                      const char* label) {
     Require(abort_row ? graft.invocations() > 0 &&
                             graft.aborts() == graft.invocations()
                       : point.current_graft().get() == &graft &&
-                            graft.aborts() == 0,
+                            graft.aborts() == 0 &&
+                            point.stats().bad_results == 0,
             label);
   }
 

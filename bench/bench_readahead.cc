@@ -90,8 +90,10 @@ int Main() {
   EmitReadaheadGraft(abort_asm, kernel, /*abort_at_end=*/true);
   auto abort_graft = kernel.LoadProgram(abort_asm);
 
+  // Returns 0, no extents: an answer the validator accepts, so the row
+  // times the graft and not the default after it.
   Asm null_asm("null");
-  null_asm.Halt();
+  null_asm.LoadImm(R0, 0).Halt();
   auto null_graft = kernel.LoadProgram(null_asm);
 
   TxnLock& lock = kernel.shared_lock();

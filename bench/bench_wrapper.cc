@@ -8,6 +8,7 @@
 //   * the result validator,
 //   * the watchdog arm/disarm, on one thread and on two sharing a kernel,
 //   * the VM entry/exit for a minimal program,
+//   * a spinner run to its fuel budget and ejected, on each tier,
 //   * poll_interval sensitivity (abort-latency vs throughput knob).
 // Every program graft is built through VerifyAndCompile, so it runs on the
 // tier the loader picks unless the row pins one.
@@ -188,6 +189,38 @@ void BM_WrapperVmAbort(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_WrapperVmAbort);
+
+// A hostile tenant's spinner: `forever: jmp forever` on a point with a
+// 20,000-instruction fuel budget and no wall budget, so every invocation
+// runs the budget dry and ejects the graft. Times the reinstall plus the
+// ejecting Invoke on each tier; ns/ins spreads that over the budget, so
+// it is the engine's cost per dispatched jump plus the abort's share.
+void BM_WrapperVmSpinToFuel(benchmark::State& state) {
+  constexpr uint64_t kSpinFuel = 20'000;
+  Fixture f;
+  FunctionGraftPoint::Config config;
+  config.fuel = kSpinFuel;
+  FunctionGraftPoint point(
+      "p", [](std::span<const uint64_t>) -> uint64_t { return 0; }, config,
+      &f.txn, &f.host, nullptr);
+  Asm a("spinner");
+  auto forever = a.NewLabel();
+  a.Bind(forever);
+  a.Jmp(forever);
+  auto graft = ProgramGraft(a, f.host, static_cast<ExecTier>(state.range(0)));
+  if (graft == nullptr) {
+    state.SkipWithError("bench graft failed to build");
+    return;
+  }
+  for (auto _ : state) {
+    (void)point.Replace(graft);
+    benchmark::DoNotOptimize(point.Invoke({}));
+  }
+  state.counters["ns/ins"] = benchmark::Counter(
+      static_cast<double>(state.iterations()) * kSpinFuel,
+      benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_WrapperVmSpinToFuel)->ArgName("tier")->Arg(0)->Arg(1);
 
 // Execution-tier ablation through the full wrapper: the same small
 // (~24-op) compute+memory graft as interpreted Tier 0, direct-threaded

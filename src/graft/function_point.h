@@ -132,7 +132,10 @@ class FunctionGraftPoint {
   // invocation.h.
   GraftExecContext exec_;
 
-  std::atomic<std::shared_ptr<Graft>> graft_;
+  // 16-aligned so its pointer and the lock word every Invoke's load sets
+  // and clears share one cache line of this 64-aligned point (unaligned,
+  // it would sit at offset 248 and straddle two).
+  alignas(16) std::atomic<std::shared_ptr<Graft>> graft_;
 
   // Hot-path statistics: cache-line-padded shards so concurrent invokers on
   // different threads never contend on a stats line (see sharded_counter.h).

@@ -58,13 +58,15 @@ namespace {
     const uint64_t addr = regs[op->rs1] + static_cast<uint64_t>(op->imm); \
     std::memcpy(mem + addr, &regs[op->rs2], width);                       \
   }
-#define T1_SHAPE_Jump(width, expr) ip = ops + op->imm;
+// Control flow. CompileThreaded resolved the target to its op, so a taken
+// branch costs one load ahead of the next dispatch.
+#define T1_SHAPE_Jump(width, expr) ip = op->target;
 #define T1_SHAPE_Branch(width, expr)  \
   {                                   \
     const uint64_t a = regs[op->rs1]; \
     const uint64_t b = regs[op->rs2]; \
     if (expr) {                       \
-      ip = ops + op->imm;             \
+      ip = op->target;                \
     }                                 \
   }
 #define T1_HOST_CALL(id, checked)                                 \
@@ -136,8 +138,7 @@ RunOutcome ThreadedExec(const CompiledProgram* cp, MemoryImage* image,
   RunOutcome outcome;
   outcome.tier = ExecTier::kTier1;
   uint8_t* const mem = image->data();
-  const ThreadedOp* const ops = cp->ops.data();
-  const ThreadedOp* ip = ops;
+  const ThreadedOp* ip = cp->ops.data();
   const ThreadedOp* op = nullptr;
   const uint32_t poll_interval = options.EffectivePollInterval();
   uint64_t fuel = options.fuel;
@@ -200,8 +201,10 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
 
   const size_t size = program.code.size();
   auto compiled = std::make_shared<CompiledProgram>();
-  compiled->ops.reserve(size);
-  for (const Instruction& ins : program.code) {
+  compiled->ops.resize(size);
+  ThreadedOp* const ops = compiled->ops.data();
+  for (size_t i = 0; i < size; ++i) {
+    const Instruction& ins = program.code[i];
     // VerifyProgram already guarantees all of this for the programs
     // VerifyAndCompile passes here; re-checking keeps "compiled implies
     // can't leave the op array" a local property of this function rather
@@ -213,17 +216,19 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
         ins.rs2 >= kNumRegisters) {
       return nullptr;
     }
-    if ((IsBranch(ins.op)) &&
-        (ins.imm < 0 || static_cast<size_t>(ins.imm) >= size)) {
-      return nullptr;
-    }
-    ThreadedOp top;
+    ThreadedOp& top = ops[i];
     top.handler = labels[opcode];
     top.rd = ins.rd;
     top.rs1 = ins.rs1;
     top.rs2 = ins.rs2;
-    top.imm = ins.imm;
-    compiled->ops.push_back(top);
+    if (IsBranch(ins.op)) {
+      if (ins.imm < 0 || static_cast<size_t>(ins.imm) >= size) {
+        return nullptr;
+      }
+      top.target = ops + ins.imm;
+    } else {
+      top.imm = ins.imm;
+    }
   }
   const Op last = program.code.back().op;
   if (last != Op::kHalt && last != Op::kJmp) {

@@ -15,7 +15,20 @@
 //  * pre-decoding at load time resolves each opcode to the *address* of its
 //    handler (GCC/Clang computed goto), so dispatch is one indirect jump
 //    whose target the BTB predicts per-site instead of through one shared
-//    switch.
+//    switch;
+//  * pre-decoding also resolves each branch target to the address of its
+//    op, so a taken branch is one load (`ip = op->target`) where an index
+//    would add a multiply and an add to the loop-carried path of every
+//    spinning graft.
+//
+// "Per-site" holds only if each handler keeps its own jump. GCC's
+// cross-jumping and GCSE passes otherwise merge the 41 handlers' identical
+// dispatch tails into a handful of shared indirect jumps (5 at -O2 and
+// -O3), which both blurs the prediction and makes every handler's speed
+// depend on unrelated code layout. src/sfi/CMakeLists.txt therefore
+// compiles this engine with -fno-gcse -fno-crossjumping under GCC, and
+// stage 2 of tools/check.sh fails a build whose ThreadedExec has fewer
+// indirect jumps than the op table has rows.
 //
 // What stays, byte-for-byte: MiSFIT masking semantics (kSandboxAddr, the
 // reserved mask/base registers loaded from the image), the Rule-7
@@ -50,20 +63,30 @@
 namespace vino {
 
 // One pre-decoded instruction: the opcode resolved to its handler address,
-// operands widened out of the packed encoding. For control flow, imm is an
-// absolute index into the op array; for kCall it is the host-function id.
+// operands widened out of the packed encoding. A kJmp or conditional
+// branch holds its resolved target op in place of the instruction's
+// absolute index; for kCall, imm is the host-function id.
 struct ThreadedOp {
   const void* handler = nullptr;
   uint8_t rd = 0;
   uint8_t rs1 = 0;
   uint8_t rs2 = 0;
-  int64_t imm = 0;
+  union {
+    int64_t imm = 0;
+    const ThreadedOp* target;  // IsBranch ops only.
+  };
 };
+static_assert(sizeof(ThreadedOp) == 24, "a branch target must not grow ops");
 
 // The Tier-1 artifact: a dense handler-resolved op array. Built once by
 // VerifyAndCompile, shared by the VerifiedProgram's copies, immutable
-// thereafter; concurrent invocations share it freely.
+// thereafter; concurrent invocations share it freely. Not copyable: its
+// branch ops point into its own array.
 struct CompiledProgram {
+  CompiledProgram() = default;
+  CompiledProgram(const CompiledProgram&) = delete;
+  CompiledProgram& operator=(const CompiledProgram&) = delete;
+
   std::vector<ThreadedOp> ops;
 };
 

@@ -1,10 +1,11 @@
 // The Tier-1 direct-threaded engine (src/sfi/threaded_vm.h):
-//  * the artifact VerifyAndCompile builds under each tier ceiling, and the
-//    fallback ladder (no artifact -> Tier 0, never an error);
+//  * the artifact VerifyAndCompile builds under each tier ceiling, its
+//    branch targets resolved into its own op array, and the fallback
+//    ladder (no artifact -> Tier 0, never an error);
 //  * observable-for-observable parity with the Tier-0 interpreter across
 //    ALU, memory, control flow, host calls, Rule-7 aborts, fuel
 //    exhaustion, and the abort-poll cadence (including the poll_interval
-//    == 0 clamp);
+//    == 0 clamp), the last two over every spinner shape;
 //  * concurrent invocations sharing one compiled artifact (the TSan stage
 //    of tools/check.sh runs this binary).
 // The randomized differential sweep lives in tests/property_test.cc.
@@ -15,6 +16,7 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -79,19 +81,57 @@ RunOutcome AssertTierParity(const VerifiedProgram& tier1_program,
   return out1;
 }
 
+// The spinner shapes the fuel and poll parity tests run, as raw programs
+// (none touches memory, so instrumenting leaves each one as it is):
+//  * a two-op loop body and its jump back;
+//  * the one-op self-loop `forever: jmp forever` that a hostile tenant's
+//    spinner runs until its fuel is gone;
+//  * a loop whose branches target both ends of the op array, op 0 and the
+//    last op, counting r1 up and taking the even and odd exits in turn.
+std::vector<Program> SpinnerPrograms() {
+  std::vector<Program> programs;
+  {
+    Asm a("spinner");
+    auto top = a.NewLabel();
+    a.LoadImm(R1, 1);
+    a.Bind(top);
+    a.Add(R2, R2, R1);
+    a.Jmp(top);
+    programs.push_back(*a.Finish());
+  }
+  {
+    Asm a("forever");
+    auto forever = a.NewLabel();
+    a.Bind(forever);
+    a.Jmp(forever);
+    programs.push_back(*a.Finish());
+  }
+  {
+    Asm a("edges");
+    auto first = a.NewLabel();
+    auto last = a.NewLabel();
+    a.Bind(first);
+    a.AddI(R1, R1, 1);
+    a.AndI(R2, R1, 1);
+    a.Beq(R2, R0, last);
+    a.Bne(R2, R0, first);
+    a.Bind(last);
+    a.Jmp(first);
+    programs.push_back(*a.Finish());
+  }
+  return programs;
+}
+
 TEST(CompileThreadedTest, ArtifactFollowsTheTierCeiling) {
   HostCallTable host;
-  Asm a("gate");
-  a.LoadImm(R0, 7).Halt();
-  Result<Program> raw = a.Finish();
-  ASSERT_TRUE(raw.ok());
+  const Program raw = SpinnerPrograms().back();
 
   // Uninstrumented: no VerifiedProgram at all, so no Tier-1 form.
-  EXPECT_EQ(VerifyAndCompile(*raw, host, ExecTier::kTier1).status(),
+  EXPECT_EQ(VerifyAndCompile(raw, host, ExecTier::kTier1).status(),
             Status::kNotInstrumented);
 
   // Verified under a Tier-0 ceiling: no artifact.
-  Result<Program> inst = Instrument(*raw, MisfitOptions{16});
+  Result<Program> inst = Instrument(raw, MisfitOptions{16});
   ASSERT_TRUE(inst.ok());
   const Result<VerifiedProgram> tier0 =
       VerifyAndCompile(*inst, host, ExecTier::kTier0);
@@ -104,8 +144,26 @@ TEST(CompileThreadedTest, ArtifactFollowsTheTierCeiling) {
       VerifyAndCompile(*inst, host, ExecTier::kTier1);
   ASSERT_TRUE(tier1.ok());
   ASSERT_NE(tier1->compiled(), nullptr);
-  EXPECT_EQ(tier1->compiled()->ops.size(), inst->code.size());
+  const std::vector<ThreadedOp>& ops = tier1->compiled()->ops;
+  ASSERT_EQ(ops.size(), inst->code.size());
   EXPECT_EQ(tier1->tier(), ExecTier::kTier1);
+
+  // Every branch op holds the address of its source instruction's target,
+  // inside this artifact's own array; the program reaches both ends.
+  size_t branches = 0;
+  for (size_t i = 0; i < ops.size(); ++i) {
+    const Instruction& ins = inst->code[i];
+    if (!IsBranch(ins.op)) {
+      continue;
+    }
+    ++branches;
+    EXPECT_EQ(ops[i].target, &ops[static_cast<size_t>(ins.imm)]) << "op " << i;
+    EXPECT_GE(ops[i].target, ops.data()) << "op " << i;
+    EXPECT_LT(ops[i].target, ops.data() + ops.size()) << "op " << i;
+  }
+  EXPECT_EQ(branches, 3u);
+  EXPECT_EQ(inst->code[2].imm, static_cast<int64_t>(ops.size() - 1));
+  EXPECT_EQ(inst->code[3].imm, 0);
 }
 
 TEST(CompileThreadedTest, EmptyProgramGetsNoArtifactUnderEitherCeiling) {
@@ -267,20 +325,16 @@ TEST(ThreadedVmTest, HostCallErrorStatusParity) {
 
 TEST(ThreadedVmTest, FuelExhaustionParity) {
   HostCallTable host;
-  Asm a("spinner");
-  auto top = a.NewLabel();
-  a.LoadImm(R1, 1);
-  a.Bind(top);
-  a.Add(R2, R2, R1);
-  a.Jmp(top);
-  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
-
-  for (const uint64_t fuel : {0ull, 1ull, 2ull, 97ull, 1000ull}) {
-    RunOptions options;
-    options.fuel = fuel;
-    const RunOutcome out = AssertTierParity(p, {}, options, &host);
-    EXPECT_EQ(out.status, Status::kSfiFuelExhausted) << "fuel=" << fuel;
-    EXPECT_EQ(out.instructions, fuel) << "fuel=" << fuel;
+  for (const Program& raw : SpinnerPrograms()) {
+    const VerifiedProgram p = MakeVerified(raw, host);
+    for (const uint64_t fuel : {0ull, 1ull, 2ull, 97ull, 1000ull}) {
+      RunOptions options;
+      options.fuel = fuel;
+      const RunOutcome out = AssertTierParity(p, {}, options, &host);
+      EXPECT_EQ(out.status, Status::kSfiFuelExhausted)
+          << raw.name << " fuel=" << fuel;
+      EXPECT_EQ(out.instructions, fuel) << raw.name << " fuel=" << fuel;
+    }
   }
 }
 
@@ -298,37 +352,32 @@ struct PollCounter {
 
 TEST(ThreadedVmTest, AbortPollCadenceParity) {
   HostCallTable host;
-  Asm a("pollee");
-  auto top = a.NewLabel();
-  a.LoadImm(R1, 1);
-  a.Bind(top);
-  a.Add(R2, R2, R1);
-  a.Jmp(top);
-  const Result<Program> raw = a.Finish();
-  ASSERT_TRUE(raw.ok());
-  const VerifiedProgram p = MakeVerified(*raw, host);
-  const VerifiedProgram tier0 = MakeVerified(*raw, host, ExecTier::kTier0);
+  for (const Program& raw : SpinnerPrograms()) {
+    const VerifiedProgram p = MakeVerified(raw, host);
+    const VerifiedProgram tier0 = MakeVerified(raw, host, ExecTier::kTier0);
 
-  for (const uint32_t interval : {1u, 7u, 64u}) {
-    PollCounter c0;
-    PollCounter c1;
-    c0.trip_after = c1.trip_after = 5;
-    RunOptions options;
-    options.poll_interval = interval;
-    options.abort_requested = &PollCounter::Predicate;
+    for (const uint32_t interval : {1u, 7u, 64u}) {
+      PollCounter c0;
+      PollCounter c1;
+      c0.trip_after = c1.trip_after = 5;
+      RunOptions options;
+      options.poll_interval = interval;
+      options.abort_requested = &PollCounter::Predicate;
 
-    MemoryImage image0(8192, 16);
-    options.abort_ctx = &c0;
-    const RunOutcome out0 = Vm(&host).Run(tier0, &image0, {}, options);
-    MemoryImage image1(8192, 16);
-    options.abort_ctx = &c1;
-    const RunOutcome out1 = ThreadedVm(&host).Run(p, &image1, {}, options);
+      MemoryImage image0(8192, 16);
+      options.abort_ctx = &c0;
+      const RunOutcome out0 = Vm(&host).Run(tier0, &image0, {}, options);
+      MemoryImage image1(8192, 16);
+      options.abort_ctx = &c1;
+      const RunOutcome out1 = ThreadedVm(&host).Run(p, &image1, {}, options);
 
-    EXPECT_EQ(out0.status, Status::kTxnAborted) << "interval=" << interval;
-    EXPECT_EQ(out1.status, out0.status) << "interval=" << interval;
-    EXPECT_EQ(out1.instructions, out0.instructions) << "interval=" << interval;
-    EXPECT_EQ(c1.polls, c0.polls) << "interval=" << interval;
-    EXPECT_EQ(c1.polls, 5u) << "interval=" << interval;
+      const std::string at = raw.name + " interval=" + std::to_string(interval);
+      EXPECT_EQ(out0.status, Status::kTxnAborted) << at;
+      EXPECT_EQ(out1.status, out0.status) << at;
+      EXPECT_EQ(out1.instructions, out0.instructions) << at;
+      EXPECT_EQ(c1.polls, c0.polls) << at;
+      EXPECT_EQ(c1.polls, 5u) << at;
+    }
   }
 }
 
@@ -336,13 +385,7 @@ TEST(ThreadedVmTest, PollIntervalZeroClampsToEveryInstruction) {
   // The PR 6 regression: poll_interval == 0 means "poll constantly", not
   // "poll after ~4B instructions". Tier 1 must clamp exactly like Tier 0.
   HostCallTable host;
-  Asm a("clampee");
-  auto top = a.NewLabel();
-  a.LoadImm(R1, 1);
-  a.Bind(top);
-  a.Add(R2, R2, R1);
-  a.Jmp(top);
-  const VerifiedProgram p = MakeVerified(*a.Finish(), host);
+  const VerifiedProgram p = MakeVerified(SpinnerPrograms().front(), host);
 
   PollCounter counter;
   counter.trip_after = 3;

@@ -7,8 +7,10 @@
 #   2. offline verifier audit: vverify (the same VerifySandbox analysis the
 #      loader runs) must accept every example graft graftc emits, and the
 #      misbehavior zoo — whose forged-toolchain grafts the loader's verifier
-#      refuses at load time — must contain every attack; and a grep finds
-#      no hand-set proof or artifact and no stray AssumeVerified caller,
+#      refuses at load time — must contain every attack; a grep finds
+#      no hand-set proof or artifact and no stray AssumeVerified caller;
+#      and, on a GCC x86-64 build, objdump finds at least one indirect
+#      jump in the Tier-1 dispatcher per vISA op (one per handler),
 #   3. flaky-dispatch guard: robustness_test, net_test, trace_test,
 #      serve_survival_test, watchdog_test and drift_test repeated 20x
 #      until-fail (the mixed sync/async event case was an 18/20 flake
@@ -53,8 +55,8 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR26 (wrapper, wrapper with the flight recorder on),
-#            BENCH_PR25 (lockmgr), BENCH_PR20 (sfi), BENCH_PR23 (txn),
+#            BENCH_PR27 (wrapper, sfi), BENCH_PR26 (wrapper with the
+#            flight recorder on), BENCH_PR25 (lockmgr), BENCH_PR23 (txn),
 #            BENCH_PR22 (ledger) and BENCH_PR19 (net) json snapshots (warn-only:
 #            shared CI boxes are too noisy for a hard perf gate; read the
 #            table — unless VINO_QUIET_RUNNER=1 marks the box as quiet
@@ -116,6 +118,23 @@ if grep -rnE 'verified\s*=\s*true|(\.|->)compiled\s*=([^=]|$)' \
   exit 1
 fi
 echo "proof boundary: ok (only VerifyAndCompile and its two hatches)"
+# Tier 1's dispatch: every handler keeps its own indirect jump. Under GCC,
+# src/sfi/CMakeLists.txt compiles threaded_vm.cc with -fno-gcse
+# -fno-crossjumping; without them the handlers share a handful of jumps.
+# (The count reads x86-64 mnemonics.)
+if grep -qs 'CMAKE_CXX_COMPILER_ID "GNU"' build/CMakeFiles/*/CMakeCXXCompiler.cmake &&
+   [[ "$(uname -m)" == "x86_64" ]]; then
+  OP_ROWS="$(grep -c '^  X(' src/sfi/isa.h)"
+  DISPATCH_JUMPS="$(objdump -d --no-show-raw-insn -C build/src/sfi/libvino_sfi.a |
+    awk '/^[0-9a-f]+ <.*ThreadedExec/ {f = 1; next} /^[0-9a-f]+ </ {f = 0}
+         f && /jmp +\*/ {n++} END {print n + 0}')"
+  if (( DISPATCH_JUMPS < OP_ROWS )); then
+    echo "ThreadedExec has $DISPATCH_JUMPS indirect jumps for $OP_ROWS ops:" \
+      "handlers share a dispatch (src/sfi/CMakeLists.txt)" >&2
+    exit 1
+  fi
+  echo "tier-1 dispatch: ok ($DISPATCH_JUMPS indirect jumps for $OP_ROWS ops)"
+fi
 
 echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival/watchdog/drift tests x20 =="
 ctest --test-dir build \
@@ -182,21 +201,21 @@ if [[ "$BENCH" == "1" ]]; then
     BENCH_GATE=()
     GATE_LABEL="hard gate, quiet runner"
   fi
-  # Every program row on the tier the loader picks, the poll sweep on both
-  # tiers (BENCH_PR26.json holds the change and, as bench_wrapper_parent,
-  # the parent, pinned and alternated on one box).
-  echo "== [bench] wrapper micro vs BENCH_PR26.json ($GATE_LABEL) =="
+  # Every program row on the tier the loader picks, the poll sweep and the
+  # spinner on both tiers; and the engines' own micros. BENCH_PR27.json
+  # holds the change and, as bench_wrapper_parent and bench_sfi_parent,
+  # the parent, pinned and alternated on one box, in this build type
+  # (RelWithDebInfo) and, as *_release, in Release.
+  echo "== [bench] wrapper micro vs BENCH_PR27.json ($GATE_LABEL) =="
   build/bench/bench_wrapper --json="build/bench_wrapper.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR26.json#bench_wrapper" "build/bench_wrapper.smoke.json"
-  # BENCH_PR20.json holds the sfi micros measured on the box that measured
-  # the lock manager, so a delta here is code, not a different box.
-  echo "== [bench] sfi micro vs BENCH_PR20.json ($GATE_LABEL) =="
+    "BENCH_PR27.json#bench_wrapper" "build/bench_wrapper.smoke.json"
+  echo "== [bench] sfi micro vs BENCH_PR27.json ($GATE_LABEL) =="
   build/bench/bench_sfi --json="build/bench_sfi.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR20.json#bench_sfi" "build/bench_sfi.smoke.json"
+    "BENCH_PR27.json#bench_sfi" "build/bench_sfi.smoke.json"
   # The one-closure undo log (BENCH_PR23.json holds the change and, as
   # bench_txn_parent, the parent on the same box).
   echo "== [bench] txn micro vs BENCH_PR23.json ($GATE_LABEL) =="
