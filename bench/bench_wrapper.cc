@@ -9,19 +9,27 @@
 //   * the watchdog arm/disarm, on one thread and on two sharing a kernel,
 //   * the VM entry/exit for a minimal program,
 //   * a spinner run to its fuel budget and ejected, on each tier,
-//   * poll_interval sensitivity (abort-latency vs throughput knob).
+//   * poll_interval sensitivity (abort-latency vs throughput knob),
+//   * the namespace's by-name visit, a by-name sweep over a thousand
+//     tenants' points, and the loader's cost with and without a live
+//     artifact of the same code.
 // Every program graft is built through VerifyAndCompile, so it runs on the
 // tier the loader picks unless the row pins one.
 
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
+#include <vector>
 
 #include "bench/gbench_main.h"
 #include "src/base/log.h"
 #include "src/graft/function_point.h"
+#include "src/graft/loader.h"
+#include "src/graft/namespace.h"
 #include "src/sfi/assembler.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/signing.h"
 #include "src/sfi/verifier.h"
 #include "src/txn/watchdog.h"
 
@@ -321,6 +329,143 @@ void BM_PollIntervalSweep(benchmark::State& state) {
 BENCHMARK(BM_PollIntervalSweep)
     ->ArgNames({"interval", "tier"})
     ->ArgsProduct({{1, 8, 64, 1024}, {0, 1}});
+
+// Names shaped like the ledger's ("serve.<tenant>.<family>"), and a fixed
+// pseudo-random visiting order over them.
+std::vector<std::string> LedgerNames(size_t count) {
+  static constexpr const char* kFamilies[] = {"readahead", "evict", "encrypt",
+                                              "sched"};
+  std::vector<std::string> names;
+  for (size_t i = 0; i < count; ++i) {
+    names.push_back("serve." + std::to_string(i / 4) + "." + kFamilies[i % 4]);
+  }
+  return names;
+}
+
+std::vector<uint32_t> VisitOrder(size_t count) {
+  std::vector<uint32_t> order(4096);
+  uint64_t x = 0x9e3779b97f4a7c15ull;
+  for (uint32_t& i : order) {
+    x ^= x << 13;
+    x ^= x >> 7;
+    x ^= x << 17;
+    i = static_cast<uint32_t>(x % count);
+  }
+  return order;
+}
+
+// One by-name lookup and an empty visit: the namespace's share of every
+// by-name invocation, at a small namespace and at a thousands-of-tenants
+// one whose slots no longer fit in L1.
+void BM_NamespaceVisit(benchmark::State& state) {
+  Fixture f;
+  GraftNamespace ns;
+  const auto count = static_cast<size_t>(state.range(0));
+  const std::vector<std::string> names = LedgerNames(count);
+  std::vector<std::unique_ptr<FunctionGraftPoint>> points;
+  for (const std::string& name : names) {
+    points.push_back(std::make_unique<FunctionGraftPoint>(
+        name, [](std::span<const uint64_t>) -> uint64_t { return 0; },
+        FunctionGraftPoint::Config{}, &f.txn, &f.host, &ns));
+  }
+  const std::vector<uint32_t> order = VisitOrder(count);
+  size_t k = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ns.WithFunction(
+        names[order[k++ & (order.size() - 1)]],
+        [](FunctionGraftPoint&) { return Status::kOk; }));
+  }
+}
+BENCHMARK(BM_NamespaceVisit)->ArgName("names")->Arg(64)->Arg(8192);
+
+// A short loop (16 iterations) for the tenant sweep.
+Program ShortLoop() {
+  Asm a("short-loop");
+  auto top = a.NewLabel();
+  a.LoadImm(R1, 16);
+  a.LoadImm(R2, 0);
+  a.Bind(top);
+  a.AddI(R1, R1, -1);
+  a.Bne(R1, R2, top);
+  a.Mov(R0, R1);
+  a.Halt();
+  return *Instrument(*a.Finish());
+}
+
+// A thousand tenants, each with its own point and its own loaded copy of
+// one short looping program, invoked round-robin by name: the ledger's
+// request path without the lock manager and the net stack, where each
+// request finds a different point and graft than the one before.
+void BM_WrapperTenantSweep(benchmark::State& state) {
+  Fixture f;
+  GraftNamespace ns;
+  const auto count = static_cast<size_t>(state.range(0));
+  const std::vector<std::string> names = LedgerNames(count);
+  std::vector<std::unique_ptr<FunctionGraftPoint>> points;
+  const Program program = ShortLoop();
+  for (const std::string& name : names) {
+    points.push_back(std::make_unique<FunctionGraftPoint>(
+        name, [](std::span<const uint64_t>) -> uint64_t { return 0; },
+        FunctionGraftPoint::Config{}, &f.txn, &f.host, &ns));
+    const Result<VerifiedProgram> verified =
+        VerifyAndCompile(program, f.host, MaxExecTier());
+    if (!verified.ok() ||
+        !IsOk(points.back()->Replace(
+            std::make_shared<Graft>(name, *verified, kRoot, 4096)))) {
+      state.SkipWithError("bench graft failed to build");
+      return;
+    }
+  }
+  size_t k = 0;
+  for (auto _ : state) {
+    const std::string& name = names[k];
+    k = k + 1 == count ? 0 : k + 1;
+    benchmark::DoNotOptimize(
+        ns.WithFunction(name, [](FunctionGraftPoint& point) {
+          benchmark::DoNotOptimize(point.Invoke({}));
+          return Status::kOk;
+        }));
+  }
+}
+BENCHMARK(BM_WrapperTenantSweep)->ArgName("tenants")->Arg(1000);
+
+// GraftLoader::Load of signed programs: with repeat:1 each repeats the
+// code of a graft that stays live, so its artifact is shared; with repeat:0
+// each differs from the others in one immediate and none is live, so every
+// load compiles one — the path that shares nothing.
+void BM_LoaderLoad(benchmark::State& state) {
+  Fixture f;
+  GraftNamespace ns;
+  const SigningAuthority authority("bench-key");
+  GraftLoader loader(&ns, &f.host, authority);
+  const bool repeat = state.range(0) != 0;
+  std::vector<SignedGraft> grafts;
+  for (int i = 0; i < 256; ++i) {
+    Asm a("tenant." + std::to_string(i));
+    a.LoadImm(R1, 0);
+    a.LoadImm(R2, repeat ? 1 : 1 + i);
+    for (int j = 0; j < 8; ++j) {
+      a.Add(R3, R3, R2);
+      a.St64(R1, R3, j * 8);
+      a.Ld64(R4, R1, j * 8);
+    }
+    a.Mov(R0, R4);
+    a.Halt();
+    grafts.push_back(*authority.Sign(*Instrument(*a.Finish())));
+  }
+  const Result<std::shared_ptr<Graft>> live =
+      loader.Load(grafts[0], {kRoot, nullptr});
+  if (!live.ok()) {
+    state.SkipWithError("bench graft failed to load");
+    return;
+  }
+  size_t k = 1;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(loader.Load(grafts[k], {kRoot, nullptr}));
+    k = k + 1 == grafts.size() ? 1 : k + 1;
+  }
+}
+BENCHMARK(BM_LoaderLoad)->ArgName("repeat")->Arg(0)->Arg(1);
 
 }  // namespace
 }  // namespace vino

@@ -79,13 +79,8 @@ Status ResourceAccount::BillTo(ResourceAccount* sponsor) {
     }
   }
   std::lock_guard<std::mutex> guard(mutex_);
-  sponsor_ = sponsor;
+  sponsor_.store(sponsor, std::memory_order_release);
   return Status::kOk;
-}
-
-ResourceAccount* ResourceAccount::sponsor() const {
-  std::lock_guard<std::mutex> guard(mutex_);
-  return sponsor_;
 }
 
 ResourceAccount* ResourceAccount::ChargeTarget() {

@@ -14,6 +14,7 @@
 #define VINOLITE_SRC_RESOURCE_ACCOUNT_H_
 
 #include <array>
+#include <atomic>
 #include <cstdint>
 #include <mutex>
 #include <string>
@@ -62,7 +63,11 @@ class ResourceAccount {
   // Pass nullptr to clear. A billing cycle (a sponsoring b sponsoring a)
   // is rejected with kInvalidArgs.
   Status BillTo(ResourceAccount* sponsor);
-  [[nodiscard]] ResourceAccount* sponsor() const;
+  // Lock-free: a charge walks the billing chain by these loads and then
+  // takes one mutex, its target's.
+  [[nodiscard]] ResourceAccount* sponsor() const {
+    return sponsor_.load(std::memory_order_acquire);
+  }
 
   // --- Charges ---------------------------------------------------------
   // Attempts to consume `amount`; fails with kLimitExceeded if it would
@@ -79,7 +84,7 @@ class ResourceAccount {
   mutable std::mutex mutex_;
   std::array<uint64_t, kResourceTypeCount> limits_{};
   std::array<uint64_t, kResourceTypeCount> usage_{};
-  ResourceAccount* sponsor_ = nullptr;
+  std::atomic<ResourceAccount*> sponsor_{nullptr};
 };
 
 // Charges the calling thread's current account (KernelContext), registering

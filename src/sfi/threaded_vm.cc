@@ -1,7 +1,11 @@
 #include "src/sfi/threaded_vm.h"
 
+#include <algorithm>
 #include <cstring>
+#include <mutex>
+#include <unordered_map>
 
+#include "src/base/hash.h"
 #include "src/sfi/engine_internal.h"
 #include "src/sfi/vm.h"
 
@@ -184,27 +188,21 @@ exit_done:
 #undef VINO_DISPATCH
 }
 
-#endif  // VINO_HAVE_COMPUTED_GOTO
-
-}  // namespace
-
-std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
-#if !VINO_HAVE_COMPUTED_GOTO
-  (void)program;
-  return nullptr;
-#else
-  if (program.code.empty()) {
+// Pre-decodes `code` into a fresh artifact; the checks are CompileThreaded's.
+std::shared_ptr<const CompiledProgram> Compile(
+    std::span<const Instruction> code) {
+  if (code.empty()) {
     return nullptr;
   }
   const void* const* labels = nullptr;
   (void)ThreadedExec(nullptr, nullptr, {}, RunOptions{}, nullptr, {}, &labels);
 
-  const size_t size = program.code.size();
+  const size_t size = code.size();
   auto compiled = std::make_shared<CompiledProgram>();
   compiled->ops.resize(size);
   ThreadedOp* const ops = compiled->ops.data();
   for (size_t i = 0; i < size; ++i) {
-    const Instruction& ins = program.code[i];
+    const Instruction& ins = code[i];
     // VerifyProgram already guarantees all of this for the programs
     // VerifyAndCompile passes here; re-checking keeps "compiled implies
     // can't leave the op array" a local property of this function rather
@@ -230,11 +228,91 @@ std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
       top.imm = ins.imm;
     }
   }
-  const Op last = program.code.back().op;
+  const Op last = code.back().op;
   if (last != Op::kHalt && last != Op::kJmp) {
     return nullptr;  // No terminal instruction → pc could fall off the end.
   }
   return compiled;
+}
+
+// A hash over the instructions' fields, never their padding.
+uint64_t HashCode(std::span<const Instruction> code) {
+  uint64_t h = code.size();
+  for (const Instruction& ins : code) {
+    h = HashStep(h, static_cast<uint64_t>(ins.op) | uint64_t{ins.rd} << 8 |
+                        uint64_t{ins.rs1} << 16 | uint64_t{ins.rs2} << 24);
+    h = HashStep(h, static_cast<uint64_t>(ins.imm));
+  }
+  return MixU64(h);
+}
+
+// The process's live artifacts, keyed by everything Compile reads: the
+// instruction sequence. Entries are weak, so an artifact dies with its last
+// graft; expired entries are pruned whenever the table has doubled since
+// the last prune, which keeps a stream of distinct loads amortized O(1).
+struct ArtifactTable {
+  struct Entry {
+    std::vector<Instruction> code;
+    std::weak_ptr<const CompiledProgram> artifact;
+  };
+
+  void Prune() {
+    std::erase_if(entries,
+                  [](const auto& kv) { return kv.second.artifact.expired(); });
+    prune_at = std::max<size_t>(16, 2 * entries.size());
+  }
+
+  std::mutex mutex;
+  std::unordered_multimap<uint64_t, Entry> entries;
+  size_t prune_at = 16;
+};
+
+ArtifactTable& Artifacts() {
+  static ArtifactTable table;
+  return table;
+}
+
+#endif  // VINO_HAVE_COMPUTED_GOTO
+
+}  // namespace
+
+std::shared_ptr<const CompiledProgram> CompileThreaded(const Program& program) {
+#if !VINO_HAVE_COMPUTED_GOTO
+  (void)program;
+  return nullptr;
+#else
+  const uint64_t hash = HashCode(program.code);
+  ArtifactTable& table = Artifacts();
+  std::lock_guard<std::mutex> guard(table.mutex);
+  const auto [first, last] = table.entries.equal_range(hash);
+  for (auto it = first; it != last; ++it) {
+    if (it->second.code == program.code) {
+      if (std::shared_ptr<const CompiledProgram> live =
+              it->second.artifact.lock()) {
+        return live;
+      }
+    }
+  }
+  std::shared_ptr<const CompiledProgram> compiled = Compile(program.code);
+  if (compiled == nullptr) {
+    return nullptr;
+  }
+  if (table.entries.size() >= table.prune_at) {
+    table.Prune();
+  }
+  table.entries.emplace(hash, ArtifactTable::Entry{program.code, compiled});
+  return compiled;
+#endif
+}
+
+size_t LiveThreadedArtifacts() {
+#if !VINO_HAVE_COMPUTED_GOTO
+  return 0;
+#else
+  ArtifactTable& table = Artifacts();
+  std::lock_guard<std::mutex> guard(table.mutex);
+  table.Prune();
+  return table.entries.size();
 #endif
 }
 

@@ -39,11 +39,21 @@
 // in tests/property_test.cc holds them to identical registers, memory,
 // host-call sequences, and abort reasons.
 //
-// Compilation happens once, in VerifyAndCompile (src/sfi/verifier.h),
-// and only after the sandbox proof succeeded — the dropped checks are
-// exactly the ones the proof covers, so an unverified program has no Tier-1
-// form. A failed or unavailable compile (non-GNU compiler) is never a load
-// failure: the artifact is simply absent and the graft runs Tier 0.
+// Compilation happens in VerifyAndCompile (src/sfi/verifier.h), and only
+// after the sandbox proof succeeded — the dropped checks are exactly the
+// ones the proof covers, so an unverified program has no Tier-1 form. A
+// failed or unavailable compile (non-GNU compiler) is never a load failure:
+// the artifact is simply absent and the graft runs Tier 0.
+//
+// Artifacts are interned process-wide. An artifact is immutable and holds
+// nothing of a kernel, a graft or an image, so every graft whose code is
+// the same instruction sequence can run one copy: CompileThreaded returns
+// the live artifact for a sequence it has already compiled, and a
+// thousand tenants loading the same few programs keep a few op arrays warm
+// in cache instead of a thousand cold ones. The table holds its entries
+// weakly, so an artifact dies with the last graft that runs it. Sharing
+// never skips a check: VerifyAndCompile verifies every load in full before
+// it asks for an artifact.
 
 #ifndef VINOLITE_SRC_SFI_THREADED_VM_H_
 #define VINOLITE_SRC_SFI_THREADED_VM_H_
@@ -79,7 +89,7 @@ struct ThreadedOp {
 static_assert(sizeof(ThreadedOp) == 24, "a branch target must not grow ops");
 
 // The Tier-1 artifact: a dense handler-resolved op array. Built once by
-// VerifyAndCompile, shared by the VerifiedProgram's copies, immutable
+// VerifyAndCompile, shared by every graft with the same code, immutable
 // thereafter; concurrent invocations share it freely. Not copyable: its
 // branch ops point into its own array.
 struct CompiledProgram {
@@ -90,13 +100,19 @@ struct CompiledProgram {
   std::vector<ThreadedOp> ops;
 };
 
-// Pre-decodes `program` for direct-threaded dispatch. Only VerifyAndCompile
-// calls it, after the sandbox proof. Returns nullptr — never an error — when
-// an instruction is out of range (unknown opcode, register, or branch
-// target), when the program is empty or does not end in kHalt/kJmp, or when
-// the build lacks computed goto. Callers treat nullptr as "run Tier 0".
+// Pre-decodes `program` for direct-threaded dispatch, or returns the live
+// artifact of an equal instruction sequence (compared in full, reading
+// nothing else of `program`). Only VerifyAndCompile calls it, after the
+// sandbox proof. Returns nullptr — never an error — when an instruction is
+// out of range (unknown opcode, register, or branch target), when the
+// program is empty or does not end in kHalt/kJmp, or when the build lacks
+// computed goto. Callers treat nullptr as "run Tier 0".
 [[nodiscard]] std::shared_ptr<const CompiledProgram> CompileThreaded(
     const Program& program);
+
+// Prunes the artifact table and returns how many artifacts it holds, every
+// one of them alive (tests).
+[[nodiscard]] size_t LiveThreadedArtifacts();
 
 // The Tier-1 engine. Stateless like the Vm: Run is const and all execution
 // state lives on its stack, so one instance per graft point serves any

@@ -161,7 +161,8 @@ class VerifiedProgram;
 
 // A Program that passed VerifyAndCompile, with its Tier-1 artifact if one
 // was built. It has no public constructor and its program is immutable, so
-// the proof cannot go stale; copies share the artifact.
+// the proof cannot go stale; every VerifiedProgram with the same code
+// shares one artifact (src/sfi/threaded_vm.h).
 class VerifiedProgram {
  public:
   [[nodiscard]] const Program& program() const { return program_; }

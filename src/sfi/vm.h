@@ -16,6 +16,12 @@
 // program (the paper's "unsafe path") reaches the whole image, kernel
 // memory included. RunOptions/RunOutcome and the engine interface live in
 // src/sfi/exec_engine.h.
+//
+// Under GCC, vm.cc is compiled with -falign-functions=64. Without it, Run
+// and its dispatch loop started wherever the preceding objects left off,
+// and an edit elsewhere in the library moved the interpreter's rows by
+// 20-30 % with vm.cc unchanged; stage 2 of tools/check.sh fails a build
+// whose linked Run is off a 64-byte boundary.
 
 #ifndef VINOLITE_SRC_SFI_VM_H_
 #define VINOLITE_SRC_SFI_VM_H_

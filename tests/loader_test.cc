@@ -11,6 +11,7 @@
 #include "src/sfi/exec_engine.h"
 #include "src/sfi/isa.h"
 #include "src/sfi/misfit.h"
+#include "src/sfi/threaded_vm.h"
 #include "src/sfi/verifier.h"
 
 namespace vino {
@@ -218,6 +219,65 @@ TEST_F(LoaderTest, LoadedGraftsCarryTheArtifactOfTheirTierCeiling) {
     EXPECT_EQ(verified->tier(), ceiling);
     EXPECT_EQ(verified->compiled() != nullptr, ceiling == ExecTier::kTier1);
   }
+}
+
+TEST_F(LoaderTest, LoadsOfOneCodeShareOneArtifact) {
+  // Two tenants load the same instruction sequence under their own names;
+  // a third program differs in one immediate.
+  SignedGraft first = MakeSigned(callable_id_);
+  SignedGraft second = first;
+  second.program.name = "another-tenant";
+  SignedGraft different = first;
+  for (Instruction& ins : different.program.code) {
+    if (ins.op == Op::kLoadImm && ins.imm == 5) {
+      ins.imm = 6;
+    }
+  }
+  ASSERT_NE(different.program.code, first.program.code);
+  second = *authority_.Sign(second.program);
+  different = *authority_.Sign(different.program);
+  {
+    Result<std::shared_ptr<Graft>> a = loader_.Load(first, {kUser, nullptr});
+    Result<std::shared_ptr<Graft>> b = loader_.Load(second, {kRoot, nullptr});
+    Result<std::shared_ptr<Graft>> c = loader_.Load(different, {kUser, nullptr});
+    ASSERT_TRUE(a.ok() && b.ok() && c.ok());
+    EXPECT_EQ((*b)->name(), "another-tenant");
+    EXPECT_EQ((*a)->program().compiled(), (*b)->program().compiled());
+    const bool tier1 = MaxExecTier() == ExecTier::kTier1;
+    EXPECT_EQ((*a)->program().compiled() != nullptr, tier1);
+    EXPECT_EQ((*a)->program().compiled() != (*c)->program().compiled(), tier1);
+    EXPECT_EQ(LiveThreadedArtifacts(), tier1 ? 2u : 0u);
+  }
+  // Every graft that held an artifact has died, and so have the artifacts.
+  EXPECT_EQ(LiveThreadedArtifacts(), 0u);
+}
+
+TEST_F(LoaderTest, EqualCodeIsStillVerifiedInFull) {
+  // A live artifact for this code vouches for nothing: each load is
+  // checked on its own, and a failing one keeps its own status.
+  Result<std::shared_ptr<Graft>> live =
+      loader_.Load(MakeSigned(callable_id_), {kUser, nullptr});
+  ASSERT_TRUE(live.ok());
+
+  Program small = MakeSigned(callable_id_).program;
+  small.sandbox_log2 = 3;
+  EXPECT_EQ(loader_.Load(*authority_.Sign(small), {kUser, nullptr}).status(),
+            Status::kBadGraft);
+
+  // The same id is not graft-callable in another kernel's host table.
+  HostCallTable other_host;
+  ASSERT_EQ(other_host.Register(
+                "k.ok", [](HostCallContext&) -> Result<uint64_t> { return 1ull; },
+                false),
+            callable_id_);
+  GraftLoader other_loader(&ns_, &other_host,
+                           SigningAuthority("trusted-misfit-key"));
+  EXPECT_EQ(other_loader.Load(MakeSigned(callable_id_), {kUser, nullptr}).status(),
+            Status::kIllegalCall);
+  EXPECT_EQ(
+      VerifyAndCompile((*live)->program().program(), other_host, ExecTier::kTier1)
+          .status(),
+      Status::kIllegalCall);
 }
 
 TEST_F(LoaderTest, RejectsRawProgramEvenIfSomehowSigned) {

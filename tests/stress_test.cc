@@ -160,5 +160,44 @@ TEST(StressTest, SponsoredChargesRaceWithoutOvercommit) {
   EXPECT_EQ(sponsor.usage(ResourceType::kMemory), 10'000u);
 }
 
+// A charge walks the billing chain without taking any account's mutex, so
+// the walk races BillTo. Every charge must still land on the root of one of
+// the two chains the middle account is billed along, never on an account
+// in the middle of a chain or outside both.
+TEST(StressTest, ChargesFollowAChainThatIsBeingRebilled) {
+  ResourceAccount root_a("root-a");
+  ResourceAccount root_b("root-b");
+  ResourceAccount middle("middle");
+  ResourceAccount leaf("leaf");
+  ResourceAccount outsider("outsider");
+  for (ResourceAccount* a : {&root_a, &root_b, &middle, &leaf, &outsider}) {
+    a->SetLimit(ResourceType::kMemory, 1'000'000);
+  }
+  ASSERT_EQ(middle.BillTo(&root_a), Status::kOk);
+  ASSERT_EQ(leaf.BillTo(&middle), Status::kOk);
+
+  constexpr uint64_t kCharges = 20'000;
+  std::atomic<bool> charging{true};
+  std::thread rebiller([&] {
+    for (int i = 0; charging.load(std::memory_order_relaxed); ++i) {
+      EXPECT_EQ(middle.BillTo(i % 2 == 0 ? &root_b : &root_a), Status::kOk);
+    }
+  });
+  uint64_t granted = 0;
+  for (uint64_t i = 0; i < kCharges; ++i) {
+    granted += IsOk(leaf.Charge(ResourceType::kMemory, 1)) ? 1 : 0;
+  }
+  charging.store(false, std::memory_order_relaxed);
+  rebiller.join();
+
+  EXPECT_EQ(granted, kCharges);
+  EXPECT_EQ(root_a.usage(ResourceType::kMemory) +
+                root_b.usage(ResourceType::kMemory),
+            kCharges);
+  EXPECT_EQ(middle.usage(ResourceType::kMemory), 0u);
+  EXPECT_EQ(leaf.usage(ResourceType::kMemory), 0u);
+  EXPECT_EQ(outsider.usage(ResourceType::kMemory), 0u);
+}
+
 }  // namespace
 }  // namespace vino

@@ -1,7 +1,8 @@
 // The Tier-1 direct-threaded engine (src/sfi/threaded_vm.h):
 //  * the artifact VerifyAndCompile builds under each tier ceiling, its
-//    branch targets resolved into its own op array, and the fallback
-//    ladder (no artifact -> Tier 0, never an error);
+//    branch targets resolved into its own op array, one artifact per
+//    distinct instruction sequence, and the fallback ladder (no artifact
+//    -> Tier 0, never an error);
 //  * observable-for-observable parity with the Tier-0 interpreter across
 //    ALU, memory, control flow, host calls, Rule-7 aborts, fuel
 //    exhaustion, and the abort-poll cadence (including the poll_interval
@@ -174,6 +175,43 @@ TEST(CompileThreadedTest, EmptyProgramGetsNoArtifactUnderEitherCeiling) {
   for (const ExecTier ceiling : {ExecTier::kTier0, ExecTier::kTier1}) {
     EXPECT_EQ(VerifyAndCompile(p, host, ceiling).status(), Status::kBadGraft);
   }
+}
+
+// Artifacts are interned by instruction sequence: programs that differ
+// only in name share one, a one-immediate difference gets its own, a
+// Tier-0 ceiling makes none, and the table keeps none alive.
+TEST(CompileThreadedTest, EqualCodeSharesOneArtifactWhileItLives) {
+  HostCallTable host;
+  const size_t before = LiveThreadedArtifacts();
+  Asm a("one");
+  a.LoadImm(R1, 0x5eed).Add(R0, R1, R1).Halt();
+  const Program one = *a.Finish();
+  Program renamed = one;
+  renamed.name = "two";
+  Program other = one;
+  other.code[0].imm += 1;
+  {
+    const VerifiedProgram p1 = MakeVerified(one, host);
+    const VerifiedProgram p2 = MakeVerified(renamed, host);
+    const VerifiedProgram p3 = MakeVerified(other, host);
+    ASSERT_NE(p1.compiled(), nullptr);
+    EXPECT_EQ(p1.compiled(), p2.compiled());
+    ASSERT_NE(p3.compiled(), nullptr);
+    EXPECT_NE(p1.compiled(), p3.compiled());
+    EXPECT_EQ(p2.program().name, "two");
+
+    const VerifiedProgram p0 = MakeVerified(one, host, ExecTier::kTier0);
+    EXPECT_EQ(p0.compiled(), nullptr);
+    EXPECT_EQ(LiveThreadedArtifacts(), before + 2);
+
+    // Each still runs its own program.
+    MemoryImage image(8192, 16);
+    EXPECT_EQ(ThreadedVm(&host).Run(p2, &image, {}, RunOptions{}).ret,
+              2u * 0x5eed);
+    EXPECT_EQ(ThreadedVm(&host).Run(p3, &image, {}, RunOptions{}).ret,
+              2u * 0x5eee);
+  }
+  EXPECT_EQ(LiveThreadedArtifacts(), before);
 }
 
 TEST(ThreadedVmTest, FallsBackToTier0WithoutArtifact) {

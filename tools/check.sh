@@ -10,7 +10,8 @@
 #      refuses at load time — must contain every attack; a grep finds
 #      no hand-set proof or artifact and no stray AssumeVerified caller;
 #      and, on a GCC x86-64 build, objdump finds at least one indirect
-#      jump in the Tier-1 dispatcher per vISA op (one per handler),
+#      jump in the Tier-1 dispatcher per vISA op (one per handler) and nm
+#      finds the Tier-0 interpreter on a 64-byte boundary,
 #   3. flaky-dispatch guard: robustness_test, net_test, trace_test,
 #      serve_survival_test, watchdog_test and drift_test repeated 20x
 #      until-fail (the mixed sync/async event case was an 18/20 flake
@@ -38,7 +39,8 @@
 #      races (Drain vs DispatchAsync, pool lifecycle, txn locks, a ring
 #      drain racing its writers, concurrent Tier-1 dispatch over one shared
 #      compiled artifact, lock-table sharding, namespace install/invoke/
-#      remove churn, concurrent aborts ending drift windows, multi-tenant
+#      remove churn, a charge walking a billing chain that is being
+#      re-billed, concurrent aborts ending drift windows, multi-tenant
 #      serving under hostile load) fail CI
 #      instead of shipping; the tier-differential and op-semantics tests
 #      then re-run pinned to the Tier-0 interpreter (the list already ran
@@ -55,7 +57,7 @@
 #            + a reduced-budget fuzz smoke).
 #   --bench  also run the micro-benchmarks and a short ledger run per
 #            BENCHMARK.json workload, and diff them against the committed
-#            BENCH_PR27 (wrapper, sfi), BENCH_PR26 (wrapper with the
+#            BENCH_PR29 (wrapper, sfi), BENCH_PR26 (wrapper with the
 #            flight recorder on), BENCH_PR25 (lockmgr), BENCH_PR23 (txn),
 #            BENCH_PR22 (ledger) and BENCH_PR19 (net) json snapshots (warn-only:
 #            shared CI boxes are too noisy for a hard perf gate; read the
@@ -134,6 +136,24 @@ if grep -qs 'CMAKE_CXX_COMPILER_ID "GNU"' build/CMakeFiles/*/CMakeCXXCompiler.cm
     exit 1
   fi
   echo "tier-1 dispatch: ok ($DISPATCH_JUMPS indirect jumps for $OP_ROWS ops)"
+  # Tier 0's interpreter starts on a cache line of its own (vm.cc is built
+  # with -falign-functions=64), so its rows do not follow the linker's
+  # placement of its neighbours: Vm::Run, and RunLoop<false> when it is out
+  # of line, must sit on a 64-byte boundary in a linked binary.
+  TIER0_SYMS="$(nm -C build/bench/bench_sfi |
+    grep -E ' vino::Vm::Run\(|RunLoop<false>\(' | grep -v '\[clone' || true)"
+  if [[ -z "$TIER0_SYMS" ]]; then
+    echo "Vm::Run not found in build/bench/bench_sfi" >&2
+    exit 1
+  fi
+  while read -r addr _ sym; do
+    if (( 0x$addr % 64 != 0 )); then
+      echo "Tier-0 interpreter off a 64-byte boundary: $sym at" \
+        "0x$addr (src/sfi/CMakeLists.txt)" >&2
+      exit 1
+    fi
+  done <<< "$TIER0_SYMS"
+  echo "tier-0 alignment: ok (Vm::Run on a 64-byte boundary)"
 fi
 
 echo "== [3/8] flaky-dispatch guard: robustness/net/trace/serve-survival/watchdog/drift tests x20 =="
@@ -202,20 +222,21 @@ if [[ "$BENCH" == "1" ]]; then
     GATE_LABEL="hard gate, quiet runner"
   fi
   # Every program row on the tier the loader picks, the poll sweep and the
-  # spinner on both tiers; and the engines' own micros. BENCH_PR27.json
-  # holds the change and, as bench_wrapper_parent and bench_sfi_parent,
-  # the parent, pinned and alternated on one box, in this build type
-  # (RelWithDebInfo) and, as *_release, in Release.
-  echo "== [bench] wrapper micro vs BENCH_PR27.json ($GATE_LABEL) =="
+  # spinner on both tiers, the namespace visit, the tenant sweep and the
+  # loader; and the engines' own micros. BENCH_PR29.json holds the change
+  # and, as bench_wrapper_parent and bench_sfi_parent, the parent, pinned
+  # and alternated on one box, in this build type (RelWithDebInfo) and, as
+  # *_release, in Release.
+  echo "== [bench] wrapper micro vs BENCH_PR29.json ($GATE_LABEL) =="
   build/bench/bench_wrapper --json="build/bench_wrapper.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR27.json#bench_wrapper" "build/bench_wrapper.smoke.json"
-  echo "== [bench] sfi micro vs BENCH_PR27.json ($GATE_LABEL) =="
+    "BENCH_PR29.json#bench_wrapper" "build/bench_wrapper.smoke.json"
+  echo "== [bench] sfi micro vs BENCH_PR29.json ($GATE_LABEL) =="
   build/bench/bench_sfi --json="build/bench_sfi.smoke.json" \
     --benchmark_min_time=0.05 >/dev/null
   tools/bench_compare.py ${BENCH_GATE[@]+"${BENCH_GATE[@]}"} --sigmas 2 \
-    "BENCH_PR27.json#bench_sfi" "build/bench_sfi.smoke.json"
+    "BENCH_PR29.json#bench_sfi" "build/bench_sfi.smoke.json"
   # The one-closure undo log (BENCH_PR23.json holds the change and, as
   # bench_txn_parent, the parent on the same box).
   echo "== [bench] txn micro vs BENCH_PR23.json ($GATE_LABEL) =="
